@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! harness <exp-id>... [--full]                    # e1 … e13, or `all`
-//! harness bench [--out BENCH_1.json] [--full] [--shard-records DIR]
+//! harness bench --out FILE [--full] [--shard-records DIR]
 //!               [--dist-transport pipes|tcp|tcp-elastic] [--serve]
 //! harness merge --out MERGED.json SHARD.json...   # fold per-shard records
 //! harness validate [--require-streaming] [--require-kernels]
@@ -57,7 +57,10 @@ fn run_bench(args: &[String], scale: Scale) {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
-        None => "BENCH_1.json".to_string(),
+        None => {
+            eprintln!("error: bench requires --out FILE (it never picks a record name itself)");
+            std::process::exit(2);
+        }
     };
     let shard_dir = match flag_value(args, "--shard-records") {
         Some(Ok(v)) => Some(v),

@@ -3,7 +3,7 @@
 //! One module per experiment (see `DESIGN.md` §5 and `EXPERIMENTS.md` for
 //! the index). Each experiment exposes `run(scale) -> String` returning the
 //! rendered report table(s); the `harness` binary dispatches on experiment
-//! id. Criterion micro-benches live in `benches/`.
+//! id.
 
 pub mod common;
 pub mod experiments;

@@ -121,10 +121,6 @@ pub struct ShardsPerf {
     pub assign_bytes: u64,
     /// Total payload bytes of the per-worker `Load` frames.
     pub load_bytes: u64,
-    /// What the protocol-v1 fat assignments (matrix inside every
-    /// `Assign`) would have cost for the same run — `assign_bytes +
-    /// load_bytes` against this number is the `Load`-frame saving.
-    pub fat_assign_bytes: u64,
     /// Re-plan events over the run.
     pub replans: usize,
     /// Workers admitted after the run started (elastic TCP leg; 0
@@ -313,7 +309,7 @@ impl PerfRecord {
                 s,
                 "  \"shards\": {{\"n_shards\": {}, \"workers\": {}, \"mode\": {}, \
                  \"transport\": {}, \"assignments\": {}, \"assign_bytes\": {}, \
-                 \"load_bytes\": {}, \"fat_assign_bytes\": {}, \
+                 \"load_bytes\": {}, \
                  \"replans\": {}, \"late_joins\": {}, \"steals\": {}, \
                  \"heartbeats\": {}, \"evaluated\": {}, \"total_cells\": {}, \
                  \"merged_edges\": {}, \"prepare_ms_max\": {}, \"query_ms_max\": {}, \
@@ -325,7 +321,6 @@ impl PerfRecord {
                 sh.assignments,
                 sh.assign_bytes,
                 sh.load_bytes,
-                sh.fat_assign_bytes,
                 sh.replans,
                 sh.late_joins,
                 sh.steals,
@@ -747,9 +742,8 @@ pub fn run_full_with(
 /// onto 4 workers, batch mode) and condenses it to the `shards` section —
 /// through real `dangoron-shard` worker processes when the binary is
 /// built, an in-process fallback otherwise. More shards than workers is
-/// deliberate: queued shards reuse the worker's `Load`ed matrix, which is
-/// exactly the per-assignment byte saving the record measures
-/// (`assign_bytes + load_bytes` vs `fat_assign_bytes`). Also returns the
+/// deliberate: queued shards reuse the worker's `Load`ed matrix, so
+/// `assign_bytes` stays small next to `load_bytes`. Also returns the
 /// per-shard summaries so `harness bench --shard-records` can write the
 /// per-shard records that `harness merge` consumes.
 pub fn shards_sample(w: &Workload) -> (ShardsPerf, dist::DistResult) {
@@ -812,11 +806,6 @@ pub fn shards_sample_with(
     };
     let bit_identical = dist::merge::windows_bit_identical(&result.matrices, &single.matrices)
         && result.stats == single.stats;
-    // What protocol v1 (matrix inside every Assign) would have shipped:
-    // every assignment additionally carries the matrix dims + cells.
-    let matrix_bytes = 16 + 8 * (w.data.n_series() * w.data.len()) as u64;
-    let fat_assign_bytes =
-        result.coord.assign_bytes + result.coord.assignments as u64 * matrix_bytes;
     let perf = ShardsPerf {
         n_shards: result.coord.n_shards_planned,
         workers: result.coord.n_workers,
@@ -831,7 +820,6 @@ pub fn shards_sample_with(
         assignments: result.coord.assignments,
         assign_bytes: result.coord.assign_bytes,
         load_bytes: result.coord.load_bytes,
-        fat_assign_bytes,
         replans: result.coord.replans,
         late_joins: result.coord.late_joins,
         steals: result.coord.steals,

@@ -41,19 +41,18 @@ const SHARDS_KEYS: [(&str, ValueKind); 7] = [
 
 /// Keys the `shards` section *may* carry — introduced after PR 4, so
 /// older records legitimately lack them, but when present they must have
-/// the right shape. `transport`/`assign_bytes`/`load_bytes`/
-/// `fat_assign_bytes` arrived with the TCP transport + `Load` frame;
+/// the right shape. `transport`/`assign_bytes`/`load_bytes` arrived with
+/// the TCP transport + `Load` frame;
 /// `late_joins`/`steals`/`heartbeats` with the elastic tier (PR 6);
 /// `hardware_mismatch` is written by `harness merge` when per-shard
 /// records disagree on their `hardware` sections.
-const SHARDS_OPTIONAL_KEYS: [(&str, ValueKind); 12] = [
+const SHARDS_OPTIONAL_KEYS: [(&str, ValueKind); 11] = [
     ("workers", ValueKind::Number),
     ("mode", ValueKind::String),
     ("transport", ValueKind::String),
     ("assignments", ValueKind::Number),
     ("assign_bytes", ValueKind::Number),
     ("load_bytes", ValueKind::Number),
-    ("fat_assign_bytes", ValueKind::Number),
     ("late_joins", ValueKind::Number),
     ("steals", ValueKind::Number),
     ("heartbeats", ValueKind::Number),
@@ -581,7 +580,7 @@ mod tests {
             "\"replans\": 1}",
             "\"replans\": 1, \"transport\": \"tcp\", \"assignments\": 4, \
              \"assign_bytes\": 512, \"load_bytes\": 4096, \
-             \"fat_assign_bytes\": 16000, \"late_joins\": 1, \"steals\": 2, \
+             \"late_joins\": 1, \"steals\": 2, \
              \"heartbeats\": 12, \"bit_identical\": true, \
              \"hardware_mismatch\": false}",
         );
@@ -806,7 +805,6 @@ mod tests {
             assignments: 5,
             assign_bytes: 640,
             load_bytes: 4096,
-            fat_assign_bytes: 20_000,
             replans: 1,
             late_joins: 1,
             steals: 2,

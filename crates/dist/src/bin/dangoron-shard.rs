@@ -14,7 +14,7 @@
 //! ```
 //!
 //! In both modes the worker's first frame is the `Hello` handshake
-//! (protocol version + capability bits). With `--reconnect`, a worker
+//! (the protocol version). With `--reconnect`, a worker
 //! whose link dies mid-run (coordinator restart, network fault, injected
 //! chaos) dials again with the same jittered backoff and — because the
 //! coordinator's membership is elastic — is re-admitted as a *new*
@@ -78,7 +78,7 @@ fn main() {
         None => {
             let stdin = io::stdin();
             let input = stdin.lock();
-            // Not the lock: the v3 serve loop writes from two threads
+            // Not the lock: the serve loop writes from two threads
             // through its own mutex, and `StdoutLock` is not `Send`.
             dist::worker::serve(input, io::stdout())
         }

@@ -7,15 +7,12 @@
 //! over stdio pipes ([`TransportMode::Spawn`]) or independently started
 //! processes that connected to its TCP listener
 //! ([`TransportMode::Tcp`]). Registration is the same on every link: the
-//! worker's first frame must be a [`proto::Hello`] carrying a protocol
-//! version in the accepted range
-//! ([`proto::MIN_PROTOCOL_VERSION`]`..=`[`proto::PROTOCOL_VERSION`]) and
-//! the capability bit the run's mode needs, and the coordinator answers
-//! with one [`Message::Load`] frame holding the workload matrix. Every
-//! later [`Assignment`] is *slim* — rank interval + config + query — so
-//! queued and re-planned shards reuse the already-loaded matrix instead
-//! of re-shipping it (the byte saving is recorded in [`CoordStats`] and
-//! the BENCH `shards` section).
+//! worker's first frame must be a [`proto::Hello`] at this build's
+//! [`proto::PROTOCOL_VERSION`] ([`proto::check_hello`]), and the
+//! coordinator answers with one [`Message::Load`] frame holding the
+//! workload matrix. Every later [`Assignment`] is *slim* — rank
+//! interval, config and query — so queued and re-planned shards reuse
+//! the already-loaded matrix instead of re-shipping it.
 //!
 //! ## The elastic membership model (TCP mode)
 //!
@@ -33,16 +30,13 @@
 //!
 //! ## Liveness: heartbeats and progress
 //!
-//! Workers advertising [`proto::CAP_HEARTBEAT`] (protocol v3) are pinged
-//! on a fixed cadence and answer from their reader thread even while an
-//! assignment is executing; they also report a per-assignment rank
-//! frontier ([`Message::Progress`]) after every executed chunk. Hung
-//! detection is **progress-based**: a worker is killed only when its
-//! outstanding assignment has made no progress for the full timeout — a
-//! straggler that keeps reporting is slow but alive and is left to
-//! finish (or be stolen from). A v2 worker sends neither pongs nor
-//! progress, which degrades exactly to the old coarse per-assignment
-//! deadline.
+//! Workers are pinged on a fixed cadence and answer from their reader
+//! thread even while an assignment is executing; they also report a
+//! per-assignment rank frontier ([`Message::Progress`]) after every
+//! executed chunk. Hung detection is **progress-based**: a worker is
+//! killed only when its outstanding assignment has made no progress for
+//! the full timeout — a straggler that keeps reporting is slow but alive
+//! and is left to finish (or be stolen from).
 //!
 //! ## Work-stealing
 //!
@@ -216,8 +210,7 @@ pub struct CoordinatorConfig {
     /// Batch query or streaming replay.
     pub mode: WorkerMode,
     /// How long an outstanding assignment may go **without progress**
-    /// before its worker is declared hung and killed. For v2 workers
-    /// (no progress frames) this is the whole-assignment deadline.
+    /// before its worker is declared hung and killed.
     pub timeout: Duration,
     /// Deadline for a new link's `Hello` frame — spawned children and
     /// TCP peers (initial and late-joining) alike.
@@ -316,7 +309,7 @@ pub struct CoordStats {
     /// Steal grants that actually moved work (the stolen tail was
     /// re-enqueued); denials are `steal_requests - steals` at most.
     pub steals: usize,
-    /// `Ping` frames sent to heartbeat-capable workers.
+    /// `Ping` frames sent to workers.
     pub pings_sent: usize,
     /// `Pong` frames received.
     pub pongs: usize,
@@ -358,28 +351,21 @@ enum Event {
     Closed(usize, String),
     /// A peer completed the handshake on the mid-run acceptor (elastic
     /// TCP mode only).
-    Joined(Box<dyn Transport>, Box<dyn Read + Send>, proto::Hello),
+    Joined(Box<dyn Transport>, Box<dyn Read + Send>),
 }
 
 struct WorkerHandle {
     transport: Box<dyn Transport>,
     reader: Option<std::thread::JoinHandle<()>>,
     alive: bool,
-    /// Capability bits from the worker's handshake (already masked for
-    /// its protocol version).
-    caps: u32,
     /// Last time any frame arrived from this worker — pong, progress,
-    /// grant or result. Only meaningful for heartbeat-capable workers.
+    /// grant or result.
     last_seen: Instant,
 }
 
 impl WorkerHandle {
     fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
         self.transport.send(payload)
-    }
-
-    fn heartbeat(&self) -> bool {
-        self.caps & proto::CAP_HEARTBEAT != 0
     }
 
     /// Declares the worker dead: severs the link (which unblocks a reader
@@ -441,9 +427,6 @@ struct Outstanding {
     frontier: usize,
     /// A `Steal` is outstanding; don't send another until it resolves.
     steal_sent: bool,
-    /// Whether this assignment can be stolen from at all (batch mode on
-    /// a heartbeat-capable worker).
-    stealable: bool,
 }
 
 impl Outstanding {
@@ -541,7 +524,6 @@ pub fn run_with_listener(
 fn register_worker(
     mut transport: Box<dyn Transport>,
     mut reader: Box<dyn Read + Send>,
-    hello: proto::Hello,
     load_payload: &[u8],
     chaos: Option<&FaultPlan>,
     link_seq: &mut usize,
@@ -569,7 +551,6 @@ fn register_worker(
         transport,
         reader: Some(handle),
         alive: true,
-        caps: hello.caps,
         last_seen: Instant::now(),
     });
     true
@@ -607,7 +588,6 @@ fn run_inner(
         ));
     }
     let n_workers = cfg.n_workers.clamp(1, plan.shards().len());
-    let needed_cap = proto::required_cap(cfg.mode);
     let elastic = matches!(cfg.transport, TransportMode::Tcp { .. });
     let rejoin_window = match &cfg.transport {
         TransportMode::Tcp { accept_timeout, .. } => *accept_timeout,
@@ -638,7 +618,6 @@ fn run_inner(
                     worker_bin,
                     cfg.kill_worker == Some(w),
                     cfg.handshake_timeout,
-                    needed_cap,
                 )?);
             }
             (links, None)
@@ -650,7 +629,6 @@ fn run_inner(
                 *accept_timeout,
                 cfg.handshake_timeout,
                 cfg.timeout,
-                needed_cap,
             )?;
             // The membership stays open: the listener moves to an
             // acceptor thread and mid-run joiners arrive as events.
@@ -661,14 +639,7 @@ fn run_inner(
                 let handshake_timeout = cfg.handshake_timeout;
                 let io_timeout = cfg.timeout;
                 std::thread::spawn(move || {
-                    accept_loop(
-                        listener,
-                        stop,
-                        tx,
-                        handshake_timeout,
-                        io_timeout,
-                        needed_cap,
-                    )
+                    accept_loop(listener, stop, tx, handshake_timeout, io_timeout)
                 })
             };
             (
@@ -687,7 +658,7 @@ fn run_inner(
     };
     let transport_kind = links
         .first()
-        .map(|(t, _, _)| t.kind())
+        .map(|(t, _)| t.kind())
         .unwrap_or("none")
         .to_string();
 
@@ -705,11 +676,10 @@ fn run_inner(
     // half to a dedicated reader thread.
     let mut workers: Vec<WorkerHandle> = Vec::with_capacity(links.len());
     let mut link_seq = 0usize;
-    for (transport, reader, hello) in links {
+    for (transport, reader) in links {
         register_worker(
             transport,
             reader,
-            hello,
             &load_payload,
             cfg.chaos.as_ref(),
             &mut link_seq,
@@ -811,7 +781,6 @@ fn run_inner(
                 Ok(()) => {
                     metrics.assignments.inc();
                     metrics.assign_bytes.add(payload.len() as u64);
-                    let stealable = matches!(cfg.mode, WorkerMode::Batch) && workers[w].heartbeat();
                     busy.insert(
                         w,
                         Outstanding {
@@ -820,7 +789,6 @@ fn run_inner(
                             dispatched_at: Instant::now(),
                             progress_at: Instant::now(),
                             steal_sent: false,
-                            stealable,
                             shard,
                         },
                     );
@@ -849,7 +817,7 @@ fn run_inner(
                     .iter()
                     .filter(|(&w, o)| {
                         workers[w].alive
-                            && o.stealable
+                            && cfg.mode == WorkerMode::Batch
                             && !o.steal_sent
                             && o.remaining() >= 2
                             && now.duration_since(o.dispatched_at) >= cfg.steal_after
@@ -909,7 +877,7 @@ fn run_inner(
             next_ping = now + ping_every;
             let mut dead = Vec::new();
             for (w, h) in workers.iter_mut().enumerate() {
-                if h.alive && h.heartbeat() {
+                if h.alive {
                     if h.send(&payload).is_ok() {
                         metrics.pings_sent.inc();
                     } else {
@@ -950,14 +918,11 @@ fn run_inner(
             );
             replan(o.shard, live(&workers), &mut pending, &metrics)?;
         }
-        // Idle heartbeat-capable workers that stopped answering pings
-        // are silently reaped — they hold no work, so nothing re-plans.
+        // Idle workers that stopped answering pings are silently reaped —
+        // they hold no work, so nothing re-plans.
         let idle_deadline = cfg.timeout + ping_every * 2;
         for (w, h) in workers.iter_mut().enumerate() {
-            if h.alive
-                && h.heartbeat()
-                && !busy.contains_key(&w)
-                && now.duration_since(h.last_seen) >= idle_deadline
+            if h.alive && !busy.contains_key(&w) && now.duration_since(h.last_seen) >= idle_deadline
             {
                 eprintln!("dist: reaping unresponsive idle worker {w}");
                 h.abandon();
@@ -976,7 +941,7 @@ fn run_inner(
         }
         let wait = deadline.saturating_duration_since(Instant::now());
         match rx.recv_timeout(wait) {
-            Ok(Event::Joined(transport, reader, hello)) => {
+            Ok(Event::Joined(transport, reader)) => {
                 // Only elastic runs keep the Load frame (and only they
                 // spawn an acceptor); a Joined event without it would be
                 // a membership-state bug, not a peer failure.
@@ -988,7 +953,6 @@ fn run_inner(
                 if register_worker(
                     transport,
                     reader,
-                    hello,
                     load,
                     cfg.chaos.as_ref(),
                     &mut link_seq,
@@ -1176,37 +1140,12 @@ fn run_inner(
 }
 
 /// Reads one frame (bounded by [`proto::MAX_HELLO_FRAME`] — the peer is
-/// not yet trusted) and validates it as a compatible handshake. Accepts
-/// any version in `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`; for peers
-/// older than v3 the heartbeat capability bit is masked off (they could
-/// not honour it), so the caller can branch on capabilities alone.
-fn handshake(mut reader: &mut (dyn Read + Send), needed_cap: u32) -> Result<proto::Hello, String> {
+/// not yet trusted) and validates it with [`proto::check_hello`].
+fn handshake(mut reader: &mut (dyn Read + Send)) -> Result<(), String> {
     let payload = frame::read_from(&mut reader, proto::MAX_HELLO_FRAME)
         .map_err(|e| format!("cannot read the handshake frame: {e}"))?
         .ok_or("link closed before the handshake")?;
-    match proto::decode(&payload).map_err(|e| format!("bad handshake frame: {e}"))? {
-        Message::Hello(mut h) => {
-            if h.version < proto::MIN_PROTOCOL_VERSION || h.version > proto::PROTOCOL_VERSION {
-                return Err(format!(
-                    "protocol version mismatch: worker speaks v{}, coordinator accepts v{}..=v{}",
-                    h.version,
-                    proto::MIN_PROTOCOL_VERSION,
-                    proto::PROTOCOL_VERSION
-                ));
-            }
-            if h.version < 3 {
-                h.caps &= !proto::CAP_HEARTBEAT;
-            }
-            if h.caps & needed_cap != needed_cap {
-                return Err(format!(
-                    "worker lacks the required capability bit {needed_cap:#x} (has {:#x})",
-                    h.caps
-                ));
-            }
-            Ok(h)
-        }
-        other => Err(format!("expected Hello, got {other:?}")),
-    }
+    proto::check_hello(&payload)
 }
 
 /// The per-worker reader thread: frames off the link become events on
@@ -1237,7 +1176,7 @@ fn reader_loop(idx: usize, mut reader: &mut (dyn Read + Send), tx: &mpsc::Sender
     }
 }
 
-type Link = (Box<dyn Transport>, Box<dyn Read + Send>, proto::Hello);
+type Link = (Box<dyn Transport>, Box<dyn Read + Send>);
 
 /// Runs the blocking [`handshake`] read on a helper thread with a
 /// deadline — anonymous pipes have no read timeouts, so without this a
@@ -1249,15 +1188,14 @@ type Link = (Box<dyn Transport>, Box<dyn Read + Send>, proto::Hello);
 fn handshake_with_deadline(
     mut reader: Box<dyn Read + Send>,
     deadline: Duration,
-    needed_cap: u32,
-) -> Result<(Box<dyn Read + Send>, proto::Hello), String> {
+) -> Result<Box<dyn Read + Send>, String> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let res = handshake(&mut *reader, needed_cap);
+        let res = handshake(&mut *reader);
         let _ = tx.send((reader, res));
     });
     match rx.recv_timeout(deadline) {
-        Ok((reader, Ok(hello))) => Ok((reader, hello)),
+        Ok((reader, Ok(()))) => Ok(reader),
         Ok((_, Err(e))) => Err(e),
         Err(_) => Err(format!("no handshake within {deadline:?}")),
     }
@@ -1270,7 +1208,6 @@ fn spawn_worker(
     worker_bin: &std::path::Path,
     inject_fail: bool,
     handshake_timeout: Duration,
-    needed_cap: u32,
 ) -> Result<Link, CoordError> {
     let mut cmd = Command::new(worker_bin);
     cmd.stdin(Stdio::piped())
@@ -1286,8 +1223,8 @@ fn spawn_worker(
     let reader = transport
         .take_reader()
         .ok_or_else(|| CoordError::Internal("spawned child has no stdout pipe".into()))?;
-    match handshake_with_deadline(reader, handshake_timeout, needed_cap) {
-        Ok((reader, hello)) => Ok((Box::new(transport), reader, hello)),
+    match handshake_with_deadline(reader, handshake_timeout) {
+        Ok(reader) => Ok((Box::new(transport), reader)),
         Err(e) => {
             transport.kill();
             Err(CoordError::Internal(format!(
@@ -1315,7 +1252,6 @@ fn accept_tcp_workers(
     accept_timeout: Duration,
     handshake_timeout: Duration,
     io_timeout: Duration,
-    needed_cap: u32,
 ) -> Result<Vec<Link>, CoordError> {
     listener
         .set_nonblocking(true)
@@ -1369,8 +1305,8 @@ fn accept_tcp_workers(
                         let tx = tx.clone();
                         in_flight += 1;
                         std::thread::spawn(move || {
-                            let res = handshake(&mut *reader, needed_cap)
-                                .map(|h| (Box::new(transport) as Box<dyn Transport>, reader, h))
+                            let res = handshake(&mut *reader)
+                                .map(|()| (Box::new(transport) as Box<dyn Transport>, reader))
                                 .map_err(|e| format!("{peer}: {e}"));
                             let _ = tx.send(res);
                         });
@@ -1411,7 +1347,6 @@ fn accept_loop(
     tx: mpsc::Sender<Event>,
     handshake_timeout: Duration,
     io_timeout: Duration,
-    needed_cap: u32,
 ) {
     // The listener is already nonblocking from the initial window.
     while !stop.load(Ordering::Acquire) {
@@ -1427,12 +1362,12 @@ fn accept_loop(
                             continue;
                         };
                         let tx = tx.clone();
-                        std::thread::spawn(move || match handshake(&mut *reader, needed_cap) {
-                            Ok(hello) => {
+                        std::thread::spawn(move || match handshake(&mut *reader) {
+                            Ok(()) => {
                                 // A send failure means the run already
                                 // ended; the transport drops (and kills
                                 // the link) on its way out.
-                                let _ = tx.send(Event::Joined(Box::new(transport), reader, hello));
+                                let _ = tx.send(Event::Joined(Box::new(transport), reader));
                             }
                             Err(e) => eprintln!("dist: rejecting late peer {peer}: {e}"),
                         });
@@ -1610,69 +1545,37 @@ mod tests {
 
     #[test]
     fn handshake_rejects_version_and_capability_mismatches() {
-        use proto::{Hello, CAP_BATCH, CAP_STREAMING};
-        let frame_of = |h: Hello| frame::encode(&proto::encode(&Message::Hello(h)));
+        let frame_of = |h: proto::Hello| frame::encode(&proto::encode(&Message::Hello(h)));
 
-        let mut ok: &[u8] = &frame_of(Hello::local());
+        let mut ok: &[u8] = &frame_of(proto::Hello::local());
         let boxed: &mut (dyn Read + Send) = &mut ok;
-        handshake(boxed, CAP_BATCH).unwrap();
+        handshake(boxed).unwrap();
 
-        let mut old: &[u8] = &frame_of(Hello {
-            version: 1,
-            caps: CAP_BATCH,
-        });
-        let err = handshake(&mut old, CAP_BATCH).unwrap_err();
-        assert!(err.contains("version"), "{err}");
+        // Peers at any other version are refused by name, including the
+        // v2–v4 layout that carried a capability word after the version.
+        for version in [1, 2, 4, proto::PROTOCOL_VERSION + 1] {
+            let current = [&[4u8][..], &version.to_le_bytes()].concat(); // tag 4 = Hello
+            let with_caps = [&current[..], &0xfu32.to_le_bytes()].concat();
+            for payload in [current, with_caps] {
+                let mut link: &[u8] = &frame::encode(&payload);
+                let err = handshake(&mut link).unwrap_err();
+                assert!(err.contains(&format!("version {version}")), "{err}");
+            }
+        }
 
-        let mut future: &[u8] = &frame_of(Hello {
-            version: proto::PROTOCOL_VERSION + 1,
-            caps: CAP_BATCH,
-        });
-        let err = handshake(&mut future, CAP_BATCH).unwrap_err();
-        assert!(err.contains("version"), "{err}");
-
-        let mut weak: &[u8] = &frame_of(Hello {
-            version: proto::PROTOCOL_VERSION,
-            caps: CAP_BATCH,
-        });
-        let err = handshake(&mut weak, CAP_STREAMING).unwrap_err();
-        assert!(err.contains("capability"), "{err}");
+        // A current-version Hello with trailing bytes is rejected.
+        let mut payload = proto::encode(&Message::Hello(proto::Hello::local()));
+        payload.push(0);
+        assert!(handshake(&mut &frame::encode(&payload)[..]).is_err());
 
         // A non-Hello first frame is rejected.
         let mut wrong: &[u8] = &frame::encode(&proto::encode(&Message::Error(0, "hi".into())));
-        assert!(handshake(&mut wrong, CAP_BATCH).is_err());
+        assert!(handshake(&mut wrong).is_err());
 
         // An oversized first frame is rejected by the handshake limit
         // before its payload is even read.
         let mut big: &[u8] = &frame::encode(&[0u8; 4096]);
-        assert!(handshake(&mut big, CAP_BATCH).is_err());
-    }
-
-    #[test]
-    fn handshake_accepts_v2_and_masks_its_heartbeat_bit() {
-        use proto::{Hello, CAP_BATCH, CAP_HEARTBEAT, CAP_STREAMING};
-        let frame_of = |h: Hello| frame::encode(&proto::encode(&Message::Hello(h)));
-
-        let mut v2: &[u8] = &frame_of(Hello {
-            version: 2,
-            caps: CAP_BATCH | CAP_STREAMING,
-        });
-        let h = handshake(&mut v2, CAP_BATCH).unwrap();
-        assert_eq!(h.version, 2);
-        assert_eq!(h.caps & CAP_HEARTBEAT, 0);
-
-        // A lying v2 peer advertising the heartbeat bit has it stripped:
-        // the coordinator must never send elastic frames to a v2 worker.
-        let mut liar: &[u8] = &frame_of(Hello {
-            version: 2,
-            caps: CAP_BATCH | CAP_STREAMING | CAP_HEARTBEAT,
-        });
-        let h = handshake(&mut liar, CAP_BATCH).unwrap();
-        assert_eq!(h.caps & CAP_HEARTBEAT, 0);
-
-        let mut v3: &[u8] = &frame_of(Hello::local());
-        let h = handshake(&mut v3, CAP_BATCH).unwrap();
-        assert_ne!(h.caps & CAP_HEARTBEAT, 0);
+        assert!(handshake(&mut big).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! protocol ([`proto`], framing from the `bytes` shim) carried by a
 //! pluggable [`transport`] — spawned children over stdio pipes, or
 //! independently started workers over TCP (`dangoron-coord --listen` /
-//! `dangoron-shard --connect`, with a version + capability handshake).
+//! `dangoron-shard --connect`, with a protocol-version handshake).
 //! The workload matrix ships **once per worker** in a `Load` frame at
 //! registration; every `Assign` is a slim rank interval + config, so
 //! queued and re-planned shards reuse the loaded matrix. The per-shard

@@ -9,22 +9,19 @@
 //! | 1   | `Assign` | coordinator→worker | mode, shard id + rank interval, engine config, query — **no matrix**; the worker re-uses its loaded matrix |
 //! | 2   | `Result` | worker→coordinator | shard id + rank interval, per-phase wall times, [`PruningStats`], the shard's `(window, edge)` buffer sorted by `(window, i, j)` |
 //! | 3   | `Error`  | worker→coordinator | echoed shard id + UTF-8 message (the shard is re-planned) |
-//! | 4   | `Hello`  | worker→coordinator | handshake: protocol version + capability bits, the first frame on any link |
+//! | 4   | `Hello`  | worker→coordinator | handshake: the protocol version, the first frame on any link |
 //! | 5   | `Load`   | coordinator→worker | the full column matrix, shipped **once per worker** at registration |
-//! | 6   | `Ping`   | coordinator→worker | liveness probe (v3, [`CAP_HEARTBEAT`]); carries a sequence number |
+//! | 6   | `Ping`   | coordinator→worker | liveness probe; carries a sequence number |
 //! | 7   | `Pong`   | worker→coordinator | echoes the `Ping` sequence number |
 //! | 8   | `Progress` | worker→coordinator | per-assignment frontier report: the absolute rank (batch) or column (streaming) the executor has completed up to |
-//! | 9   | `Steal`  | coordinator→worker | asks the executor to give up the tail of assignment `id` (v3 batch workers only) |
+//! | 9   | `Steal`  | coordinator→worker | asks the executor to give up the tail of batch assignment `id` |
 //! | 10  | `StealGrant` | worker→coordinator | the executor's answer: it will stop at `new_end` (`new_end == ranks.end` is a denial) — the coordinator re-enqueues `new_end..end` |
 //!
-//! Protocol v2 split the v1 fat `Assign` into `Load` + slim `Assign`:
-//! the matrix dominates the frame bytes, and shipping it once per worker
-//! instead of once per assignment makes queued and re-planned shards
-//! free of matrix traffic (the saving is recorded in the BENCH `shards`
-//! section). Protocol v3 adds the elastic frames (tags 6–10) behind the
-//! [`CAP_HEARTBEAT`] capability; a v3 coordinator still accepts v2
-//! workers ([`MIN_PROTOCOL_VERSION`]) and simply never sends them the
-//! new frames.
+//! The matrix travels in `Load`, once per worker, not in every `Assign`:
+//! it dominates the frame bytes, so queued and re-planned shards are free
+//! of matrix traffic. Both ends of every link are built from this
+//! workspace, so the handshake is one version check ([`check_hello`]):
+//! a peer at any other [`PROTOCOL_VERSION`] is refused.
 //!
 //! All integers are `u64`/`u32` LE, all floats `f64` bit patterns —
 //! correlation values cross the wire losslessly, which is what lets the
@@ -48,50 +45,15 @@ use tsdata::TimeSeriesMatrix;
 pub const MAX_FRAME: usize = 1 << 30;
 
 /// Upper bound on the *first* frame of a link — before the handshake is
-/// validated the peer is untrusted, and a [`Hello`] payload is 9 bytes,
+/// validated the peer is untrusted, and a [`Hello`] payload is 5 bytes,
 /// so anything near this limit is hostile or garbage.
 pub const MAX_HELLO_FRAME: usize = 64;
 
-/// Version of the wire layout. v1 (PR 4) shipped the matrix inside every
-/// `Assign`; v2 added the `Hello` handshake and the `Load` frame; v3
-/// added the elastic frames (`Ping`/`Pong`/`Progress`/`Steal`/
-/// `StealGrant`) behind [`CAP_HEARTBEAT`]; v4 adds the serving tier's
-/// session frames (tags 11+, defined in `crates/serve`) behind
-/// [`CAP_SERVE`] — this module stays the shared substrate (handshake,
-/// heartbeats, decode hardening) for both protocols.
-pub const PROTOCOL_VERSION: u32 = 4;
-
-/// Oldest worker version a coordinator still admits. v2 workers lack the
-/// elastic frames, so the coordinator masks [`CAP_HEARTBEAT`] off their
-/// capabilities and falls back to the coarse per-assignment deadline.
-pub const MIN_PROTOCOL_VERSION: u32 = 2;
-
-/// Capability bit: the worker can run [`WorkerMode::Batch`] shards.
-pub const CAP_BATCH: u32 = 1 << 0;
-/// Capability bit: the worker can run [`WorkerMode::StreamingReplay`]
-/// shards.
-pub const CAP_STREAMING: u32 = 1 << 1;
-/// Capability bit (v3): the worker answers `Ping`, reports per-assignment
-/// `Progress`, and negotiates `Steal`/`StealGrant`.
-pub const CAP_HEARTBEAT: u32 = 1 << 2;
-/// Capability bit (v4): the peer speaks the serving tier's session frames
-/// (`Open`/`Append`/`Query`/`Subscribe`/`Evict`, tags 11+ — see
-/// `crates/serve`). The coordinator ignores it; `dangoron-serve` requires
-/// it of its clients.
-pub const CAP_SERVE: u32 = 1 << 3;
-
-/// The capability bits this build's worker advertises in its [`Hello`].
-pub fn local_caps() -> u32 {
-    CAP_BATCH | CAP_STREAMING | CAP_HEARTBEAT | CAP_SERVE
-}
-
-/// The capability bit a coordinator requires for `mode`.
-pub fn required_cap(mode: WorkerMode) -> u32 {
-    match mode {
-        WorkerMode::Batch => CAP_BATCH,
-        WorkerMode::StreamingReplay { .. } => CAP_STREAMING,
-    }
-}
+/// Version of the wire layout, shared by the shard frames here and the
+/// serving tier's session frames (tags 11+, defined in `crates/serve`).
+/// Bump it whenever any frame's layout changes: [`check_hello`] refuses
+/// every other version.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// How the worker executes its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,29 +72,47 @@ pub enum WorkerMode {
     },
 }
 
-/// The worker's side of the handshake: the first frame it writes on any
-/// link, whether it was spawned over pipes or connected over TCP.
+/// The peer's side of the handshake: the first frame a worker or serve
+/// client writes on any link, whether over pipes or TCP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// The worker's [`PROTOCOL_VERSION`].
+    /// The peer's [`PROTOCOL_VERSION`].
     pub version: u32,
-    /// Capability bits (`CAP_*`).
-    pub caps: u32,
 }
 
 impl Hello {
-    /// The handshake this build's worker sends.
+    /// The handshake this build sends.
     pub fn local() -> Self {
         Self {
             version: PROTOCOL_VERSION,
-            caps: local_caps(),
         }
     }
 }
 
-/// A shard assignment shipped to a worker. Slim since protocol v2: the
-/// workload matrix travels separately in a [`Message::Load`] frame, once
-/// per worker.
+/// Validates the first frame of a link: a [`Hello`] at exactly
+/// [`PROTOCOL_VERSION`]. The version is read before the rest of the body,
+/// so a peer at another version is refused by name even when its `Hello`
+/// has another layout (v2–v4 carried a capability word after it).
+pub fn check_hello(payload: &[u8]) -> Result<(), String> {
+    let mut buf = payload;
+    let tag = take_u8(&mut buf, "tag")?;
+    if tag != TAG_HELLO {
+        return Err(format!("expected Hello, got a frame with tag {tag}"));
+    }
+    let version = take_u32(&mut buf, "version")?;
+    if version != PROTOCOL_VERSION {
+        return Err(format!(
+            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
+        ));
+    }
+    if !buf.is_empty() {
+        return Err(format!("{} trailing bytes after Hello", buf.len()));
+    }
+    Ok(())
+}
+
+/// A shard assignment shipped to a worker. Slim: the workload matrix
+/// travels separately in a [`Message::Load`] frame, once per worker.
 #[derive(Debug, Clone)]
 pub struct Assignment {
     /// Shard id (coordinator bookkeeping, echoed in the result).
@@ -179,13 +159,13 @@ pub enum Message {
     /// assignment id so a frame that arrives after the coordinator gave
     /// up on it can be identified as stale and discarded.
     Error(u64, String),
-    /// Coordinator → worker (v3): liveness probe with a sequence number.
+    /// Coordinator → worker: liveness probe with a sequence number.
     Ping(u64),
-    /// Worker → coordinator (v3): echo of a [`Message::Ping`] sequence
+    /// Worker → coordinator: echo of a [`Message::Ping`] sequence
     /// number, written immediately by the worker's reader thread — it
     /// proves the *process* is alive even while the executor grinds.
     Pong(u64),
-    /// Worker → coordinator (v3): the executor has completed the
+    /// Worker → coordinator: the executor has completed the
     /// assignment up to `frontier` (an absolute pair rank in batch mode,
     /// an absolute column count in streaming replay). Progress resets the
     /// coordinator's hung-worker deadline: a slow worker that keeps
@@ -196,13 +176,13 @@ pub enum Message {
         /// Absolute frontier the executor has finished through.
         frontier: u64,
     },
-    /// Coordinator → worker (v3): asks the executor of `assignment_id` to
+    /// Coordinator → worker: asks the executor of `assignment_id` to
     /// give up the tail of its rank interval for an idle worker.
     Steal {
         /// The straggling assignment.
         assignment_id: u64,
     },
-    /// Worker → coordinator (v3): the executor's binding answer to a
+    /// Worker → coordinator: the executor's binding answer to a
     /// [`Message::Steal`] — it will stop at `new_end` and its `Result`
     /// will cover exactly `ranks.start..new_end`. `new_end == ranks.end`
     /// is a denial (nothing left worth stealing). The boundary is chosen
@@ -259,7 +239,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
         Message::Hello(h) => {
             out.put_u8(TAG_HELLO);
             out.put_u32_le(h.version);
-            out.put_u32_le(h.caps);
         }
         Message::Result(r) => {
             out.put_u8(TAG_RESULT);
@@ -388,11 +367,9 @@ pub fn decode(payload: &[u8]) -> Result<Message, String> {
                 .map_err(|e| format!("bad matrix: {e:?}"))?;
             Message::Load(data)
         }
-        TAG_HELLO => {
-            let version = take_u32(&mut buf, "version")?;
-            let caps = take_u32(&mut buf, "caps")?;
-            Message::Hello(Hello { version, caps })
-        }
+        TAG_HELLO => Message::Hello(Hello {
+            version: take_u32(&mut buf, "version")?,
+        }),
         TAG_RESULT => {
             let shard_id = take_u64(&mut buf, "shard_id")?;
             let start = take_u64(&mut buf, "rank_start")? as usize;
@@ -720,8 +697,6 @@ mod tests {
             Message::Hello(b) => {
                 assert_eq!(b, h);
                 assert_eq!(b.version, PROTOCOL_VERSION);
-                assert_eq!(b.caps & CAP_BATCH, CAP_BATCH);
-                assert_eq!(b.caps & CAP_STREAMING, CAP_STREAMING);
             }
             other => panic!("wrong message: {other:?}"),
         }
@@ -835,14 +810,6 @@ mod tests {
                 (got, want) => panic!("{want:?} decoded as {got:?}"),
             }
         }
-    }
-
-    #[test]
-    fn v3_hello_advertises_heartbeat_and_v2_range_is_sane() {
-        let h = Hello::local();
-        assert_eq!(h.version, PROTOCOL_VERSION);
-        assert_eq!(h.caps & CAP_HEARTBEAT, CAP_HEARTBEAT);
-        const { assert!(MIN_PROTOCOL_VERSION <= PROTOCOL_VERSION) }
     }
 
     #[test]

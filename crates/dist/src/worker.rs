@@ -13,7 +13,7 @@
 //! failures and protocol damage end the serve call (the binary may then
 //! re-dial with `--reconnect`).
 //!
-//! Since protocol v3 the worker is **two threads**: a reader that
+//! The worker is **two threads**: a reader that
 //! answers `Ping` frames immediately and latches `Steal` requests, and
 //! an executor that runs assignments in rank *chunks*, emitting a
 //! [`Message::Progress`] frontier after each chunk. Between chunks the
@@ -21,9 +21,6 @@
 //! [`Message::StealGrant`]: it picks the split point itself (half the
 //! remaining interval), so the boundary can never race the chunk it is
 //! executing — the granted tail is work it provably has not started.
-//! Setting [`PROTO_ENV`]`=2` forces the old single-threaded v2 loop
-//! (no heartbeat frames), which is how the v2-compatibility path is
-//! exercised against a v3 coordinator.
 
 use crate::merge::flatten_windows;
 use crate::proto::{self, Assignment, Hello, Message, ShardResult, WorkerMode};
@@ -74,12 +71,6 @@ pub const CHUNK_DELAY_ENV: &str = "DANGORON_SHARD_CHUNK_DELAY_MS";
 /// chunks so progress and steal boundaries appear on small workloads.
 pub const CHUNK_RANKS_ENV: &str = "DANGORON_SHARD_CHUNK_RANKS";
 
-/// When set to `2`, the worker speaks protocol v2: the single-threaded
-/// serve loop, a version-2 `Hello` without [`proto::CAP_HEARTBEAT`], no
-/// progress or steal frames — the compatibility hook proving a v3
-/// coordinator still drives v2 workers.
-pub const PROTO_ENV: &str = "DANGORON_SHARD_PROTO";
-
 fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| !v.is_empty())
 }
@@ -110,79 +101,6 @@ impl ExecControl {
     }
 }
 
-/// Serves assignments from `input`, writing results to `output`, until a
-/// clean end-of-stream. This is the whole body of the `dangoron-shard`
-/// binary (for both the pipe and TCP transports), kept here so the loop
-/// is unit-testable over in-memory pipes.
-pub fn serve<R: Read, W: Write + Send>(input: R, output: W) -> io::Result<()> {
-    if std::env::var(PROTO_ENV).ok().as_deref() == Some("2") {
-        serve_v2(input, output)
-    } else {
-        serve_v3(input, output)
-    }
-}
-
-/// The protocol-v2 serve loop: single-threaded, one frame in → one frame
-/// out, no heartbeat capability. Kept verbatim so [`PROTO_ENV`]`=2`
-/// exercises the real legacy behaviour against a v3 coordinator.
-fn serve_v2<R: Read, W: Write>(mut input: R, mut output: W) -> io::Result<()> {
-    let inject_fail = env_flag(FAIL_ENV);
-    let dup_result = env_flag(DUP_ENV);
-    let delay_ms = env_u64(DELAY_ENV);
-
-    let hello = Hello {
-        version: 2,
-        caps: proto::CAP_BATCH | proto::CAP_STREAMING,
-    };
-    frame::write_to(&mut output, &proto::encode(&Message::Hello(hello)))?;
-    let mut loaded: Option<TimeSeriesMatrix> = None;
-    while let Some(payload) = frame::read_from(&mut input, proto::MAX_FRAME)? {
-        let msg =
-            proto::decode(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let assignment = match msg {
-            Message::Load(data) => {
-                loaded = Some(data);
-                continue;
-            }
-            Message::Assign(a) => a,
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("worker expected Load or Assign, got {other:?}"),
-                ))
-            }
-        };
-        if inject_fail {
-            return Err(io::Error::other(
-                "injected worker failure (DANGORON_SHARD_FAIL)",
-            ));
-        }
-        if delay_ms > 0 {
-            std::thread::sleep(Duration::from_millis(delay_ms));
-        }
-        let reply = match &loaded {
-            // lint:allow(wire-taint-allocation) -- assignment fields are
-            // range-validated inside execute (slice_columns/prepare_shard
-            // reject out-of-range ranks) and its allocation sizes are
-            // measured sums of produced edges, not wire-claimed counts
-            Some(data) => match execute(&assignment, data) {
-                Ok(result) => Message::Result(result),
-                Err(e) => Message::Error(assignment.shard_id, e),
-            },
-            None => Message::Error(
-                assignment.shard_id,
-                "assignment received before any Load frame".to_string(),
-            ),
-        };
-        let encoded = proto::encode(&reply);
-        frame::write_to(&mut output, &encoded)?;
-        if dup_result && matches!(reply, Message::Result(_)) {
-            frame::write_to(&mut output, &encoded)?;
-        }
-    }
-    Ok(())
-}
-
 /// One queued assignment on its way to the executor thread.
 struct Job {
     a: Assignment,
@@ -200,11 +118,16 @@ fn write_frame<W: Write>(out: &Mutex<W>, msg: &Message) -> io::Result<()> {
     frame::write_to(&mut *g, &proto::encode(msg))
 }
 
-/// The protocol-v3 serve loop: the calling thread reads frames (so
-/// `Ping`s are answered and `Steal`s latched even mid-execution) and a
-/// scoped executor thread runs assignments chunk by chunk, both writing
-/// through one mutex-guarded sink.
-fn serve_v3<R: Read, W: Write + Send>(mut input: R, output: W) -> io::Result<()> {
+/// Serves assignments from `input`, writing results to `output`, until a
+/// clean end-of-stream. This is the whole body of the `dangoron-shard`
+/// binary (for both the pipe and TCP transports), kept here so the loop
+/// is unit-testable over in-memory pipes.
+///
+/// The calling thread reads frames (so `Ping`s are answered and `Steal`s
+/// latched even mid-execution) and a scoped executor thread runs
+/// assignments chunk by chunk, both writing through one mutex-guarded
+/// sink.
+pub fn serve<R: Read, W: Write + Send>(mut input: R, output: W) -> io::Result<()> {
     let inject_fail = env_flag(FAIL_ENV);
     let dup_result = env_flag(DUP_ENV);
     let delay_ms = env_u64(DELAY_ENV);
@@ -328,7 +251,7 @@ fn serve_v3<R: Read, W: Write + Send>(mut input: R, output: W) -> io::Result<()>
 /// Executes one assignment against the loaded matrix, producing the
 /// shard's sorted edge buffer and counters. The uncontrolled single-shot
 /// path: no progress frames, no steal window — what the in-process tier
-/// and the v2 loop run.
+/// runs, and the reference the chunked executor is tested against.
 pub fn execute(a: &Assignment, data: &TimeSeriesMatrix) -> Result<ShardResult, String> {
     match a.mode {
         WorkerMode::Batch => execute_batch(a, data),
@@ -347,7 +270,7 @@ pub fn execute(a: &Assignment, data: &TimeSeriesMatrix) -> Result<ShardResult, S
 }
 
 /// Executes one assignment with a steal-control handle and a control-frame
-/// sink — the v3 executor path. Batch assignments run in rank chunks
+/// sink — the path [`serve`] runs. Batch assignments run in rank chunks
 /// (progress after each, steal grants between); streaming assignments
 /// report per-append progress and deny steals (their rank interval is
 /// fixed at session open).
@@ -650,10 +573,10 @@ mod tests {
             Message::Hello(h) => assert_eq!(*h, Hello::local()),
             other => panic!("first frame must be the handshake, got {other:?}"),
         }
-        // The v3 loop interleaves Progress frames with the results.
+        // The loop interleaves Progress frames with the results.
         assert!(
             msgs.iter().any(|m| matches!(m, Message::Progress { .. })),
-            "v3 serve emitted no progress frames"
+            "serve emitted no progress frames"
         );
         let results = results(&msgs);
         assert_eq!(results.len(), 2);
@@ -742,35 +665,6 @@ mod tests {
         .unwrap();
         assert_eq!(grants, vec![1], "denial echoes the unchanged end");
         assert_eq!(r.ranks, 0..1);
-    }
-
-    #[test]
-    fn v2_env_forces_the_legacy_loop_without_heartbeat() {
-        // Env vars are process-global; this test owns PROTO_ENV (no other
-        // test in this binary sets it).
-        std::env::set_var(PROTO_ENV, "2");
-        let mut input = Vec::new();
-        for msg in [
-            Message::Load(data()),
-            Message::Assign(assignment(WorkerMode::Batch, 0..28)),
-        ] {
-            input.extend(frame::encode(&proto::encode(&msg)));
-        }
-        let mut reader: &[u8] = &input;
-        let mut output = Vec::new();
-        let res = serve(&mut reader, &mut output);
-        std::env::remove_var(PROTO_ENV);
-        res.unwrap();
-        let msgs = replies(&output);
-        assert_eq!(msgs.len(), 2, "v2 loop: hello + result, no progress");
-        match &msgs[0] {
-            Message::Hello(h) => {
-                assert_eq!(h.version, 2);
-                assert_eq!(h.caps & proto::CAP_HEARTBEAT, 0);
-            }
-            other => panic!("first frame must be the handshake, got {other:?}"),
-        }
-        assert!(matches!(msgs[1], Message::Result(_)));
     }
 
     #[test]

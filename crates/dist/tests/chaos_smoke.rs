@@ -39,25 +39,20 @@ fn workload() -> (TimeSeriesMatrix, SlidingQuery, DangoronConfig) {
     (data, query, cfg)
 }
 
-/// `n` workers dialing `addr`, each allowed `reconnect` re-dials, each
-/// with extra environment from `envs` (cycled).
-fn spawn_workers(addr: &str, n: usize, reconnect: u32, envs: &[Vec<(&str, &str)>]) -> Vec<Child> {
+/// `n` workers dialing `addr`, each allowed `reconnect` re-dials.
+fn spawn_workers(addr: &str, n: usize, reconnect: u32) -> Vec<Child> {
     (0..n)
-        .map(|k| {
-            let mut cmd = Command::new(worker_bin());
-            cmd.arg("--connect")
+        .map(|_| {
+            Command::new(worker_bin())
+                .arg("--connect")
                 .arg(addr)
                 .arg("--reconnect")
                 .arg(reconnect.to_string())
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
-                .stderr(Stdio::inherit());
-            if let Some(vars) = envs.get(k % envs.len().max(1)) {
-                for (k, v) in vars {
-                    cmd.env(k, v);
-                }
-            }
-            cmd.spawn().expect("spawn dangoron-shard --connect")
+                .stderr(Stdio::inherit())
+                .spawn()
+                .expect("spawn dangoron-shard --connect")
         })
         .collect()
 }
@@ -90,7 +85,7 @@ fn seeded_chaos_storms_merge_bit_identically() {
     for seed in [7u64, 42, 1337] {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let children = spawn_workers(&addr, 3, 6, &[vec![]]);
+        let children = spawn_workers(&addr, 3, 6);
         let mut ccfg = storm_coordinator(8, 3);
         ccfg.chaos = Some(FaultPlan::Seeded(seed));
         let dist = coord::run_with_listener(&ccfg, listener, &cfg, &data, query)
@@ -113,7 +108,7 @@ fn explicit_kill_storm_recovers_through_reconnects() {
     let single = coord::run_single_process(WorkerMode::Batch, &cfg, &data, query).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let children = spawn_workers(&addr, 2, 4, &[vec![]]);
+    let children = spawn_workers(&addr, 2, 4);
     let mut ccfg = storm_coordinator(6, 2);
     let cut = dist::LinkFaults {
         kill_after_frames: Some(2),
@@ -135,30 +130,6 @@ fn explicit_kill_storm_recovers_through_reconnects() {
     assert!(
         windows_bit_identical(&dist.matrices, &single.matrices),
         "kill storm changed the merged result"
-    );
-    assert_eq!(dist.stats, single.stats);
-}
-
-#[test]
-fn v2_worker_completes_against_v3_coordinator() {
-    // Backwards compatibility: a worker pinned to protocol v2 (no
-    // heartbeat capability, no progress frames, no stealing) must still
-    // complete its share of a v3 run, alongside a v3 peer.
-    let (data, query, cfg) = workload();
-    let single = coord::run_single_process(WorkerMode::Batch, &cfg, &data, query).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let children = spawn_workers(&addr, 2, 0, &[vec![(dist::worker::PROTO_ENV, "2")], vec![]]);
-    let dist =
-        coord::run_with_listener(&storm_coordinator(4, 2), listener, &cfg, &data, query).unwrap();
-    reap(children);
-
-    assert_eq!(dist.coord.n_workers, 2, "the v2 worker was rejected");
-    assert_eq!(dist.coord.worker_failures, 0);
-    assert_eq!(dist.shards.len(), 4);
-    assert!(
-        windows_bit_identical(&dist.matrices, &single.matrices),
-        "mixed v2/v3 run differs from the single-process engine"
     );
     assert_eq!(dist.stats, single.stats);
 }

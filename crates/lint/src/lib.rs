@@ -2,7 +2,7 @@
 //!
 //! Seven PRs of convention hold this system together: bit-identical
 //! edges require every float reduction to run through `crates/kernel`'s
-//! fixed 4-lane order, the hardened v3 wire protocol requires every
+//! fixed 4-lane order, the hardened wire protocol requires every
 //! decode-path allocation to be validated against bytes present first,
 //! and the elastic coordinator requires structured errors instead of
 //! panics. This crate encodes those contracts as a blocking
@@ -18,10 +18,9 @@
 //! tracks wire-read integers and hash-iteration-derived values through
 //! assignments, projections and one level of interprocedural summary
 //! propagation. The cross-crate rules R7 (`nondeterministic-iteration-
-//! escapes`) and R8 (`wire-taint-allocation`, which retires the old
-//! single-file R2) run on that engine and attach a source-to-sink trace
-//! to each finding; R9 and R10 are token/contract checks for atomic
-//! orderings and the Prometheus stable-name catalog.
+//! escapes`) and R8 (`wire-taint-allocation`) run on that engine and
+//! attach a source-to-sink trace to each finding; R9 is a token check
+//! for atomic orderings.
 //!
 //! Rules report findings as `file:line: rule-id: message` (plus trace
 //! steps), a versioned JSON mode (`dangoron-lint-v2`) serves CI
@@ -43,9 +42,6 @@ use util::test_ranges;
 
 /// Rule R1: float reductions outside `crates/kernel`.
 pub const R1: &str = "float-reduction-outside-kernel";
-/// Retired rule R2 (superseded by [`R8`]); waivers naming it are
-/// reported as unused, not as syntax errors.
-pub const R2: &str = "decode-unchecked-allocation";
 /// Rule R3: panic paths in supervised `crates/dist`/`crates/serve` code.
 pub const R3: &str = "panic-in-supervised-path";
 /// Rule R4: `unsafe` without a `SAFETY:` comment.
@@ -61,8 +57,6 @@ pub const R8: &str = "wire-taint-allocation";
 /// Rule R9: atomic-ordering discipline (SeqCst comments, mixed
 /// orderings, Relaxed loads in control decisions).
 pub const R9: &str = "atomic-ordering-discipline";
-/// Rule R10: metric families drifting between code and docs/metrics.md.
-pub const R10: &str = "metrics-name-drift";
 /// Meta rule: malformed or unknown waivers.
 pub const RW: &str = "waiver-syntax";
 /// Meta rule (warning): a waiver that excuses nothing.
@@ -102,18 +96,7 @@ pub const RULES: &[(&str, &str)] = &[
         R9,
         "atomic-ordering discipline: uncommented SeqCst, mixed orderings on one field, Relaxed loads gating control flow",
     ),
-    (
-        R10,
-        "metric family names in code and docs/metrics.md out of sync (the docs table is the stable-name contract)",
-    ),
 ];
-
-/// Retired rule ids: still legal in waivers (reported as unused so the
-/// cleanup is mechanical), never produced as findings.
-pub const RETIRED: &[(&str, &str)] = &[(
-    R2,
-    "retired — superseded by wire-taint-allocation (R8), which tracks wire counts cross-function",
-)];
 
 /// One reported finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,20 +141,15 @@ struct Waiver {
 }
 
 /// Parses `// lint:allow(rule-id[, rule-id]) -- reason` comments; the
-/// reason is mandatory and rule ids must exist (retired ids stay legal
-/// so their cleanup surfaces as unused-waiver warnings, not errors).
-/// Returns the valid waivers plus findings for malformed ones.
+/// reason is mandatory and rule ids must exist. Returns the valid
+/// waivers plus findings for malformed ones.
 fn parse_waivers(
     rel: &str,
     comments: &[Comment],
     token_lines: &[u32],
     out: &mut Vec<Finding>,
 ) -> Vec<Waiver> {
-    let known: Vec<&str> = RULES
-        .iter()
-        .chain(RETIRED.iter())
-        .map(|&(id, _)| id)
-        .collect();
+    let known: Vec<&str> = RULES.iter().map(|&(id, _)| id).collect();
     let mut waivers = Vec::new();
     for c in comments {
         // Doc comments never carry waivers — they may legitimately quote
@@ -251,12 +229,9 @@ fn parse_waivers(
 
 /// Lints a set of `(workspace-relative path, source)` pairs and returns
 /// every finding (deny and warning), sorted by file, line, rule.
-/// Non-`.rs` entries (`docs/metrics.md`) are never lexed; they only feed
-/// the contract rules that read them.
 pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
     let lexed: Vec<(String, Lexed)> = files
         .iter()
-        .filter(|(rel, _)| rel.ends_with(".rs"))
         .map(|(rel, src)| (rel.replace('\\', "/"), lex(src)))
         .collect();
     let mut findings = Vec::new();
@@ -270,7 +245,6 @@ pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
     }
     rules::token::rule_r5(&lexed, &mut findings);
     rules::run_flow_rules(&lexed, &mut findings);
-    rules::r10::rule_r10(&lexed, files, &mut findings);
 
     // The flow engine can reach one sink through several paths (e.g. a
     // statement and the tail expression); a site reports once per rule.
@@ -320,8 +294,7 @@ pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
 }
 
 /// Walks a workspace root collecting lintable sources: every `.rs` file
-/// outside shim crates, test/bench/fixture trees, and build output —
-/// plus `docs/metrics.md`, the stable-name contract R10 diffs against.
+/// outside shim crates, test/bench/fixture trees, and build output.
 pub fn walk_workspace(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -354,10 +327,6 @@ pub fn walk_workspace(root: &Path) -> std::io::Result<Vec<(String, String)>> {
                 files.push((rel, src));
             }
         }
-    }
-    let md = root.join("docs/metrics.md");
-    if md.is_file() {
-        files.push(("docs/metrics.md".to_string(), std::fs::read_to_string(md)?));
     }
     files.sort();
     Ok(files)
@@ -462,17 +431,6 @@ mod tests {
         let src = "// lint:allow(lock-in-hot-path) -- stale\nfn f() {}\n";
         let f = check_one("crates/exec/src/x.rs", src);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, UNUSED);
-        assert!(f[0].warning);
-    }
-
-    #[test]
-    fn retired_rule_waiver_is_unused_not_a_syntax_error() {
-        // R2 waivers from before the R8 migration must degrade to the
-        // unused-waiver warning, never to waiver-syntax denies.
-        let src = "// lint:allow(decode-unchecked-allocation) -- pre-R8 waiver\nfn f() {}\n";
-        let f = check_one("crates/dist/src/x.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, UNUSED);
         assert!(f[0].warning);
     }

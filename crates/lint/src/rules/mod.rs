@@ -1,9 +1,8 @@
 //! The rule modules. `token` carries the first-generation token-level
 //! rules (R1, R3–R6); `r7`/`r8` translate `lint::flow` sink hits;
-//! `r9`/`r10` are the atomics and metrics-contract checks. This module
+//! `r9` is the atomics check. This module
 //! also owns the three-pass flow orchestration shared by R7 and R8.
 
-pub(crate) mod r10;
 pub(crate) mod r7;
 pub(crate) mod r8;
 pub(crate) mod r9;

@@ -1,5 +1,5 @@
 //! R8 `wire-taint-allocation` — the workspace-wide, cross-function
-//! replacement for the retired single-statement R2. Integers read from
+//! allocation check. Integers read from
 //! decode buffers (`get_u32_le` and friends, parsed lengths) are
 //! *wire-tainted* until bounds-checked — by `need()`, or by an explicit
 //! comparison in an `if`/`while` condition. A wire-tainted value may not

@@ -1,7 +1,6 @@
 //! The token-level rules carried over from the first-generation linter:
 //! R1 (float reductions), R3 (panic paths), R4 (SAFETY comments),
-//! R5 (backend parity), R6 (locks in hot paths). R2 retired — its job is
-//! done workspace-wide by the flow-based R8 (`rules::r8`).
+//! R5 (backend parity), R6 (locks in hot paths).
 
 use crate::lexer::{Lexed, TokKind, Token};
 use crate::util::{crate_of, in_ranges, is_id, is_p, match_delim};

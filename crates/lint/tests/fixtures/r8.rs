@@ -1,8 +1,7 @@
-// Fixture for R8 (wire-taint-allocation), single-file cases — the
-// migrated descendants of the retired R2 fixture. Fed to check_sources
-// as `crates/dist/src/proto.rs`; never compiled. `FIRE`-marked lines
-// must fire; the rest must not. The wire readers are defined here so
-// their summaries carry the taint, exactly as in the real decoder.
+// Fixture for R8 (wire-taint-allocation), single-file cases. Fed to
+// check_sources as `crates/dist/src/proto.rs`; never compiled.
+// `FIRE`-marked lines must fire; the rest must not. The wire readers are
+// defined here so their summaries carry the taint, as in the real decoder.
 
 fn take_u32(buf: &mut &[u8], what: &str) -> Result<u32, ProtoError> {
     need(buf, 4, what)?;

@@ -4,7 +4,7 @@
 //! waiver suppresses the finding). Fixtures live under `tests/fixtures/`
 //! — a directory the workspace walker skips, so they never self-lint.
 
-use lint::{check_sources, Finding, R1, R10, R3, R4, R5, R6, R7, R8, R9, UNUSED};
+use lint::{check_sources, Finding, R1, R3, R4, R5, R6, R7, R8, R9, UNUSED};
 
 /// 1-based lines carrying the `// FIRE` marker.
 fn fire_lines(src: &str) -> Vec<u32> {
@@ -183,98 +183,6 @@ fn r9_is_scoped_to_the_daemon_tiers() {
     let findings = check_one("crates/kernel/src/fixture.rs", src);
     assert!(lines_of(&findings, R9).is_empty(), "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == UNUSED), "{findings:?}");
-}
-
-const R10_CODE: &str = r#"
-pub fn register(r: &mut Registry) {
-    r.counter("dangoron_coord_steals_total", "successful tail steals");
-    r.gauge("dangoron_serve_sessions", "live sessions");
-}
-"#;
-
-const R10_DOCS: &str = "\
-| `dangoron_coord_steals_total` | counter | successful tail steals |
-| `dangoron_serve_sessions` | gauge | live sessions |
-";
-
-fn r10_check(code: &str, docs: &str) -> Vec<Finding> {
-    check_sources(&[
-        ("crates/dist/src/metrics.rs".to_string(), code.to_string()),
-        ("docs/metrics.md".to_string(), docs.to_string()),
-    ])
-}
-
-#[test]
-fn r10_is_silent_when_code_and_docs_agree() {
-    let findings = r10_check(R10_CODE, R10_DOCS);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn r10_fires_both_directions_on_a_rename() {
-    // Renaming a family in code without touching the docs breaks the
-    // stable-name contract both ways: the new name is undocumented and
-    // the documented name is no longer registered.
-    let renamed = R10_CODE.replace("dangoron_coord_steals_total", "dangoron_coord_thefts_total");
-    let findings = r10_check(&renamed, R10_DOCS);
-    let r10: Vec<_> = findings.iter().filter(|f| f.rule == R10).collect();
-    assert_eq!(r10.len(), 2, "{findings:?}");
-    assert!(
-        r10.iter().any(|f| {
-            f.file == "crates/dist/src/metrics.rs"
-                && f.message.contains("dangoron_coord_thefts_total")
-        }),
-        "{findings:?}"
-    );
-    assert!(
-        r10.iter().any(|f| {
-            f.file == "docs/metrics.md" && f.message.contains("dangoron_coord_steals_total")
-        }),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn r10_stays_quiet_without_the_docs_side() {
-    // Partial file sets (single-file invocations) must not drown in
-    // "missing from docs" noise: the rule engages only when both sides
-    // of the contract are present.
-    let findings = check_one("crates/dist/src/metrics.rs", R10_CODE);
-    assert!(lines_of(&findings, R10).is_empty(), "{findings:?}");
-}
-
-/// The acceptance regression for R10 on the live tree: rename a real
-/// registered family in the walked workspace and the docs drift check
-/// must fail in both directions.
-#[test]
-fn r10_catches_a_rename_in_the_real_workspace() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let mut files = lint::walk_workspace(&root).expect("walk workspace");
-    let mut hit = false;
-    for (rel, src) in files.iter_mut() {
-        if rel.ends_with(".rs") && src.contains("\"dangoron_coord_steals_total\"") {
-            *src = src.replace("dangoron_coord_steals_total", "dangoron_coord_thefts_total");
-            hit = true;
-        }
-    }
-    assert!(
-        hit,
-        "expected dangoron_coord_steals_total to be registered somewhere"
-    );
-    let findings = check_sources(&files);
-    let r10: Vec<_> = findings.iter().filter(|f| f.rule == R10).collect();
-    assert!(
-        r10.iter()
-            .any(|f| f.message.contains("dangoron_coord_thefts_total")),
-        "{r10:?}"
-    );
-    assert!(
-        r10.iter()
-            .any(|f| f.message.contains("dangoron_coord_steals_total")),
-        "{r10:?}"
-    );
 }
 
 /// The self-host gate, enforced by `cargo test` as well as CI: the live

@@ -14,8 +14,8 @@
 //! The `dangoron-serve` daemon ([`server`]) hosts many named sessions
 //! with per-session memory accounting, idle-LRU eviction under a budget,
 //! and append backpressure (the `Appended` ack). The wire format
-//! ([`proto`]) is protocol v4: session frames (tags 11+) behind
-//! [`dist::proto::CAP_SERVE`], layered on the shard tier's transport,
+//! ([`proto`]) adds session frames (tags 11+) to the shard protocol,
+//! layered on the shard tier's transport,
 //! handshake, heartbeats, and decode hardening. [`client::ServeClient`]
 //! is the synchronous client; it shares the shard tier's dial/backoff
 //! and reconnect loops.

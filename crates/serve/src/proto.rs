@@ -1,11 +1,11 @@
-//! The serving tier's session frames: protocol v4, tags 11+.
+//! The serving tier's session frames: tags 11+.
 //!
 //! Serve frames ride the same length-prefixed `bytes::frame` transport as
 //! the shard protocol and reuse its handshake (`Hello`, tag 4), its
 //! heartbeats (`Ping`/`Pong`, tags 6–7), and its decode-hardening helpers
-//! (`dist::proto::take_*`). A peer advertises the session frames with
-//! [`dist::proto::CAP_SERVE`]; `dangoron-serve` requires the bit of every
-//! client, while coordinators simply never see these tags.
+//! (`dist::proto::take_*`). `dangoron-serve` admits a client whose
+//! `Hello` passes [`dist::proto::check_hello`]; coordinators simply never
+//! see these tags.
 //!
 //! | tag | message       | direction       | body |
 //! |-----|---------------|-----------------|------|
@@ -33,7 +33,7 @@ use dist::proto::{self, Hello, Message};
 use sketch::output::Edge;
 use tsdata::TimeSeriesMatrix;
 
-pub use dist::proto::{CAP_SERVE, MAX_FRAME, MAX_HELLO_FRAME};
+pub use dist::proto::{MAX_FRAME, MAX_HELLO_FRAME};
 
 /// Longest session name accepted on the wire — names are map keys, not
 /// payloads.
@@ -629,10 +629,7 @@ mod tests {
         assert_eq!(payload, proto::encode(&Message::Hello(Hello::local())));
         assert!(payload.len() <= MAX_HELLO_FRAME);
         match decode(&payload).unwrap() {
-            ServeMessage::Hello(h) => {
-                assert_eq!(h, Hello::local());
-                assert_eq!(h.caps & CAP_SERVE, CAP_SERVE);
-            }
+            ServeMessage::Hello(h) => assert_eq!(h, Hello::local()),
             other => panic!("wrong message: {other:?}"),
         }
         for (msg, seq) in [(ServeMessage::Ping(5), 5), (ServeMessage::Pong(6), 6)] {

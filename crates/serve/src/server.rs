@@ -21,7 +21,7 @@ use crate::metrics::ServeMetrics;
 use crate::proto::{self, ServeMessage};
 use crate::session::Session;
 use bytes::frame;
-use dist::proto::{Hello, CAP_SERVE, MAX_HELLO_FRAME, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use dist::proto::{check_hello, MAX_HELLO_FRAME};
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -251,27 +251,6 @@ fn write_frame(writer: &Mutex<TcpStream>, msg: &ServeMessage) -> io::Result<()> 
     frame::write_to(&mut *out, &payload)
 }
 
-/// Validates the first frame of a link: a `Hello` inside the supported
-/// version range that advertises [`CAP_SERVE`].
-fn check_handshake(payload: &[u8]) -> Result<Hello, String> {
-    match proto::decode(payload) {
-        Ok(ServeMessage::Hello(h)) => {
-            if h.version < MIN_PROTOCOL_VERSION || h.version > PROTOCOL_VERSION {
-                Err(format!(
-                    "unsupported protocol version {} (serving {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})",
-                    h.version
-                ))
-            } else if h.caps & CAP_SERVE == 0 {
-                Err("peer does not advertise CAP_SERVE".to_string())
-            } else {
-                Ok(h)
-            }
-        }
-        Ok(other) => Err(format!("expected Hello, got {other:?}")),
-        Err(e) => Err(format!("bad handshake frame: {e}")),
-    }
-}
-
 /// One client frame, dispatched against the registry. Returns the reply
 /// to write, or `Err` only for faults of the *link* (a reply that cannot
 /// be encoded does not exist; session-level failures become
@@ -423,7 +402,7 @@ fn handle_link(stream: TcpStream, registry: &Registry, conn_id: u64) -> io::Resu
     let Some(first) = frame::read_from(&mut reader, MAX_HELLO_FRAME)? else {
         return Ok(()); // peer connected and left; nothing to tear down
     };
-    if let Err(e) = check_handshake(&first) {
+    if let Err(e) = check_hello(&first) {
         let _ = write_frame(
             &writer,
             &ServeMessage::ServeError {
@@ -623,23 +602,25 @@ mod tests {
     }
 
     #[test]
-    fn handshakes_without_cap_serve_or_bad_frames_are_rejected() {
+    fn handshakes_at_another_version_or_bad_frames_are_rejected() {
         let registry = Arc::new(Registry::new(None));
         let addr = spawn_local(registry, None).unwrap();
-        // A v4 Hello without CAP_SERVE: refused with a structured error.
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut io = (stream.try_clone().unwrap(), stream);
-        let hello = proto::encode(&ServeMessage::Hello(Hello {
-            version: PROTOCOL_VERSION,
-            caps: 0,
-        }));
-        frame::write_to(&mut io.1, &hello).unwrap();
-        let reply = frame::read_from(&mut io.0, proto::MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        match proto::decode(&reply).unwrap() {
-            ServeMessage::ServeError { message, .. } => assert!(message.contains("CAP_SERVE")),
-            other => panic!("expected ServeError, got {other:?}"),
+        // Hellos at v4 and v2 (both carried a capability word): refused
+        // with a structured error that names the version.
+        for version in [4u32, 2] {
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut io = (stream.try_clone().unwrap(), stream);
+            let hello = [&[4u8][..], &version.to_le_bytes(), &0xfu32.to_le_bytes()].concat();
+            frame::write_to(&mut io.1, &hello).unwrap();
+            let reply = frame::read_from(&mut io.0, proto::MAX_FRAME)
+                .unwrap()
+                .unwrap();
+            match proto::decode(&reply).unwrap() {
+                ServeMessage::ServeError { message, .. } => {
+                    assert!(message.contains(&format!("version {version}")), "{message}")
+                }
+                other => panic!("expected ServeError, got {other:?}"),
+            }
         }
         // A garbage post-handshake frame: ServeError, and the link lives on.
         let mut client = ServeClient::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
