@@ -7,7 +7,7 @@
 //! against the raw data (the paper's verification step), trading query
 //! time for perfect precision.
 //!
-//! Simplification vs. the original (documented per DESIGN.md): ParCorr
+//! Simplification vs. the original: ParCorr
 //! distributes candidate generation over a cluster with locality-sensitive
 //! bucketing; at this workspace's scale an all-pairs sketch comparison is
 //! the same filter without the distribution machinery, and keeps the

@@ -9,7 +9,7 @@
 //! otherwise — the data-dependent robustness weakness the paper (and the
 //! Tomborg benchmark, experiment E6) targets.
 //!
-//! Simplification vs. the original (documented per DESIGN.md): StatStream
+//! Simplification vs. the original: StatStream
 //! maintains coefficients incrementally over basic windows and uses a grid
 //! for candidate reporting; we recompute per window (timing is not this
 //! baseline's role — accuracy/robustness is) and compare all pairs.

@@ -6,8 +6,8 @@
 //! matrices bitwise against the unsharded engine — the determinism
 //! contract the process tier (CI `shard-smoke`) relies on. Shards run
 //! in-process here so the experiment works in any build context; the
-//! perf record's `shards` section additionally measures the real
-//! `dangoron-shard` process tier when the binary is built.
+//! real `dangoron-shard` process tier is timed by the `dist-shards`
+//! workload of `benchmark/`.
 
 use crate::Scale;
 use dangoron::{BoundMode, DangoronConfig};

@@ -1,4 +1,5 @@
-//! The experiment modules, one per paper artefact (see EXPERIMENTS.md).
+//! The experiment modules, one per paper artefact; each module's doc
+//! names the table or claim it regenerates.
 
 pub mod e10_network;
 pub mod e11_streaming_pivots;
@@ -16,7 +17,7 @@ pub mod e9_basic_window;
 
 use crate::Scale;
 
-/// Dispatch an experiment by id (`"e1"` … `"e12"`), returning its report.
+/// Dispatch an experiment by id (`"e1"` … `"e13"`), returning its report.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
     Some(match id {
         "e1" => e1_query_time::run(scale),

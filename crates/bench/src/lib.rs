@@ -1,14 +1,12 @@
 //! # bench — experiment harness regenerating every paper artefact
 //!
-//! One module per experiment (see `DESIGN.md` §5 and `EXPERIMENTS.md` for
-//! the index). Each experiment exposes `run(scale) -> String` returning the
-//! rendered report table(s); the `harness` binary dispatches on experiment
-//! id.
+//! One module per experiment under [`experiments`], each opening with the
+//! paper artefact it regenerates. Each experiment exposes
+//! `run(scale) -> String` returning the rendered report table(s); the
+//! `harness` binary dispatches on experiment id.
 
 pub mod common;
 pub mod experiments;
-pub mod merge;
-pub mod perf;
 pub mod schema;
 
 /// How big the experiment should be.

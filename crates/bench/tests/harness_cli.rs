@@ -1,15 +1,15 @@
-//! `harness bench` without `--out` must refuse to run, not write a record
-//! under a default name into the working directory (from the repository
-//! root that name is the first entry of the BENCH history).
+//! `harness bench` is no longer a subcommand (regression timing lives in
+//! `benchmark/`): it must fail as an unknown experiment id and never write
+//! a record into the working directory.
 
 use std::process::Command;
 
 #[test]
-fn bench_without_out_exits_2_and_writes_nothing() {
+fn bench_is_an_unknown_experiment_and_writes_nothing() {
     let dir = std::env::temp_dir().join(format!("harness-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_harness"))
-        .arg("bench")
+        .args(["bench", "--out", "BENCH_8.json"])
         .current_dir(&dir)
         .output()
         .unwrap();
@@ -18,7 +18,7 @@ fn bench_without_out_exits_2_and_writes_nothing() {
 
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--out"),
+        String::from_utf8_lossy(&out.stderr).contains("unknown experiment id: bench"),
         "{out:?}"
     );
     assert!(written.is_empty(), "bench wrote {written:?}");

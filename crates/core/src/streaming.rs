@@ -885,6 +885,9 @@ mod tests {
 
     #[test]
     fn streaming_jump_mode_emits_subset_of_truth() {
+        // PaperJump with pivots, appended in uneven chunks: every window of
+        // the equivalent batch query is emitted exactly once, in order, and
+        // none carries an edge the exact engine does not.
         let full = generators::clustered_matrix(6, 400, 2, 0.5, 9).unwrap();
         let initial = full.slice_columns(0, 100).unwrap();
         let mut session = StreamingDangoron::new(
@@ -892,12 +895,18 @@ mod tests {
             80,
             20,
             0.85,
-            config(BoundMode::PaperJump { slack: 0.0 }),
+            config_with_pivots(BoundMode::PaperJump { slack: 0.0 }, 2),
         )
         .unwrap();
         let mut collected = session.drain_completed().unwrap();
-        let chunk = full.slice_columns(100, 400).unwrap();
-        collected.extend(session.append(&chunk).unwrap());
+        for (a, b) in [(100, 173), (173, 291), (291, 400)] {
+            collected.extend(session.append(&full.slice_columns(a, b).unwrap()).unwrap());
+        }
+
+        let n = session.batch_query().n_windows();
+        let indices: Vec<usize> = collected.iter().map(|cw| cw.index).collect();
+        assert_eq!(indices, (0..n).collect::<Vec<_>>());
+        assert!((0.0..=1.0).contains(&session.stats().skip_fraction()));
 
         let engine = Dangoron::new(config(BoundMode::Exhaustive)).unwrap();
         let truth = engine.execute(&full, session.batch_query()).unwrap();

@@ -25,7 +25,7 @@ pub struct Workload {
 /// sliding one day, 24 h basic windows — so `n_s = 30` basic windows per
 /// query window.
 ///
-/// This is the E1 headline configuration (see EXPERIMENTS.md).
+/// This is the E1 headline configuration (`bench`'s `e1_query_time`).
 pub fn climate(n: usize, hours: usize, beta: f64, seed: u64) -> Result<Workload, TsError> {
     let ds: ClimateDataset = generate_sized(n, hours, seed)?;
     let query = SlidingQuery {

@@ -67,6 +67,15 @@ fn main() {
         );
         std::process::exit(2);
     };
+    let budget = mem_budget_mb.map(|mb| {
+        let bytes = mb
+            .checked_mul(1 << 20)
+            .and_then(|b| usize::try_from(b).ok());
+        bytes.unwrap_or_else(|| {
+            eprintln!("dangoron-serve: bad --mem-budget-mb: {mb} MiB overflows the byte count");
+            std::process::exit(2);
+        })
+    });
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {
@@ -74,7 +83,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let budget = mem_budget_mb.map(|mb| (mb as usize) << 20);
     eprintln!(
         "dangoron-serve: listening on {addr} (budget: {})",
         match budget {

@@ -3,7 +3,7 @@
 //! The paper's evaluation uses the NCEI/NOAA USCRN hourly dataset for 2020.
 //! Those files cannot ship with this repository, so this generator produces
 //! a drop-in substitute with the statistical structure Dangoron's pruning
-//! exploits (see `DESIGN.md` §3):
+//! exploits:
 //!
 //! * **seasonal + diurnal cycles** shared by all stations (hourly
 //!   resolution, 8 760 points per year), with per-station amplitude/phase

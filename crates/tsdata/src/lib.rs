@@ -10,8 +10,8 @@
 //! series" — that pipeline lives in [`sync`]. The NCEI/NOAA USCRN hourly
 //! climate format used in the paper's evaluation is parsed by [`uscrn`]; a
 //! synthetic drop-in replacement with the same statistical structure is
-//! generated by [`climate`] (see `DESIGN.md` §3 for the substitution
-//! rationale).
+//! generated by [`climate`], whose module doc gives the substitution
+//! rationale.
 //!
 //! ```
 //! use tsdata::{TimeSeriesMatrix, stats};
