@@ -72,12 +72,60 @@ impl QueryResult {
 /// recreate the static-chunk straggler problem the scheduler exists to
 /// avoid; going all the way to 1 pays one atomic per pair on cheap
 /// workloads.
-pub(crate) const WALK_GRAIN: usize = 8;
+const WALK_GRAIN: usize = 8;
 
-/// A flat, windows-tagged edge emitted by one worker. The per-worker
-/// buffers are merged lock-free and assembled into matrices with a single
-/// sort-and-partition ([`ThresholdedMatrix::assemble_windows`]).
+/// A window-tagged edge emitted by a pair's walk.
 type TaggedEdge = (u32, Edge);
+
+/// The sink one pair's walk emits into: its chunk's edge buffer and the
+/// pair `(i, j)`.
+pub(crate) struct PairEdges<'a>(&'a mut Vec<TaggedEdge>, u32, u32);
+
+impl PairEdges<'_> {
+    /// Records the pair's edge in window `w` with correlation `value`.
+    #[inline]
+    pub(crate) fn emit(&mut self, w: usize, value: f64) {
+        let (i, j) = (self.1, self.2);
+        self.0.push((w as u32, Edge { i, j, value }));
+    }
+}
+
+/// Walks every pair rank in `ranks` on `threads` work-stealing workers and
+/// assembles the per-window matrices — the collect step of the batch
+/// query, streaming drains and shared queries.
+///
+/// `walk(rank, i, j, stats, edges)` walks one pair. Every stolen chunk
+/// fills its own edge buffer, and [`exec::par_map_chunks`] hands the
+/// buffers back in rank order — `(i, j)` order — so each window reaches
+/// the O(E) scatter already sorted and the output is identical for every
+/// thread count.
+pub(crate) fn walk_and_collect<F>(
+    ranks: Range<usize>,
+    threads: usize,
+    n: usize,
+    beta: f64,
+    rule: EdgeRule,
+    n_windows: usize,
+    walk: F,
+) -> QueryResult
+where
+    F: Fn(usize, usize, usize, &mut PruningStats, &mut PairEdges<'_>) + Sync,
+{
+    let chunks = exec::par_map_chunks(ranks.len(), threads, WALK_GRAIN, |local| {
+        let (mut buf, mut stats) = (Vec::new(), PruningStats::default());
+        for rank in ranks.start + local.start..ranks.start + local.end {
+            let (i, j) = triangular::unrank(rank, n);
+            let edges = &mut PairEdges(&mut buf, i as u32, j as u32);
+            walk(rank, i, j, &mut stats, edges);
+        }
+        (buf, stats)
+    });
+    let mut stats = PruningStats::default();
+    chunks.iter().for_each(|(_, s)| stats.merge(s));
+    let segments: Vec<&[TaggedEdge]> = chunks.iter().map(|(buf, _)| buf.as_slice()).collect();
+    let matrices = ThresholdedMatrix::assemble_segments(n, beta, rule, n_windows, &segments);
+    QueryResult { matrices, stats }
+}
 
 impl Dangoron {
     /// Creates an engine after validating the configuration.
@@ -212,11 +260,11 @@ impl Dangoron {
     ///
     /// Pairs are handed to workers by a work-stealing chunk scheduler
     /// (pruning makes per-pair cost wildly non-uniform, so static chunks
-    /// strand cores); every worker appends to a thread-local flat
-    /// `(window, Edge)` buffer, and the buffers are merged lock-free at
-    /// the end — no mutex anywhere on the query path. The merged buffer
-    /// becomes the per-window matrices via one sort-and-partition, which
-    /// also makes the result identical for every thread count.
+    /// strand cores); every worker appends to a thread-local
+    /// `(window, Edge)` buffer and notes where each stolen chunk starts —
+    /// no mutex anywhere on the query path. One O(E) scatter over the
+    /// chunks, read back in rank order, builds the per-window matrices,
+    /// identical for every thread count.
     ///
     /// ```
     /// use dangoron::{Dangoron, DangoronConfig};
@@ -244,11 +292,11 @@ impl Dangoron {
     /// `[ranks.start, ranks.end)` — the distributed tier's worker query.
     ///
     /// `ranks` must lie inside the interval the preparation covers
-    /// ([`Prepared::pair_range`]). Concatenating the edge buffers of a
-    /// partition of the triangle reproduces the unsharded [`Dangoron::run`]
-    /// output bit-for-bit (the per-pair walk is independent, and the final
-    /// sort-and-partition is keyed uniquely per edge), and the per-shard
-    /// [`PruningStats`] sum to the unsharded counters.
+    /// ([`Prepared::pair_range`]). Assembling the edge buffers of a
+    /// partition of the triangle in rank order reproduces the unsharded
+    /// [`Dangoron::run`] output bit-for-bit (the per-pair walk is
+    /// independent, and rank order is each window's `(i, j)` order), and
+    /// the per-shard [`PruningStats`] sum to the unsharded counters.
     ///
     /// # Panics
     /// Panics when `ranks` is not contained in the prepared interval.
@@ -262,36 +310,15 @@ impl Dangoron {
             prep.pair_range.end,
         );
         let _timer = obs::stages::span(obs::stages::Stage::Walk);
-        let n = prep.x.n_series();
-
-        let worker_out = exec::run_partitioned(
-            ranks.len(),
+        walk_and_collect(
+            ranks,
             self.config.threads,
-            WALK_GRAIN,
-            |_| (Vec::<TaggedEdge>::new(), PruningStats::default()),
-            |(buf, stats), range| {
-                for local in range {
-                    let (i, j) = triangular::unrank(ranks.start + local, n);
-                    self.walk_one_pair(prep, i, j, buf, stats);
-                }
-            },
-        );
-
-        let mut stats = PruningStats::default();
-        let total: usize = worker_out.iter().map(|(buf, _)| buf.len()).sum();
-        let mut flat: Vec<TaggedEdge> = Vec::with_capacity(total);
-        for (buf, s) in worker_out {
-            stats.merge(&s);
-            flat.extend(buf);
-        }
-        let matrices = ThresholdedMatrix::assemble_windows(
-            n,
+            prep.x.n_series(),
             prep.query.threshold,
             self.config.edge_rule,
             prep.geo.n_windows,
-            flat,
-        );
-        QueryResult { matrices, stats }
+            |rank, i, j, stats, edges| self.walk_one_pair(prep, rank, i, j, stats, edges),
+        )
     }
 
     /// Convenience: `prepare` + `run`.
@@ -304,16 +331,17 @@ impl Dangoron {
         Ok(self.run(&prep))
     }
 
-    /// Walks one pair, appending its edges to the worker's flat buffer.
+    /// Walks the pair `(i, j)` of triangle rank `rank`.
     fn walk_one_pair(
         &self,
         prep: &Prepared<'_>,
+        rank: usize,
         i: usize,
         j: usize,
-        buf: &mut Vec<TaggedEdge>,
         stats: &mut PruningStats,
+        edges: &mut PairEdges<'_>,
     ) {
-        let n = prep.x.n_series();
+        let local = rank - prep.pair_range.start;
         let beta = prep.query.threshold;
         let n_windows = prep.geo.n_windows;
         let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
@@ -333,7 +361,7 @@ impl Dangoron {
 
         let owned;
         let pair: &PairSketch = match &prep.pairs {
-            Some(all) => &all[triangular::rank(i, j, n) - prep.pair_range.start],
+            Some(all) => &all[local],
             None => {
                 owned = PairSketch::build(&prep.layout, prep.x.row(i), prep.x.row(j))
                     .expect("pair geometry validated in prepare");
@@ -345,7 +373,7 @@ impl Dangoron {
         // otherwise (OnDemand storage pays it inside the query).
         let dep_owned;
         let dep = match (&prep.deps, need_dep) {
-            (Some(all), true) => Some(&all[triangular::rank(i, j, n) - prep.pair_range.start]),
+            (Some(all), true) => Some(&all[local]),
             (None, true) => {
                 dep_owned = pair_costs(&prep.store, pair, i, j, self.config.edge_rule);
                 Some(&dep_owned)
@@ -364,16 +392,7 @@ impl Dangoron {
             dep,
             prep.pivots.as_ref(),
             stats,
-            |w, v| {
-                buf.push((
-                    w as u32,
-                    Edge {
-                        i: i as u32,
-                        j: j as u32,
-                        value: v,
-                    },
-                ))
-            },
+            |w, v| edges.emit(w, v),
         );
     }
 }

@@ -714,6 +714,7 @@ fn run_inner(
         .collect();
     let mut busy: HashMap<usize, Outstanding> = HashMap::new();
     let mut next_id: u64 = 0;
+    let n_windows = expected_windows(cfg.mode, engine_cfg, data.len(), &query);
     let mut segments: Vec<ShardEdges> = Vec::new();
     let mut summaries: Vec<ShardSummary> = Vec::new();
     let mut stats = PruningStats::default();
@@ -980,6 +981,14 @@ fn run_inner(
                         // it is discarded by id.
                         match busy.get(&w).map(|o| o.id) {
                             Some(id) if res.shard_id == id => {
+                                if let Some((win, _)) =
+                                    res.edges.iter().find(|(win, _)| *win as usize >= n_windows)
+                                {
+                                    return Err(CoordError::Internal(format!(
+                                        "worker {w} returned an edge of window {win}; \
+                                         the query has {n_windows}"
+                                    )));
+                                }
                                 let Some(o) = busy.remove(&w) else {
                                     continue;
                                 };
@@ -1123,7 +1132,6 @@ fn run_inner(
         h.shutdown();
     }
 
-    let n_windows = expected_windows(cfg.mode, engine_cfg, data.len(), &query);
     let matrices = merge_shard_edges(
         data.n_series(),
         query.threshold,

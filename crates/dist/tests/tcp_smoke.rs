@@ -347,3 +347,48 @@ fn hung_tcp_worker_times_out_and_is_replanned() {
     // down, so its next write fails and the process exits.
     reap(children);
 }
+
+#[test]
+fn result_with_an_out_of_range_window_fails_the_run_without_a_panic() {
+    use dist::proto::{self, Hello, Message, ShardResult};
+    use sketch::output::Edge;
+    let (data, query, cfg) = workload();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // A peer that handshakes like a worker, then answers its assignment
+    // with an edge tagged one past the query's last window.
+    let n_windows = query.n_windows() as u32;
+    let peer = std::thread::spawn(move || {
+        let mut link = std::net::TcpStream::connect(&addr).unwrap();
+        let hello = proto::encode(&Message::Hello(Hello::local()));
+        bytes::frame::write_to(&mut link, &hello).unwrap();
+        while let Ok(Some(frame)) = bytes::frame::read_from(&mut link, proto::MAX_FRAME) {
+            if let Ok(Message::Assign(a)) = proto::decode(&frame) {
+                let edge = Edge {
+                    i: 0,
+                    j: 1,
+                    value: 0.9,
+                };
+                let result = Message::Result(ShardResult {
+                    shard_id: a.shard_id,
+                    ranks: a.ranks,
+                    prepare_s: 0.0,
+                    query_s: 0.0,
+                    stats: Default::default(),
+                    edges: vec![(n_windows, edge)],
+                });
+                bytes::frame::write_to(&mut link, &proto::encode(&result)).unwrap();
+            }
+        }
+    });
+    let err = coord::run_with_listener(
+        &coordinator(1, 1, WorkerMode::Batch),
+        listener,
+        &cfg,
+        &data,
+        query,
+    )
+    .expect_err("a result outside the query's windows was merged");
+    assert!(err.to_string().contains("window"), "{err}");
+    peer.join().unwrap();
+}

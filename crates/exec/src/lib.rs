@@ -15,15 +15,16 @@
 //!   handed back through the scoped-join, never through a mutex.
 //! * **Determinism is the caller's to keep, and easy to keep:** items are
 //!   processed exactly once, per-worker results carry their item ranges,
-//!   and the ordered collectors ([`par_collect_chunks`]) reassemble output
-//!   in item order regardless of which worker ran what.
+//!   and the ordered collectors ([`par_map_chunks`], [`par_collect_chunks`])
+//!   reassemble output in item order regardless of which worker ran what.
 //! * **`threads == 1` never spawns.** The single-threaded path runs inline
 //!   so sequential benchmarks measure the algorithm, not the scheduler.
 //!
-//! Three entry points cover the workspace's needs: [`run_partitioned`]
-//! (per-worker fold states, the query walk), [`par_collect_chunks`]
-//! (ordered map-collect, the sketch builders), and [`par_chunks_mut`]
-//! (static disjoint splits of a mutable slice, uniform-cost updates).
+//! Four entry points cover the workspace's needs: [`run_partitioned`]
+//! (per-worker fold states), [`par_map_chunks`] (one result per stolen
+//! chunk, in item order: the query walk), [`par_collect_chunks`] (ordered
+//! map-collect, the sketch builders), and [`par_chunks_mut`] (static
+//! disjoint splits of a mutable slice, uniform-cost updates).
 //!
 //! ```
 //! // Ordered map-collect: output is in item order no matter which worker
@@ -93,9 +94,9 @@ fn steal(
 /// per-worker states (in worker order — callers must not depend on which
 /// worker processed which items; use the ranges passed to `body` instead).
 ///
-/// The workhorse of the query engines: workers steal pair-index chunks and
-/// append edges to a thread-local buffer; the caller merges buffers
-/// lock-free afterwards.
+/// The scheduler under every other entry point: workers steal index chunks
+/// and fold them into thread-local state, merged by the caller after the
+/// join.
 pub fn run_partitioned<S, I, F>(
     n_items: usize,
     threads: usize,
@@ -153,6 +154,33 @@ where
     })
 }
 
+/// Map every stolen index chunk of `0..n_items` to one `R`, and return the
+/// results in item order: each worker records the start of every chunk it
+/// steals, and the chunks are sorted by it after the join. Which worker ran
+/// which chunk, and how many chunks there are, depends on scheduling; the
+/// concatenation of the chunks' items is always `0..n_items`.
+///
+/// The query engines' collector: a chunk's result is the edge buffer of
+/// its pairs, so the buffers come back in pair-rank order.
+pub fn par_map_chunks<R, F>(n_items: usize, threads: usize, min_grain: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let mut chunks: Vec<(usize, R)> = run_partitioned(
+        n_items,
+        threads,
+        min_grain,
+        |_| Vec::new(),
+        |acc: &mut Vec<(usize, R)>, range| acc.push((range.start, f(range))),
+    )
+    .into_iter()
+    .flatten()
+    .collect();
+    chunks.sort_unstable_by_key(|(start, _)| *start);
+    chunks.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Map every index chunk of `0..n_items` to a `Vec<R>` (one `R` per item,
 /// in item order within the chunk) and reassemble the full `Vec<R>` in item
 /// order. Work distribution is stolen chunks, output order is
@@ -162,35 +190,12 @@ where
     R: Send,
     F: Fn(Range<usize>) -> Vec<R> + Sync,
 {
-    let threads = effective_threads(threads, n_items);
-    if threads <= 1 {
-        if n_items == 0 {
-            return Vec::new();
-        }
-        let out = f(0..n_items);
-        debug_assert_eq!(out.len(), n_items);
-        return out;
-    }
-    let mut pieces: Vec<(usize, Vec<R>)> = run_partitioned(
-        n_items,
-        threads,
-        min_grain,
-        |_| Vec::new(),
-        |acc: &mut Vec<(usize, Vec<R>)>, range| {
-            let start = range.start;
-            let piece = f(range);
-            acc.push((start, piece));
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
-    pieces.sort_unstable_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(n_items);
-    for (start, piece) in pieces {
-        debug_assert_eq!(out.len(), start);
-        out.extend(piece);
-    }
+    let mut chunks = par_map_chunks(n_items, threads, min_grain, f);
+    let out = if chunks.len() == 1 {
+        chunks.pop().expect("one chunk")
+    } else {
+        chunks.into_iter().flatten().collect()
+    };
     debug_assert_eq!(out.len(), n_items);
     out
 }
@@ -268,6 +273,32 @@ mod tests {
                 assert_eq!(*v, i * i, "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn map_chunks_returns_chunks_in_item_order() {
+        for threads in [1, 2, 3, 8] {
+            // The first `threads` chunks wait until each worker holds one,
+            // so the chunks interleave across workers rather than one
+            // worker running them all.
+            let started = AtomicUsize::new(0);
+            let chunks = par_map_chunks(257, threads, 4, |range| {
+                if started.fetch_add(1, Ordering::SeqCst) < threads {
+                    while started.load(Ordering::SeqCst) < threads {
+                        std::thread::yield_now();
+                    }
+                }
+                range
+            });
+            assert_eq!(
+                chunks.first().map(|r| r.start),
+                Some(0),
+                "threads={threads}"
+            );
+            assert_eq!(chunks.last().map(|r| r.end), Some(257), "threads={threads}");
+            assert!(chunks.windows(2).all(|c| c[0].end == c[1].start));
+        }
+        assert!(par_map_chunks(0, 4, 1, |range| range).is_empty());
     }
 
     #[test]

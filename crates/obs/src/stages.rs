@@ -23,7 +23,8 @@ pub enum Stage {
     Walk,
     /// Streaming window drain (`core::streaming`).
     Drain,
-    /// Sorted-edge merge into the output sketch (`sketch::output`).
+    /// Assembly of window-tagged edges into the per-window matrices
+    /// (`sketch::output`), once per query, drain or shard merge.
     Merge,
 }
 
@@ -45,7 +46,7 @@ impl Stage {
             Stage::PivotBuild => "Wall time of pivot-table builds, microseconds",
             Stage::Walk => "Wall time of correlation walks, microseconds",
             Stage::Drain => "Wall time of streaming window drains, microseconds",
-            Stage::Merge => "Wall time of sorted-edge merges, microseconds",
+            Stage::Merge => "Wall time of per-window matrix assemblies, microseconds",
         }
     }
 }

@@ -14,7 +14,7 @@
 //! | 13  | `Append`      | client → daemon | session name, the new columns |
 //! | 14  | `Appended`    | daemon → client | echoed name, covered columns, windows closed by this append, resident bytes — the ack **is** the backpressure: a client that waits for it can never run ahead of the daemon's memory budget |
 //! | 15  | `Query`       | client → daemon | query id, session name, ad-hoc `(window, step, threshold)` |
-//! | 16  | `QueryResult` | daemon → client | echoed id, the covered-column prefix the answer is exact for, window count, `(window, edge)` list |
+//! | 16  | `QueryResult` | daemon → client | echoed id, the covered-column prefix the answer is exact for, window count, `(window, edge)` list strictly ascending by `(window, i, j)`, every window below the count and every `i < j` (decode rejects anything else) |
 //! | 17  | `Subscribe`   | client → daemon | subscription id, session name |
 //! | 18  | `Subscribed`  | daemon → client | echoed id, the first global window index the subscription will deliver (back-fill `0..next_window` with a `Query`) |
 //! | 19  | `Delta`       | daemon → client | subscription id, one closed window's index and its edge list — never a whole matrix re-emit |
@@ -129,7 +129,8 @@ pub enum ServeMessage {
         covered_cols: u64,
         /// Windows in the answer.
         n_windows: u64,
-        /// `(window, edge)` pairs, sorted by `(window, i, j)`.
+        /// `(window, edge)` pairs, strictly ascending by `(window, i, j)`,
+        /// with `window < n_windows` and `i < j` (checked by [`decode`]).
         edges: Vec<(u32, Edge)>,
     },
     /// Client → daemon: push every subsequently closed window's edges.
@@ -407,12 +408,24 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
                 n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
                 "edges",
             )?;
-            let mut edges = Vec::with_capacity(n_edges);
-            for _ in 0..n_edges {
+            let mut edges: Vec<(u32, Edge)> = Vec::with_capacity(n_edges);
+            for k in 0..n_edges {
                 let w = buf.get_u32_le();
                 let i = buf.get_u32_le();
                 let j = buf.get_u32_le();
                 let value = buf.get_f64_le();
+                if u64::from(w) >= n_windows {
+                    return Err(format!("edge {k} in window {w} of {n_windows}"));
+                }
+                if i >= j {
+                    return Err(format!("edge {k} ({i}, {j}) is not above the diagonal"));
+                }
+                if edges
+                    .last()
+                    .is_some_and(|(pw, p)| (*pw, p.i, p.j) >= (w, i, j))
+                {
+                    return Err(format!("edge {k} breaks the (window, i, j) order"));
+                }
                 edges.push((w, Edge { i, j, value }));
             }
             ServeMessage::QueryResult {
@@ -671,6 +684,31 @@ mod tests {
         trailing.push(0);
         assert!(decode(&trailing).is_err());
         assert!(decode(&[200]).is_err(), "unknown tag");
+    }
+
+    #[test]
+    fn query_results_with_misplaced_edges_are_rejected() {
+        let e = |w: u32, i: u32, j: u32| (w, Edge { i, j, value: 0.9 });
+        let frame = |edges: Vec<(u32, Edge)>| {
+            encode(&ServeMessage::QueryResult {
+                id: 1,
+                covered_cols: 100,
+                n_windows: 3,
+                edges,
+            })
+        };
+        assert!(decode(&frame(vec![e(0, 0, 1), e(2, 0, 1), e(2, 1, 4)])).is_ok());
+        for (why, edges) in [
+            ("window = n_windows", vec![e(0, 0, 1), e(3, 0, 1)]),
+            ("window ≫ n_windows", vec![e(u32::MAX, 0, 1)]),
+            ("diagonal", vec![e(0, 2, 2)]),
+            ("lower triangle", vec![e(1, 3, 1)]),
+            ("duplicate", vec![e(1, 0, 1), e(1, 0, 1)]),
+            ("windows descend", vec![e(2, 0, 1), e(1, 0, 2)]),
+            ("pairs descend", vec![e(1, 0, 2), e(1, 0, 1)]),
+        ] {
+            assert!(decode(&frame(edges)).is_err(), "{why}");
+        }
     }
 
     #[test]

@@ -74,13 +74,11 @@ impl ThresholdedMatrix {
 
     /// Builds a matrix directly from an already-sorted, already-filtered
     /// edge list — the fast path for engines that assemble all windows
-    /// with one sort-and-partition over a flat edge buffer instead of
-    /// per-window pushes.
+    /// from window-tagged edge buffers instead of per-window pushes.
     ///
     /// Every entry must satisfy `i < j < n`, pass `rule` at `beta`, and
     /// the list must be sorted by `(i, j)` (all checked in debug builds).
     pub fn from_sorted_edges(n: usize, beta: f64, rule: EdgeRule, entries: Vec<Edge>) -> Self {
-        let _timer = obs::stages::span(obs::stages::Stage::Merge);
         #[cfg(debug_assertions)]
         {
             for pair in entries.windows(2) {
@@ -109,33 +107,59 @@ impl ThresholdedMatrix {
     }
 
     /// Assembles one finalized matrix per window from a flat, window-tagged
-    /// edge buffer, with a single sort-and-partition.
-    ///
-    /// This is the merge step shared by every parallel engine: workers
-    /// append `(window, Edge)` records to thread-local buffers, the caller
-    /// concatenates them lock-free, and this sorts once by `(window, i, j)`
-    /// — a key unique per edge, so worker scheduling cannot affect the
-    /// output — then slices out each window.
+    /// edge buffer: [`ThresholdedMatrix::assemble_segments`] over one
+    /// segment.
     pub fn assemble_windows(
         n: usize,
         beta: f64,
         rule: EdgeRule,
         n_windows: usize,
-        mut flat: Vec<(u32, Edge)>,
+        flat: Vec<(u32, Edge)>,
     ) -> Vec<ThresholdedMatrix> {
-        flat.sort_unstable_by_key(|(w, e)| (*w, e.i, e.j));
-        let mut out = Vec::with_capacity(n_windows);
-        let mut pos = 0;
-        for w in 0..n_windows as u32 {
-            let start = pos;
-            while pos < flat.len() && flat[pos].0 == w {
-                pos += 1;
+        Self::assemble_segments(n, beta, rule, n_windows, &[&flat])
+    }
+
+    /// Assembles one finalized matrix per window from window-tagged edge
+    /// segments, in O(E): one pass counts each window's edges, a second
+    /// scatters them, segment by segment, into exactly-sized per-window
+    /// lists.
+    ///
+    /// This is the merge step shared by every engine. When the segments
+    /// hold ascending pair ranks — a worker's chunks or a shard's buffer,
+    /// taken in rank order — every window arrives sorted by `(i, j)`,
+    /// because rank order *is* `(i, j)` order, and the per-window sort
+    /// below is a linear run check. Segments in any other order give the
+    /// same output: `(window, i, j)` is unique per edge, so that sort
+    /// erases the order in which workers or shards produced them.
+    ///
+    /// # Panics
+    /// Panics when an edge is tagged with a window `≥ n_windows`.
+    pub fn assemble_segments(
+        n: usize,
+        beta: f64,
+        rule: EdgeRule,
+        n_windows: usize,
+        segments: &[&[(u32, Edge)]],
+    ) -> Vec<ThresholdedMatrix> {
+        let _timer = obs::stages::span(obs::stages::Stage::Merge);
+        let mut counts = vec![0usize; n_windows];
+        for &(w, _) in segments.iter().copied().flatten() {
+            match counts.get_mut(w as usize) {
+                Some(c) => *c += 1,
+                None => panic!("edge tagged with window {w} of {n_windows}"),
             }
-            let edges: Vec<Edge> = flat[start..pos].iter().map(|&(_, e)| e).collect();
-            out.push(ThresholdedMatrix::from_sorted_edges(n, beta, rule, edges));
         }
-        debug_assert_eq!(pos, flat.len(), "edge tagged with out-of-range window");
-        out
+        let mut windows: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for &(w, e) in segments.iter().copied().flatten() {
+            windows[w as usize].push(e);
+        }
+        windows
+            .into_iter()
+            .map(|mut edges| {
+                edges.sort_unstable_by_key(|e| (e.i, e.j));
+                Self::from_sorted_edges(n, beta, rule, edges)
+            })
+            .collect()
     }
 
     /// Number of series (matrix order).
@@ -374,6 +398,104 @@ mod tests {
             },
         ];
         let _ = ThresholdedMatrix::from_sorted_edges(4, 0.5, EdgeRule::Positive, entries);
+    }
+
+    /// Every edge of `ms` as `(window, i, j, value bits)`.
+    fn bits(ms: &[ThresholdedMatrix]) -> Vec<(usize, u32, u32, u64)> {
+        ms.iter()
+            .enumerate()
+            .flat_map(|(w, m)| {
+                m.edges()
+                    .iter()
+                    .map(move |e| (w, e.i, e.j, e.value.to_bits()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn assembly_is_independent_of_segment_order() {
+        // Pairs walked in rank order, each emitting its windows ascending:
+        // the buffer a single worker produces. Window 1 and the trailing
+        // window 4 stay empty.
+        let (n, n_windows) = (7u32, 5);
+        let mut ordered = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                for w in [0u32, 2, 3] {
+                    if (i + 2 * j + w) % 3 != 0 {
+                        let value = 0.5 + f64::from(i * n + j + w) / 1000.0;
+                        ordered.push((w, Edge { i, j, value }));
+                    }
+                }
+            }
+        }
+        let mut shuffled = ordered.clone();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for k in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(k, (state % (k as u64 + 1)) as usize);
+        }
+        assert_ne!(shuffled, ordered);
+
+        let assemble = |flat: Vec<(u32, Edge)>| {
+            ThresholdedMatrix::assemble_windows(
+                n as usize,
+                0.5,
+                EdgeRule::Positive,
+                n_windows,
+                flat,
+            )
+        };
+        let expected = assemble(ordered.clone());
+        assert_eq!(expected.len(), n_windows);
+        assert_eq!(expected[1].n_edges(), 0);
+        assert_eq!(expected[4].n_edges(), 0);
+        assert_eq!(bits(&expected).len(), ordered.len());
+        for m in &expected {
+            assert!(m
+                .edges()
+                .windows(2)
+                .all(|p| (p[0].i, p[0].j) < (p[1].i, p[1].j)));
+        }
+        assert_eq!(bits(&assemble(shuffled.clone())), bits(&expected));
+        // Rank-ordered segments (worker chunks) and shuffled segments.
+        for flat in [&ordered, &shuffled] {
+            let (a, rest) = flat.split_at(5);
+            let (b, c) = rest.split_at(rest.len() / 2);
+            let got = ThresholdedMatrix::assemble_segments(
+                n as usize,
+                0.5,
+                EdgeRule::Positive,
+                n_windows,
+                &[a, &[], b, c],
+            );
+            assert_eq!(bits(&got), bits(&expected));
+        }
+    }
+
+    #[test]
+    fn assembly_of_no_edges() {
+        let none = ThresholdedMatrix::assemble_windows(3, 0.5, EdgeRule::Positive, 0, Vec::new());
+        assert!(none.is_empty());
+        let empty = ThresholdedMatrix::assemble_segments(3, 0.5, EdgeRule::Positive, 2, &[]);
+        assert_eq!(empty.len(), 2);
+        assert!(empty.iter().all(|m| m.n_edges() == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "window 2 of 2")]
+    fn assembly_rejects_out_of_range_windows() {
+        let flat = vec![(
+            2u32,
+            Edge {
+                i: 0,
+                j: 1,
+                value: 0.9,
+            },
+        )];
+        let _ = ThresholdedMatrix::assemble_windows(3, 0.5, EdgeRule::Positive, 2, flat);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Parallel determinism: `QueryResult` — edge sets (values bit-for-bit)
 //! and pruning counters — must be identical for `threads = 1, 2, 8`, in
-//! both the batch and streaming engines, across storage modes, bound
-//! modes and edge rules. The work-stealing scheduler hands pairs out
-//! non-deterministically; the sort-and-partition assembly must erase that
-//! completely.
+//! the batch engine, streaming drains and shared queries, across storage
+//! modes, bound modes and edge rules. The work-stealing scheduler hands
+//! pairs out non-deterministically; reading the workers' chunks back in
+//! rank order must erase that completely.
 //!
 //! Since the SIMD kernel layer, the contract extends to the instruction
 //! set: the dispatched kernels (AVX2+FMA / NEON) and the canonical
@@ -150,6 +150,48 @@ fn streaming_engine_is_thread_count_invariant() {
                 let ma = std::slice::from_ref(&a.matrix);
                 let mb = std::slice::from_ref(&b.matrix);
                 assert_bit_identical(ma, mb, &format!("stream {bound:?} threads={t}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_query_is_thread_count_invariant() {
+    // 40 series = 780 pairs: at 8 threads the guided scheduler cuts them
+    // into dozens of WALK_GRAIN-floored chunks, so the assembly reads many
+    // worker segments back in rank order. The answer must equal a fresh
+    // batch run, for the session's own geometry and for an ad-hoc one.
+    let x = generators::clustered_matrix(40, 400, 4, 0.6, 4242).unwrap();
+    for bound in [BoundMode::Exhaustive, BoundMode::PaperJump { slack: 0.0 }] {
+        let config = |threads| DangoronConfig {
+            basic_window: 20,
+            bound,
+            threads,
+            ..Default::default()
+        };
+        let sessions: Vec<StreamingDangoron> = THREAD_COUNTS
+            .iter()
+            .map(|&t| StreamingDangoron::new(x.clone(), 80, 20, 0.7, config(t)).unwrap())
+            .collect();
+        for (window, step) in [(80, 20), (120, 40)] {
+            let query = SlidingQuery {
+                start: 0,
+                end: 400,
+                window,
+                step,
+                threshold: 0.7,
+            };
+            let batch = Dangoron::new(config(1))
+                .unwrap()
+                .execute(&x, query)
+                .unwrap();
+            let baseline = sessions[0].query_shared(window, step, 0.7).unwrap();
+            assert!(baseline.total_edges() > 0, "workload produced no edges");
+            let ctx = format!("shared {bound:?} ({window}, {step})");
+            assert_same_result(&baseline, &batch, &format!("{ctx} vs batch"));
+            for (session, t) in sessions.iter().zip(THREAD_COUNTS).skip(1) {
+                let got = session.query_shared(window, step, 0.7).unwrap();
+                assert_same_result(&baseline, &got, &format!("{ctx} threads={t}"));
             }
         }
     }
