@@ -109,7 +109,6 @@ pub fn run(scale: Scale) -> String {
             "windows",
             "evaluated",
             "tri-pruned",
-            "pairs-skipped",
             "skip-frac",
             "edges",
         ],
@@ -123,7 +122,6 @@ pub fn run(scale: Scale) -> String {
             o.windows.to_string(),
             o.stats.evaluated.to_string(),
             o.stats.pruned_by_triangle.to_string(),
-            o.stats.pairs_skipped_entirely.to_string(),
             format!("{:.3}", o.stats.skip_fraction()),
             o.edges.to_string(),
         ]);
@@ -157,10 +155,10 @@ mod tests {
                 .parse::<f64>()
                 .unwrap() as u64
         };
-        // Edge totals (last column = index 8) agree exactly.
+        // Edge totals (last column = index 7) agree exactly.
         assert_eq!(
-            field("exhaustive ", 8),
-            field("exhaustive+triangle", 8),
+            field("exhaustive ", 7),
+            field("exhaustive+triangle", 7),
             "triangle pruning changed streamed edges"
         );
         // The triangle machinery did something: fewer exact evaluations.

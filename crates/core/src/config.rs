@@ -114,8 +114,8 @@ impl Default for DangoronConfig {
 }
 
 impl DangoronConfig {
-    /// Validates parameter sanity (query-dependent checks happen in
-    /// `prepare`).
+    /// Validates parameter sanity (query-dependent checks happen when a
+    /// query is prepared, a session opened or a shared query answered).
     pub fn validate(&self) -> Result<(), TsError> {
         if self.basic_window < 2 {
             return Err(TsError::InvalidParameter(format!(
@@ -146,6 +146,41 @@ impl DangoronConfig {
                     ));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Checks a walk's window geometry and threshold against this
+    /// configuration: `window ≥ 2` and `step > 0`, both multiples of the
+    /// basic window; `threshold ∈ [−1, 1]`, and non-negative under
+    /// [`EdgeRule::Absolute`]. The one check behind batch preparation,
+    /// streaming session open and shared queries.
+    pub(crate) fn check_geometry(
+        &self,
+        window: usize,
+        step: usize,
+        threshold: f64,
+    ) -> Result<(), TsError> {
+        let b = self.basic_window;
+        if window < 2 || !window.is_multiple_of(b) {
+            return Err(TsError::InvalidParameter(format!(
+                "window {window} must be a positive multiple of basic window {b}"
+            )));
+        }
+        if step == 0 || !step.is_multiple_of(b) {
+            return Err(TsError::InvalidParameter(format!(
+                "step {step} must be a positive multiple of basic window {b}"
+            )));
+        }
+        if !(-1.0..=1.0).contains(&threshold) {
+            return Err(TsError::InvalidParameter(format!(
+                "threshold must be in [-1, 1], got {threshold}"
+            )));
+        }
+        if self.edge_rule == EdgeRule::Absolute && threshold < 0.0 {
+            return Err(TsError::InvalidParameter(format!(
+                "absolute edge rule requires a non-negative threshold, got {threshold}"
+            )));
         }
         Ok(())
     }

@@ -8,15 +8,12 @@
 //! walk over `(pair, window)` cells with vertical jumping and horizontal
 //! pruning.
 
-use crate::bounds::PairCosts;
-use crate::config::{BoundMode, DangoronConfig, PairStorage};
+use crate::config::{DangoronConfig, PairStorage};
 use crate::pivot::{select_pivots, PivotSet};
+use crate::state::PairState;
 use crate::stats::PruningStats;
-use crate::walker::{pair_costs, walk_pair, WalkGeometry};
-use sketch::output::{Edge, EdgeRule};
-use sketch::{
-    pair, triangular, BasicWindowLayout, PairSketch, SketchStore, SlidingQuery, ThresholdedMatrix,
-};
+use crate::walker::WalkGeometry;
+use sketch::{triangular, BasicWindowLayout, SlidingQuery, ThresholdedMatrix};
 use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
@@ -26,28 +23,19 @@ pub struct Dangoron {
     config: DangoronConfig,
 }
 
-/// Everything precomputed before the timed query: sketch store, optional
-/// pair sketches, optional pivot correlations.
+/// Everything precomputed before the timed query: the resident pair state
+/// (sketch store, optional pair sketches and their Eq. 2 cost prefixes)
+/// and the optional pivot table.
 pub struct Prepared<'a> {
-    x: &'a TimeSeriesMatrix,
     /// The validated query.
     pub query: SlidingQuery,
     /// Basic-window layout covering the query range.
     pub layout: BasicWindowLayout,
-    /// Per-series basic-window statistics.
-    pub store: SketchStore,
-    pairs: Option<Vec<PairSketch>>,
-    /// Per-pair Eq. 2 departure-cost prefixes, precomputed alongside the
-    /// pair sketches (the paper: "we can precompute and store basic window
-    /// statistics" — the pairwise `c_j` are part of that sketch state).
-    deps: Option<Vec<PairCosts>>,
+    /// The pair state over the prepared rank interval: the full triangle
+    /// for [`Dangoron::prepare`], a shard for [`Dangoron::prepare_shard`].
+    state: PairState<'a>,
     pivots: Option<PivotSet>,
     geo: WalkGeometry,
-    /// The contiguous pair-rank interval this preparation covers: the full
-    /// triangle for [`Dangoron::prepare`], a shard for
-    /// [`Dangoron::prepare_shard`]. `pairs`/`deps` are indexed by
-    /// `rank − pair_range.start`.
-    pair_range: Range<usize>,
 }
 
 /// The result of a sliding query: one thresholded matrix per window plus
@@ -65,66 +53,6 @@ impl QueryResult {
     pub fn total_edges(&self) -> usize {
         self.matrices.iter().map(|m| m.n_edges()).sum()
     }
-}
-
-/// Minimum pair-chunk a worker steals at once. Small, because vertical
-/// jumping makes per-pair cost wildly non-uniform — a large floor would
-/// recreate the static-chunk straggler problem the scheduler exists to
-/// avoid; going all the way to 1 pays one atomic per pair on cheap
-/// workloads.
-const WALK_GRAIN: usize = 8;
-
-/// A window-tagged edge emitted by a pair's walk.
-type TaggedEdge = (u32, Edge);
-
-/// The sink one pair's walk emits into: its chunk's edge buffer and the
-/// pair `(i, j)`.
-pub(crate) struct PairEdges<'a>(&'a mut Vec<TaggedEdge>, u32, u32);
-
-impl PairEdges<'_> {
-    /// Records the pair's edge in window `w` with correlation `value`.
-    #[inline]
-    pub(crate) fn emit(&mut self, w: usize, value: f64) {
-        let (i, j) = (self.1, self.2);
-        self.0.push((w as u32, Edge { i, j, value }));
-    }
-}
-
-/// Walks every pair rank in `ranks` on `threads` work-stealing workers and
-/// assembles the per-window matrices — the collect step of the batch
-/// query, streaming drains and shared queries.
-///
-/// `walk(rank, i, j, stats, edges)` walks one pair. Every stolen chunk
-/// fills its own edge buffer, and [`exec::par_map_chunks`] hands the
-/// buffers back in rank order — `(i, j)` order — so each window reaches
-/// the O(E) scatter already sorted and the output is identical for every
-/// thread count.
-pub(crate) fn walk_and_collect<F>(
-    ranks: Range<usize>,
-    threads: usize,
-    n: usize,
-    beta: f64,
-    rule: EdgeRule,
-    n_windows: usize,
-    walk: F,
-) -> QueryResult
-where
-    F: Fn(usize, usize, usize, &mut PruningStats, &mut PairEdges<'_>) + Sync,
-{
-    let chunks = exec::par_map_chunks(ranks.len(), threads, WALK_GRAIN, |local| {
-        let (mut buf, mut stats) = (Vec::new(), PruningStats::default());
-        for rank in ranks.start + local.start..ranks.start + local.end {
-            let (i, j) = triangular::unrank(rank, n);
-            let edges = &mut PairEdges(&mut buf, i as u32, j as u32);
-            walk(rank, i, j, &mut stats, edges);
-        }
-        (buf, stats)
-    });
-    let mut stats = PruningStats::default();
-    chunks.iter().for_each(|(_, s)| stats.merge(s));
-    let segments: Vec<&[TaggedEdge]> = chunks.iter().map(|(buf, _)| buf.as_slice()).collect();
-    let matrices = ThresholdedMatrix::assemble_segments(n, beta, rule, n_windows, &segments);
-    QueryResult { matrices, stats }
 }
 
 impl Dangoron {
@@ -150,15 +78,15 @@ impl Dangoron {
     }
 
     /// [`Dangoron::prepare`] restricted to a contiguous pair-rank shard
-    /// `[pair_range.start, pair_range.end)` of the [`triangular`] rank
-    /// space — the distributed tier's worker entry point.
+    /// `[pair_range.start, pair_range.end)` of the [`triangular`]
+    /// rank space — the distributed tier's worker entry point.
     ///
     /// In [`PairStorage::Precomputed`] mode only the shard's pair sketches
     /// and departure costs are built, so a worker's prepare cost and memory
     /// scale with its shard, not with the full `N·(N−1)/2` triangle. The
-    /// per-series [`SketchStore`] and the pivot table (when horizontal
-    /// pruning is on) are whole-matrix state and are built in full — they
-    /// are O(N), not O(N²), and every shard needs them. Sharded
+    /// per-series [`sketch::SketchStore`] and the pivot table (when
+    /// horizontal pruning is on) are whole-matrix state and are built in
+    /// full — they are O(N), not O(N²), and every shard needs them. Sharded
     /// preparations build the pivot table from raw rows rather than from
     /// the (partial) pair-sketch set; the two paths are bit-identical, so
     /// results never depend on the shard layout.
@@ -169,90 +97,38 @@ impl Dangoron {
         pair_range: Range<usize>,
     ) -> Result<Prepared<'a>, TsError> {
         let _timer = obs::stages::span(obs::stages::Stage::Prepare);
-        let n_pairs = triangular::count(x.n_series());
-        if pair_range.start > pair_range.end || pair_range.end > n_pairs {
-            return Err(TsError::InvalidParameter(format!(
-                "pair range {}..{} outside the {} pair ranks",
-                pair_range.start, pair_range.end, n_pairs
-            )));
-        }
         query.validate(x.len())?;
-        if self.config.edge_rule == EdgeRule::Absolute && query.threshold < 0.0 {
-            return Err(TsError::InvalidParameter(
-                "absolute edge rule requires a non-negative threshold".into(),
-            ));
-        }
+        self.config
+            .check_geometry(query.window, query.step, query.threshold)?;
         let layout = BasicWindowLayout::for_query(&query, self.config.basic_window)?;
-        let threads = self.config.threads;
-        let store = SketchStore::build_with_threads(x, layout, threads)?;
-        let n = x.n_series();
-
-        let full_triangle = pair_range == (0..n_pairs);
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-        let (pairs, deps) = match self.config.storage {
-            PairStorage::Precomputed => {
-                // Cache-blocked tiled build of the cross-prefix sketches
-                // (the whole triangle, or only the shard's rank interval),
-                // then the Eq. 2 departure costs, both with workers
-                // stealing chunks — the prepare phase dominates wall time
-                // at large N and was previously a serial loop.
-                let v = if full_triangle {
-                    pair::build_all(&layout, x, threads)?
-                } else {
-                    pair::build_range(&layout, x, pair_range.clone(), threads)?
-                };
-                let d = need_dep.then(|| {
-                    let rule = self.config.edge_rule;
-                    let base = pair_range.start;
-                    exec::par_collect_chunks(v.len(), threads, 16, |range| {
-                        range
-                            .map(|k| {
-                                let (i, j) = triangular::unrank(base + k, n);
-                                pair_costs(&store, &v[k], i, j, rule)
-                            })
-                            .collect()
-                    })
-                });
-                (Some(v), d)
-            }
-            PairStorage::OnDemand => (None, None),
-        };
+        let on_demand = (self.config.storage == PairStorage::OnDemand).then_some(x);
+        let state = PairState::build(x, layout, pair_range, &self.config, on_demand)?;
 
         let pivots = match &self.config.horizontal {
             Some(h) => {
-                let chosen = select_pivots(&h.strategy, h.n_pivots, n)?;
+                let chosen = select_pivots(&h.strategy, h.n_pivots, x.n_series())?;
                 // A sharded pair-sketch set cannot serve arbitrary
                 // (pivot, series) ranks, so shard preparations build the
                 // table from raw rows — bit-identical to the reuse path.
-                let reuse = if full_triangle {
-                    pairs.as_deref()
-                } else {
-                    None
-                };
                 Some(PivotSet::build(
-                    x, &store, &layout, &query, chosen, reuse, threads,
+                    x,
+                    state.store(),
+                    &layout,
+                    &query,
+                    chosen,
+                    state.triangle(),
+                    self.config.threads,
                 )?)
             }
             None => None,
         };
 
-        let geo = WalkGeometry {
-            n_windows: query.n_windows(),
-            ns: layout.windows_per_query(query.window),
-            step_bw: query.step / layout.width,
-            offset_bw: 0,
-        };
-
         Ok(Prepared {
-            x,
             query,
             layout,
-            store,
-            pairs,
-            deps,
+            state,
             pivots,
-            geo,
-            pair_range,
+            geo: WalkGeometry::for_query(&query, layout.width),
         })
     }
 
@@ -260,11 +136,10 @@ impl Dangoron {
     ///
     /// Pairs are handed to workers by a work-stealing chunk scheduler
     /// (pruning makes per-pair cost wildly non-uniform, so static chunks
-    /// strand cores); every worker appends to a thread-local
-    /// `(window, Edge)` buffer and notes where each stolen chunk starts —
-    /// no mutex anywhere on the query path. One O(E) scatter over the
-    /// chunks, read back in rank order, builds the per-window matrices,
-    /// identical for every thread count.
+    /// strand cores); every stolen chunk fills its own `(window, Edge)`
+    /// buffer — no mutex anywhere on the query path. One O(E) scatter over
+    /// the chunks, read back in rank order, builds the per-window
+    /// matrices, identical for every thread count.
     ///
     /// ```
     /// use dangoron::{Dangoron, DangoronConfig};
@@ -285,7 +160,7 @@ impl Dangoron {
     /// assert_eq!(first.total_edges(), again.total_edges());
     /// ```
     pub fn run(&self, prep: &Prepared<'_>) -> QueryResult {
-        self.run_range(prep, prep.pair_range.clone())
+        self.run_range(prep, prep.pair_range())
     }
 
     /// [`Dangoron::run`] restricted to the pair ranks
@@ -301,24 +176,10 @@ impl Dangoron {
     /// # Panics
     /// Panics when `ranks` is not contained in the prepared interval.
     pub fn run_range(&self, prep: &Prepared<'_>, ranks: Range<usize>) -> QueryResult {
-        assert!(
-            ranks.start >= prep.pair_range.start && ranks.end <= prep.pair_range.end,
-            "pair ranks {}..{} outside the prepared interval {}..{}",
-            ranks.start,
-            ranks.end,
-            prep.pair_range.start,
-            prep.pair_range.end,
-        );
         let _timer = obs::stages::span(obs::stages::Stage::Walk);
-        walk_and_collect(
-            ranks,
-            self.config.threads,
-            prep.x.n_series(),
-            prep.query.threshold,
-            self.config.edge_rule,
-            prep.geo.n_windows,
-            |rank, i, j, stats, edges| self.walk_one_pair(prep, rank, i, j, stats, edges),
-        )
+        let beta = prep.query.threshold;
+        prep.state
+            .walk(&self.config, ranks, prep.geo, beta, prep.pivots.as_ref())
     }
 
     /// Convenience: `prepare` + `run`.
@@ -330,102 +191,30 @@ impl Dangoron {
         let prep = self.prepare(x, query)?;
         Ok(self.run(&prep))
     }
-
-    /// Walks the pair `(i, j)` of triangle rank `rank`.
-    fn walk_one_pair(
-        &self,
-        prep: &Prepared<'_>,
-        rank: usize,
-        i: usize,
-        j: usize,
-        stats: &mut PruningStats,
-        edges: &mut PairEdges<'_>,
-    ) {
-        let local = rank - prep.pair_range.start;
-        let beta = prep.query.threshold;
-        let n_windows = prep.geo.n_windows;
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-
-        // Pair-level horizontal prefilter: only worthwhile when the pair
-        // sketch would have to be built from raw data.
-        if prep.pairs.is_none() {
-            if let Some(pv) = &prep.pivots {
-                if pv.pair_never_edges(i, j, beta, self.config.edge_rule) {
-                    stats.n_pairs += 1;
-                    stats.total_cells += n_windows as u64;
-                    stats.pairs_skipped_entirely += 1;
-                    return;
-                }
-            }
-        }
-
-        let owned;
-        let pair: &PairSketch = match &prep.pairs {
-            Some(all) => &all[local],
-            None => {
-                owned = PairSketch::build(&prep.layout, prep.x.row(i), prep.x.row(j))
-                    .expect("pair geometry validated in prepare");
-                &owned
-            }
-        };
-
-        // Precomputed deps (sketch state) when available; transient
-        // otherwise (OnDemand storage pays it inside the query).
-        let dep_owned;
-        let dep = match (&prep.deps, need_dep) {
-            (Some(all), true) => Some(&all[local]),
-            (None, true) => {
-                dep_owned = pair_costs(&prep.store, pair, i, j, self.config.edge_rule);
-                Some(&dep_owned)
-            }
-            (_, false) => None,
-        };
-        walk_pair(
-            &prep.store,
-            pair,
-            i,
-            j,
-            prep.geo,
-            beta,
-            self.config.edge_rule,
-            self.config.bound,
-            dep,
-            prep.pivots.as_ref(),
-            stats,
-            |w, v| edges.emit(w, v),
-        );
-    }
 }
 
 impl Prepared<'_> {
     /// Approximate bytes held by the prepared state (sketch store + pair
     /// sketches) — the memory axis of the storage-mode trade-off.
     pub fn memory_bytes(&self) -> usize {
-        let pair_bytes = self
-            .pairs
-            .as_ref()
-            .map(|v| v.len() * (self.layout.count + 1) * std::mem::size_of::<f64>())
-            .unwrap_or(0);
-        self.store.memory_bytes() + pair_bytes
-    }
-
-    /// The walk geometry (exposed for the experiment harness).
-    pub fn geometry(&self) -> WalkGeometry {
-        self.geo
+        let pair_bytes =
+            self.state.resident().len() * (self.layout.count + 1) * std::mem::size_of::<f64>();
+        self.state.store().memory_bytes() + pair_bytes
     }
 
     /// The contiguous pair-rank interval this preparation covers — the
     /// full triangle for [`Dangoron::prepare`], the shard for
     /// [`Dangoron::prepare_shard`].
     pub fn pair_range(&self) -> Range<usize> {
-        self.pair_range.clone()
+        self.state.ranks()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HorizontalConfig, PivotStrategy};
+    use crate::config::{BoundMode, HorizontalConfig, PivotStrategy};
+    use sketch::output::{Edge, EdgeRule};
     use tsdata::{generators, stats as tstats};
 
     fn workload(n: usize, len: usize) -> TimeSeriesMatrix {

@@ -46,6 +46,7 @@ pub mod bounds;
 pub mod config;
 pub mod engine;
 pub mod pivot;
+mod state;
 pub mod stats;
 pub mod streaming;
 pub mod walker;

@@ -28,8 +28,11 @@ pub struct PruningStats {
     /// Cells where the triangle bound replaced the exact evaluation.
     pub pruned_by_triangle: u64,
     /// Pairs eliminated wholesale by the pair-level triangle prefilter
-    /// (all windows bounded below `β`); their cells are *not* in
-    /// `pruned_by_triangle`.
+    /// (all walked windows bounded below `β`); their cells are *not* in
+    /// `pruned_by_triangle`. The prefilter runs only when the pair sketch
+    /// would be built on demand (`PairStorage::OnDemand`), so this stays
+    /// zero for precomputed batch runs, streaming drains and shared
+    /// queries, whose walks settle those cells one by one instead.
     pub pairs_skipped_entirely: u64,
     /// Number of jumps taken.
     pub jumps: u64,

@@ -21,23 +21,26 @@
 //!   append — never a rebuild. The triangle bound is unconditional, so
 //!   streamed results stay bit-identical to the exhaustive batch engine.
 //!
-//! The walk itself is the batch walker ([`crate::walker::walk_pair`])
-//! shifted into the global window frame by [`WalkGeometry::offset_bw`]; no
-//! parallel streaming implementation exists. Raw history is evicted as
-//! soon as it is absorbed into the sketch prefixes, so a long-lived
-//! session holds O(N·n_b) sketch state plus less than one basic window of
-//! raw columns — not the full stream.
+//! The walk itself is the batch engine's pair walk over the same resident
+//! pair state (`crate::state::PairState`), shifted into the global window
+//! frame by [`WalkGeometry::offset_bw`]; no parallel streaming
+//! implementation exists. A session's pair sketches are always resident,
+//! so the wholesale pair prefilter — which runs only when a pair sketch
+//! would be built on demand — never fires here: the walk settles each
+//! window with the triangle interval instead, and
+//! [`PruningStats::pairs_skipped_entirely`] stays zero. Raw history is
+//! evicted as soon as it is absorbed into the sketch prefixes, so a
+//! long-lived session holds O(N·n_b) sketch state plus less than one basic
+//! window of raw columns — not the full stream.
 
 use crate::bounds::PairCosts;
-use crate::config::{BoundMode, DangoronConfig};
-use crate::engine::walk_and_collect;
+use crate::config::DangoronConfig;
+use crate::engine::QueryResult;
 use crate::pivot::{select_pivots, PivotSet};
+use crate::state::PairState;
 use crate::stats::PruningStats;
-use crate::walker::{extend_pair_costs, pair_costs, walk_pair, WalkGeometry};
-use sketch::{
-    combine, pair, triangular, BasicWindowLayout, PairSketch, SketchStore, SlidingQuery,
-    ThresholdedMatrix,
-};
+use crate::walker::WalkGeometry;
+use sketch::{combine, triangular, BasicWindowLayout, PairSketch, SlidingQuery, ThresholdedMatrix};
 use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
@@ -72,7 +75,6 @@ pub struct StreamingDangoron {
     window: usize,
     step: usize,
     threshold: f64,
-    n_series: usize,
     /// Raw columns not yet absorbed into the sketches: global indices
     /// `[tail_start, tail_start + len)`. `None` ⇔ nothing retained.
     /// Invariant: `tail_start + len == total_cols`, and after every
@@ -80,22 +82,18 @@ pub struct StreamingDangoron {
     tail: Option<TimeSeriesMatrix>,
     tail_start: usize,
     total_cols: usize,
-    store: SketchStore,
-    /// The contiguous pair-rank interval this session walks — the full
-    /// triangle for [`StreamingDangoron::new`], a shard for
-    /// [`StreamingDangoron::new_sharded`]. `pairs`/`deps` are indexed by
-    /// `rank − pair_range.start`.
-    pair_range: Range<usize>,
-    pairs: Vec<PairSketch>,
-    /// Per-pair Eq. 2 departure-cost prefixes, maintained incrementally
-    /// alongside the pair sketches; empty unless the bound mode jumps.
-    deps: Vec<PairCosts>,
-    /// Pivot-pair sketches whose ranks fall **outside** `pair_range`,
-    /// sorted by rank — sharded sessions still need every (pivot, series)
-    /// correlation to grow the pivot table. Empty when the session is
-    /// unsharded (the main pair set covers them) or horizontal pruning is
-    /// off. Built and appended with the same kernels as the main set, so
-    /// the table stays bit-identical to an unsharded session's.
+    /// Sketch store plus the resident pair sketches and cost prefixes of
+    /// the rank interval this session walks — the full triangle for
+    /// [`StreamingDangoron::new`], a shard for
+    /// [`StreamingDangoron::new_sharded`].
+    state: PairState<'static>,
+    /// Pivot-pair sketches whose ranks fall **outside** the session's
+    /// rank interval, sorted by rank — sharded sessions still need every
+    /// (pivot, series) correlation to grow the pivot table. Empty when the
+    /// session is unsharded (the main pair set covers them) or horizontal
+    /// pruning is off. Built and appended with the same kernels as the
+    /// main set, so the table stays bit-identical to an unsharded
+    /// session's.
     pivot_pairs: Vec<(usize, PairSketch)>,
     pivots: Option<PivotSet>,
     /// Cumulative pruning counters across all drains.
@@ -148,29 +146,8 @@ impl StreamingDangoron {
         pair_range: Range<usize>,
     ) -> Result<Self, TsError> {
         config.validate()?;
-        let n_pairs_total = triangular::count(initial.n_series());
-        if pair_range.start > pair_range.end || pair_range.end > n_pairs_total {
-            return Err(TsError::InvalidParameter(format!(
-                "pair range {}..{} outside the {} pair ranks",
-                pair_range.start, pair_range.end, n_pairs_total
-            )));
-        }
+        config.check_geometry(window, step, threshold)?;
         let b = config.basic_window;
-        if window < 2 || !window.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "window {window} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if step == 0 || !step.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "step {step} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(TsError::InvalidParameter(format!(
-                "threshold must be in [-1, 1], got {threshold}"
-            )));
-        }
         if initial.len() < b {
             return Err(TsError::TooShort {
                 need: b,
@@ -178,14 +155,8 @@ impl StreamingDangoron {
             });
         }
         let layout = BasicWindowLayout::cover(0, initial.len(), b)?;
-        let store = SketchStore::build_with_threads(&initial, layout, config.threads)?;
+        let state = PairState::build(&initial, layout, pair_range, &config, None)?;
         let n = initial.n_series();
-        let full_triangle = pair_range == (0..n_pairs_total);
-        let pairs = if full_triangle {
-            pair::build_all(&layout, &initial, config.threads)?
-        } else {
-            pair::build_range(&layout, &initial, pair_range.clone(), config.threads)?
-        };
         let total_cols = initial.len();
 
         // Sharded sessions with horizontal pruning additionally keep the
@@ -199,7 +170,7 @@ impl StreamingDangoron {
                     for s in 0..n {
                         if s != z {
                             let p = triangular::rank(z.min(s), z.max(s), n);
-                            if !pair_range.contains(&p) {
+                            if !state.ranks().contains(&p) {
                                 pivot_ranks.push(p);
                             }
                         }
@@ -224,25 +195,8 @@ impl StreamingDangoron {
                     .collect()
             });
 
-        // Jump mode: precompute the Eq. 2 cost prefixes once; appends
-        // extend them from the new basic windows only.
-        let deps = if matches!(config.bound, BoundMode::PaperJump { .. }) {
-            let rule = config.edge_rule;
-            let base = pair_range.start;
-            exec::par_collect_chunks(pairs.len(), config.threads, 16, |range| {
-                range
-                    .map(|k| {
-                        let (i, j) = triangular::unrank(base + k, n);
-                        pair_costs(&store, &pairs[k], i, j, rule)
-                    })
-                    .collect()
-            })
-        } else {
-            Vec::new()
-        };
-
         // Keep only the raw columns the sketches have not absorbed yet.
-        let covered = store.layout().end();
+        let covered = layout.end();
         let (tail, tail_start) = if covered < total_cols {
             (Some(initial.slice_columns(covered, total_cols)?), covered)
         } else {
@@ -254,14 +208,10 @@ impl StreamingDangoron {
             window,
             step,
             threshold,
-            n_series: n,
             tail,
             tail_start,
             total_cols,
-            store,
-            pair_range,
-            pairs,
-            deps,
+            state,
             pivot_pairs,
             pivots: None,
             stats: PruningStats::default(),
@@ -277,17 +227,12 @@ impl StreamingDangoron {
 
     /// The contiguous pair-rank interval this session walks.
     pub fn pair_range(&self) -> Range<usize> {
-        self.pair_range.clone()
+        self.state.ranks()
     }
 
     /// Number of windows fully contained in the current history.
     pub fn available_windows(&self) -> usize {
-        let covered = self.store.layout().end();
-        if covered < self.window {
-            0
-        } else {
-            (covered - self.window) / self.step + 1
-        }
+        self.batch_query().n_windows()
     }
 
     /// Raw columns currently buffered — only the (partial basic window)
@@ -323,9 +268,9 @@ impl StreamingDangoron {
     /// (only the new columns are read); the walk runs only over the new
     /// windows.
     pub fn append(&mut self, new_cols: &TimeSeriesMatrix) -> Result<Vec<CompletedWindow>, TsError> {
-        if new_cols.n_series() != self.n_series {
+        if new_cols.n_series() != self.n_series() {
             return Err(TsError::DimensionMismatch {
-                expected: self.n_series,
+                expected: self.n_series(),
                 found: new_cols.n_series(),
             });
         }
@@ -335,24 +280,11 @@ impl StreamingDangoron {
         }
         self.total_cols += new_cols.len();
         let tail = self.tail.as_ref().expect("tail was just filled");
-        self.store.append_tail(tail, self.tail_start)?;
-        let layout = *self.store.layout();
-        let n = self.n_series;
-        // Every pair ingests the same Δ columns — uniform cost — so static
-        // per-worker slices are the right schedule here (no stealing
-        // overhead). The preconditions of `PairSketch::append_tail` hold
-        // by construction once `store.append_tail` succeeded: all rows
-        // share the grown length and the layout only ever grows.
-        let base = self.pair_range.start;
-        exec::par_chunks_mut(&mut self.pairs, self.config.threads, |offset, piece| {
-            for (k, pair) in piece.iter_mut().enumerate() {
-                let (i, j) = triangular::unrank(base + offset + k, n);
-                pair.append_tail(&layout, tail.row(i), tail.row(j), self.tail_start)
-                    .expect("pair/store layouts kept in lockstep");
-            }
-        });
+        let threads = self.config.threads;
+        self.state.append_tail(tail, self.tail_start, threads)?;
         // Out-of-shard pivot pairs grow by the same columns.
-        exec::par_chunks_mut(&mut self.pivot_pairs, self.config.threads, |_, piece| {
+        let (layout, n) = (*self.state.store().layout(), self.n_series());
+        exec::par_chunks_mut(&mut self.pivot_pairs, threads, |_, piece| {
             for (rank, sketch) in piece.iter_mut() {
                 let (i, j) = triangular::unrank(*rank, n);
                 sketch
@@ -360,44 +292,31 @@ impl StreamingDangoron {
                     .expect("pivot-pair/store layouts kept in lockstep");
             }
         });
-        // Jump mode: extend the Eq. 2 cost prefixes over the new basic
-        // windows only (an extended prefix is bit-identical to a fresh
-        // build, so drains keep matching the batch engine).
-        let (store, pairs) = (&self.store, &self.pairs);
-        exec::par_chunks_mut(&mut self.deps, self.config.threads, |offset, piece| {
-            for (k, costs) in piece.iter_mut().enumerate() {
-                let (i, j) = triangular::unrank(base + offset + k, n);
-                extend_pair_costs(costs, store, &pairs[offset + k], i, j);
-            }
-        });
         self.extend_pivots();
         self.evict_absorbed();
         self.drain_completed()
     }
 
+    /// The session's own geometry over the whole current history.
+    fn geometry(&self) -> WalkGeometry {
+        WalkGeometry::for_query(&self.batch_query(), self.config.basic_window)
+    }
+
     /// Grows the pivot table to cover every currently available window,
     /// reading correlations straight from the session's own sketches.
     fn extend_pivots(&mut self) {
-        let total = self.available_windows();
-        let (ns, step_bw) = (
-            self.window / self.config.basic_window,
-            self.step / self.config.basic_window,
-        );
-        let (pairs, pivot_pairs, store, n) =
-            (&self.pairs, &self.pivot_pairs, &self.store, self.n_series);
-        let range = &self.pair_range;
+        let geo = self.geometry();
+        let (state, pivot_pairs, n) = (&self.state, &self.pivot_pairs, self.n_series());
         if let Some(pv) = &mut self.pivots {
-            pv.append_windows(total, ns, step_bw, |z, s, b0, b1| {
+            pv.append_windows(geo.n_windows, geo.ns, geo.step_bw, |z, s, b0, b1| {
                 let rank = triangular::rank(z.min(s), z.max(s), n);
-                let p = if range.contains(&rank) {
-                    &pairs[rank - range.start]
-                } else {
+                let p = state.pair(rank).unwrap_or_else(|| {
                     let k = pivot_pairs
                         .binary_search_by_key(&rank, |(r, _)| *r)
                         .expect("out-of-shard pivot pairs are all materialised");
                     &pivot_pairs[k].1
-                };
-                combine::window_correlation(store, p, z, s, b0, b1).unwrap_or(f64::NAN)
+                });
+                combine::window_correlation(state.store(), p, z, s, b0, b1).unwrap_or(f64::NAN)
             });
         }
     }
@@ -405,7 +324,7 @@ impl StreamingDangoron {
     /// Drops raw columns the sketch prefixes have absorbed; global column
     /// indices stay stable because the layout keeps its origin.
     fn evict_absorbed(&mut self) {
-        let covered = self.store.layout().end();
+        let covered = self.state.store().layout().end();
         if covered <= self.tail_start {
             return;
         }
@@ -422,68 +341,25 @@ impl StreamingDangoron {
     /// Emits any already-complete windows that have not been emitted yet
     /// (useful right after opening a session over a long history).
     pub fn drain_completed(&mut self) -> Result<Vec<CompletedWindow>, TsError> {
-        let total = self.available_windows();
-        if total <= self.emitted_windows {
+        let whole = self.geometry();
+        let first_new = self.emitted_windows;
+        if whole.n_windows <= first_new {
             return Ok(Vec::new());
         }
         let _timer = obs::stages::span(obs::stages::Stage::Drain);
-        let first_new = self.emitted_windows;
-        let n = self.n_series;
-        let b = self.config.basic_window;
-        let ns = self.window / b;
-        let step_bw = self.step / b;
-        let n_new = total - first_new;
-
-        // Walk only the new suffix with the shared batch walker: a
-        // geometry whose local window 0 sits at global window `first_new`.
+        // Walk only the new suffix: a geometry whose local window 0 sits
+        // at global window `first_new`.
         let geo = WalkGeometry {
-            n_windows: n_new,
-            ns,
-            step_bw,
-            offset_bw: first_new * step_bw,
+            n_windows: whole.n_windows - first_new,
+            offset_bw: first_new * whole.step_bw,
+            ..whole
         };
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
-        let beta = self.threshold;
-        let rule = self.config.edge_rule;
-        let pivots = self.pivots.as_ref();
-
-        // Same executor and assembly as the batch engine.
-        let base = self.pair_range.start;
-        let result = walk_and_collect(
-            self.pair_range.clone(),
-            self.config.threads,
-            n,
-            beta,
-            rule,
-            n_new,
-            |rank, i, j, stats, edges| {
-                // Pair-level wholesale prefilter: when no new window of
-                // this pair can produce an edge, skip its walk entirely.
-                if let Some(pv) = pivots {
-                    if pv.pair_never_edges_in(i, j, beta, rule, first_new, total) {
-                        stats.n_pairs += 1;
-                        stats.total_cells += n_new as u64;
-                        stats.pairs_skipped_entirely += 1;
-                        return;
-                    }
-                }
-                let p = rank - base;
-                let dep = need_dep.then(|| &self.deps[p]);
-                walk_pair(
-                    &self.store,
-                    &self.pairs[p],
-                    i,
-                    j,
-                    geo,
-                    beta,
-                    rule,
-                    self.config.bound,
-                    dep,
-                    pivots,
-                    stats,
-                    |w, v| edges.emit(w, v),
-                );
-            },
+        let result = self.state.walk(
+            &self.config,
+            self.state.ranks(),
+            geo,
+            self.threshold,
+            self.pivots.as_ref(),
         );
         // Keep both the per-drain counters and the session-cumulative ones.
         self.stats.merge(&result.stats);
@@ -497,7 +373,7 @@ impl StreamingDangoron {
                 matrix,
             })
             .collect();
-        self.emitted_windows = total;
+        self.emitted_windows = whole.n_windows;
         Ok(out)
     }
 
@@ -506,7 +382,7 @@ impl StreamingDangoron {
     pub fn batch_query(&self) -> SlidingQuery {
         SlidingQuery {
             start: 0,
-            end: self.store.layout().end(),
+            end: self.state.store().layout().end(),
             window: self.window,
             step: self.step,
             threshold: self.threshold,
@@ -530,7 +406,7 @@ impl StreamingDangoron {
 
     /// Number of series in the session's matrix.
     pub fn n_series(&self) -> usize {
-        self.n_series
+        self.state.store().n_series()
     }
 
     /// The engine configuration the session was opened with.
@@ -543,19 +419,24 @@ impl StreamingDangoron {
     /// is what a serving tier accounts against its memory budget — it is
     /// the part of the session that grows with the stream.
     pub fn memory_bytes(&self) -> usize {
-        let pairs: usize = self.pairs.iter().map(PairSketch::memory_bytes).sum();
+        let pairs: usize = self
+            .state
+            .resident()
+            .iter()
+            .map(PairSketch::memory_bytes)
+            .sum();
         let pivot_pairs: usize = self
             .pivot_pairs
             .iter()
             .map(|(_, p)| p.memory_bytes() + std::mem::size_of::<usize>())
             .sum();
-        let deps: usize = self.deps.iter().map(PairCosts::memory_bytes).sum();
+        let costs: usize = self.state.costs().iter().map(PairCosts::memory_bytes).sum();
         let pivots = self.pivots.as_ref().map_or(0, PivotSet::memory_bytes);
         let tail = self
             .tail
             .as_ref()
             .map_or(0, |t| t.n_series() * t.len() * std::mem::size_of::<f64>());
-        self.store.memory_bytes() + pairs + pivot_pairs + deps + pivots + tail
+        self.state.store().memory_bytes() + pairs + pivot_pairs + costs + pivots + tail
     }
 
     /// Answers an **ad-hoc** `(window, step, threshold)` query from the
@@ -564,13 +445,13 @@ impl StreamingDangoron {
     /// Sketch prefixes are query-independent, so a resident session can
     /// answer any aligned query without touching the raw history or
     /// re-paying the prepare phase: this walks the full current history
-    /// with the same pruned pair walker the batch engine uses, and the
-    /// result is bit-identical to a fresh [`crate::Dangoron`] run over
-    /// the equivalent prefix (both pruning mechanisms are lossless).
+    /// with the same pair walk the batch engine uses, and the result is
+    /// bit-identical to a fresh [`crate::Dangoron`] run over the
+    /// equivalent prefix (both pruning mechanisms are lossless).
     ///
     /// What is reused from the resident state:
     ///
-    /// * the [`SketchStore`] and every pair sketch — always;
+    /// * the [`sketch::SketchStore`] and every pair sketch — always;
     /// * the Eq. 2 departure-cost prefixes — always in jump mode (they
     ///   depend only on the sketches and the edge rule, not the query
     ///   geometry);
@@ -586,101 +467,39 @@ impl StreamingDangoron {
         window: usize,
         step: usize,
         threshold: f64,
-    ) -> Result<crate::engine::QueryResult, TsError> {
-        let b = self.config.basic_window;
-        if window < 2 || !window.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "query window {window} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if step == 0 || !step.is_multiple_of(b) {
-            return Err(TsError::InvalidParameter(format!(
-                "query step {step} must be a positive multiple of basic window {b}"
-            )));
-        }
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(TsError::InvalidParameter(format!(
-                "threshold must be in [-1, 1], got {threshold}"
-            )));
-        }
-        let rule = self.config.edge_rule;
-        if rule == sketch::output::EdgeRule::Absolute && threshold < 0.0 {
-            return Err(TsError::InvalidParameter(format!(
-                "absolute edge rule needs a non-negative threshold, got {threshold}"
-            )));
-        }
-        let n = self.n_series;
-        if self.pair_range != (0..triangular::count(n)) {
+    ) -> Result<QueryResult, TsError> {
+        self.config.check_geometry(window, step, threshold)?;
+        let ranks = self.state.ranks();
+        if ranks != (0..triangular::count(self.n_series())) {
             return Err(TsError::InvalidParameter(format!(
                 "shared queries need the full pair triangle; this session holds ranks {}..{}",
-                self.pair_range.start, self.pair_range.end
+                ranks.start, ranks.end
             )));
         }
-        let covered = self.store.layout().end();
-        let n_windows = if covered < window {
-            0
-        } else {
-            (covered - window) / step + 1
+        let query = SlidingQuery {
+            window,
+            step,
+            threshold,
+            ..self.batch_query()
         };
-        let ns = window / b;
-        let step_bw = step / b;
-        let geo = WalkGeometry {
-            n_windows,
-            ns,
-            step_bw,
-            offset_bw: 0,
-        };
-        let need_dep = matches!(self.config.bound, BoundMode::PaperJump { .. });
         // The pivot table's intervals are keyed by the *session's* window
         // geometry; reuse it only when the query matches. Skipping it for
         // other geometries is safe — horizontal pruning is lossless, so
         // the edges come out identical either way.
-        let pivots = if window == self.window && step == self.step {
+        let pivots = if (window, step) == (self.window, self.step) {
             self.pivots.as_ref()
         } else {
             None
         };
-
-        Ok(walk_and_collect(
-            self.pair_range.clone(),
-            self.config.threads,
-            n,
-            threshold,
-            rule,
-            n_windows,
-            |p, i, j, stats, edges| {
-                if let Some(pv) = pivots {
-                    if pv.pair_never_edges_in(i, j, threshold, rule, 0, n_windows) {
-                        stats.n_pairs += 1;
-                        stats.total_cells += n_windows as u64;
-                        stats.pairs_skipped_entirely += 1;
-                        return;
-                    }
-                }
-                let dep = need_dep.then(|| &self.deps[p]);
-                walk_pair(
-                    &self.store,
-                    &self.pairs[p],
-                    i,
-                    j,
-                    geo,
-                    threshold,
-                    rule,
-                    self.config.bound,
-                    dep,
-                    pivots,
-                    stats,
-                    |w, v| edges.emit(w, v),
-                );
-            },
-        ))
+        let geo = WalkGeometry::for_query(&query, self.config.basic_window);
+        Ok(self.state.walk(&self.config, ranks, geo, threshold, pivots))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HorizontalConfig, PivotStrategy};
+    use crate::config::{BoundMode, HorizontalConfig, PivotStrategy};
     use crate::engine::Dangoron;
     use tsdata::generators;
 
@@ -774,6 +593,41 @@ mod tests {
             s.pruned_by_triangle > 0 || s.pairs_skipped_entirely > 0,
             "horizontal pruning never fired on clustered data: {s:?}"
         );
+    }
+
+    #[test]
+    fn streamed_stats_with_pivots_equal_batch_stats_under_any_chunking() {
+        // A session walks resident pair sketches, so the wholesale
+        // prefilter never runs and every window is settled exactly as in
+        // the batch walk: the summed counters equal the batch run's,
+        // except `n_pairs`, which counts (pair, drain) encounters.
+        let full = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
+        let cfg = config_with_pivots(BoundMode::Exhaustive, 2);
+        let engine = Dangoron::new(cfg.clone()).unwrap();
+        for ends in [
+            vec![400],
+            vec![163, 240, 400],
+            vec![170, 190, 210, 330, 400],
+        ] {
+            let initial = full.slice_columns(0, 150).unwrap();
+            let mut session = StreamingDangoron::new(initial, 80, 20, 0.9, cfg.clone()).unwrap();
+            let mut drains = u64::from(!session.drain_completed().unwrap().is_empty());
+            let mut at = 150;
+            for end in ends.iter().copied() {
+                let out = session.append(&full.slice_columns(at, end).unwrap());
+                drains += u64::from(!out.unwrap().is_empty());
+                at = end;
+            }
+            let truth = engine.execute(&full, session.batch_query()).unwrap();
+            let s = session.stats();
+            assert_eq!(s.n_pairs, truth.stats.n_pairs * drains, "ends {ends:?}");
+            let summed = PruningStats {
+                n_pairs: truth.stats.n_pairs,
+                ..s.clone()
+            };
+            assert_eq!(summed, truth.stats, "ends {ends:?}");
+            assert!(truth.stats.pruned_by_triangle > 0, "pivots never fired");
+        }
     }
 
     #[test]
@@ -1013,6 +867,12 @@ mod tests {
                 };
                 let truth = engine.execute(&prefix, query).unwrap();
                 assert_bitwise(&shared.matrices, &truth.matrices);
+                if (w, s) == (80, 20) {
+                    // At the session's own geometry the walk reads the
+                    // same pivot table as the batch run, so the counters
+                    // agree too.
+                    assert_eq!(shared.stats, truth.stats, "({w}, {s}, {t})");
+                }
             }
         }
     }
@@ -1118,5 +978,22 @@ mod tests {
         // Too little initial data.
         let tiny = x.slice_columns(0, 5).unwrap();
         assert!(StreamingDangoron::new(tiny, 80, 20, 0.5, config(BoundMode::Exhaustive)).is_err());
+    }
+
+    #[test]
+    fn absolute_rule_rejects_a_negative_threshold_at_open() {
+        // The same geometry/threshold check as batch preparation and
+        // shared queries: |c| ≥ β with β < 0 would keep every pair.
+        let x = generators::clustered_matrix(4, 100, 2, 0.5, 1).unwrap();
+        let cfg = DangoronConfig {
+            edge_rule: sketch::output::EdgeRule::Absolute,
+            ..config(BoundMode::Exhaustive)
+        };
+        assert!(StreamingDangoron::new(x.clone(), 80, 20, -0.5, cfg.clone()).is_err());
+        assert!(
+            StreamingDangoron::new_sharded(x.clone(), 80, 20, -0.5, cfg.clone(), 0..3).is_err()
+        );
+        let session = StreamingDangoron::new(x, 80, 20, 0.5, cfg).unwrap();
+        assert!(session.query_shared(80, 20, -0.5).is_err());
     }
 }

@@ -14,7 +14,7 @@ use crate::config::BoundMode;
 use crate::pivot::PivotSet;
 use crate::stats::PruningStats;
 use sketch::output::EdgeRule;
-use sketch::{combine, PairSketch, SketchStore};
+use sketch::{combine, PairSketch, SketchStore, SlidingQuery};
 
 /// Window-to-basic-window geometry shared by every pair of a query.
 ///
@@ -35,6 +35,17 @@ pub struct WalkGeometry {
 }
 
 impl WalkGeometry {
+    /// The geometry of `query` over basic windows of `width` columns,
+    /// walked from the layout origin (`offset_bw = 0`).
+    pub(crate) fn for_query(query: &SlidingQuery, width: usize) -> Self {
+        Self {
+            n_windows: query.n_windows(),
+            ns: query.window / width,
+            step_bw: query.step / width,
+            offset_bw: 0,
+        }
+    }
+
     /// First basic-window index of (local) window `w`.
     #[inline]
     pub fn first_bw(&self, w: usize) -> usize {

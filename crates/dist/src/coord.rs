@@ -466,13 +466,15 @@ pub fn expected_windows(
     match mode {
         WorkerMode::Batch => query.n_windows(),
         WorkerMode::StreamingReplay { .. } => {
-            // A streaming session only sees whole basic windows.
+            // A streaming session only sees whole basic windows, from
+            // column 0.
             let covered = data_cols / engine_cfg.basic_window * engine_cfg.basic_window;
-            if covered < query.window {
-                0
-            } else {
-                (covered - query.window) / query.step + 1
+            SlidingQuery {
+                start: 0,
+                end: covered,
+                ..*query
             }
+            .n_windows()
         }
     }
 }

@@ -22,22 +22,14 @@
 //! remaining interval), so the boundary can never race the chunk it is
 //! executing — the granted tail is work it provably has not started.
 
-use crate::merge::flatten_windows;
 use crate::proto::{self, Assignment, Hello, Message, ShardResult, WorkerMode};
 use bytes::frame;
-use dangoron::{Dangoron, PruningStats, StreamingDangoron};
-use sketch::output::Edge;
+use dangoron::{Dangoron, PruningStats, QueryResult, StreamingDangoron};
 use std::io::{self, Read, Write};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use tsdata::TimeSeriesMatrix;
-
-/// Per-chunk output of a controlled execution: the rank interval a chunk
-/// covered and its window-major edge buffer, later re-interleaved by
-/// [`window_major_concat`] into the single-shot wire layout.
-type EdgeSegments = Vec<(Range<usize>, Vec<(u32, Edge)>)>;
 
 /// When this environment variable is set (to anything non-empty), the
 /// worker aborts with an I/O error upon receiving its first assignment —
@@ -249,24 +241,12 @@ pub fn serve<R: Read, W: Write + Send>(mut input: R, output: W) -> io::Result<()
 }
 
 /// Executes one assignment against the loaded matrix, producing the
-/// shard's sorted edge buffer and counters. The uncontrolled single-shot
-/// path: no progress frames, no steal window — what the in-process tier
-/// runs, and the reference the chunked executor is tested against.
+/// shard's sorted edge buffer and counters: [`execute_controlled`] run as
+/// one chunk, with no steal requests and no control frames — what the
+/// in-process tier runs.
 pub fn execute(a: &Assignment, data: &TimeSeriesMatrix) -> Result<ShardResult, String> {
-    match a.mode {
-        WorkerMode::Batch => execute_batch(a, data),
-        WorkerMode::StreamingReplay {
-            initial_cols,
-            chunk_cols,
-        } => execute_streaming_reporting(
-            a,
-            data,
-            initial_cols,
-            chunk_cols,
-            &ExecControl::default(),
-            &mut |_| {},
-        ),
-    }
+    let ctl = ExecControl::default();
+    execute_controlled(a, data, &ctl, a.ranks.len(), Duration::ZERO, &mut |_| {})
 }
 
 /// Executes one assignment with a steal-control handle and a control-frame
@@ -291,35 +271,14 @@ pub fn execute_controlled(
     }
 }
 
-fn execute_batch(a: &Assignment, data: &TimeSeriesMatrix) -> Result<ShardResult, String> {
-    let engine = Dangoron::new(a.config.clone()).map_err(|e| format!("bad config: {e:?}"))?;
-    let t = Instant::now();
-    let prep = engine
-        .prepare_shard(data, a.query, a.ranks.clone())
-        .map_err(|e| format!("prepare failed: {e:?}"))?;
-    let prepare_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let result = engine.run_range(&prep, a.ranks.clone());
-    let query_s = t.elapsed().as_secs_f64();
-    Ok(ShardResult {
-        shard_id: a.shard_id,
-        ranks: a.ranks.clone(),
-        prepare_s,
-        query_s,
-        stats: result.stats.clone(),
-        edges: flatten_windows(&result.matrices),
-    })
-}
-
-/// The chunked batch executor: one `prepare_shard` over the full
-/// assignment, then `run_range` over successive rank chunks. After each
-/// chunk the absolute frontier goes out as a `Progress` frame; between
-/// chunks a latched steal request is answered with a binding
-/// `StealGrant` — the executor keeps the head half of its *remaining*
-/// interval and the coordinator re-enqueues the tail. Chunked execution
-/// is bit-identical to the single-shot run: sub-splitting one
-/// preparation is exactly the shard-invariance contract (proven in
-/// `core::engine` and `tests/shard_determinism.rs`).
+/// The batch executor: one `prepare_shard` over the full assignment, then
+/// `run_range` over successive rank chunks. After each chunk the absolute
+/// frontier goes out as a `Progress` frame; between chunks a latched steal
+/// request is answered with a binding `StealGrant` — the executor keeps
+/// the head half of its *remaining* interval and the coordinator
+/// re-enqueues the tail. Any chunking is bit-identical to a one-chunk
+/// run: sub-splitting one preparation is exactly the shard-invariance
+/// contract (proven in `core::engine` and `tests/shard_determinism.rs`).
 fn execute_batch_chunked(
     a: &Assignment,
     data: &TimeSeriesMatrix,
@@ -340,9 +299,8 @@ fn execute_batch_chunked(
     } else {
         (a.ranks.len() / 8).max(1)
     };
-    let n_windows = a.query.n_windows();
     let mut stats = PruningStats::default();
-    let mut segments: EdgeSegments = Vec::new();
+    let mut chunks: Vec<QueryResult> = Vec::new();
     let mut query_s = 0.0;
     let mut at = a.ranks.start;
     let mut end = a.ranks.end;
@@ -375,12 +333,21 @@ fn execute_batch_chunked(
         // lint:allow(float-reduction-outside-kernel) -- wall-clock accounting across chunks, not a data-plane reduction
         query_s += t.elapsed().as_secs_f64();
         stats.merge(&result.stats);
-        segments.push((at..next, flatten_windows(&result.matrices)));
+        chunks.push(result);
         at = next;
         emit(&Message::Progress {
             assignment_id: a.shard_id,
             frontier: at as u64,
         });
+    }
+    // The wire layout in one pass: window by window, each window's edges
+    // from the chunks in rank order — `(i, j)` order, so any chunking
+    // yields the one-chunk buffer.
+    let mut edges = Vec::with_capacity(chunks.iter().map(QueryResult::total_edges).sum());
+    for w in 0..a.query.n_windows() {
+        for c in &chunks {
+            edges.extend(c.matrices[w].edges().iter().map(|&e| (w as u32, e)));
+        }
     }
     Ok(ShardResult {
         shard_id: a.shard_id,
@@ -388,34 +355,8 @@ fn execute_batch_chunked(
         prepare_s,
         query_s,
         stats,
-        edges: window_major_concat(segments, n_windows),
+        edges,
     })
-}
-
-/// Re-interleaves per-chunk window-major buffers into one window-major
-/// buffer: for each window, the chunks' slices in rank order — the same
-/// concatenation the coordinator's merge performs, done worker-side so a
-/// chunked result is byte-identical on the wire to a single-shot one.
-fn window_major_concat(mut segments: EdgeSegments, n_windows: usize) -> Vec<(u32, Edge)> {
-    if segments.len() == 1 {
-        if let Some((_, only)) = segments.pop() {
-            return only;
-        }
-    }
-    segments.sort_by_key(|(r, _)| r.start);
-    let total = segments.iter().map(|(_, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut pos = vec![0usize; segments.len()];
-    for w in 0..n_windows as u32 {
-        for (k, (_, buf)) in segments.iter().enumerate() {
-            let start = pos[k];
-            while pos[k] < buf.len() && buf[pos[k]].0 == w {
-                pos[k] += 1;
-            }
-            out.extend_from_slice(&buf[start..pos[k]]);
-        }
-    }
-    out
 }
 
 fn execute_streaming_reporting(
@@ -502,6 +443,7 @@ fn execute_streaming_reporting(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::flatten_windows;
     use dangoron::{BoundMode, DangoronConfig};
     use sketch::SlidingQuery;
     use tsdata::generators;
@@ -594,7 +536,12 @@ mod tests {
     fn chunked_execution_is_bit_identical_to_single_shot() {
         let d = data();
         let a = assignment(WorkerMode::Batch, 3..26);
-        let single = execute(&a, &d).unwrap();
+        // `execute` is itself the chunked executor run as one chunk, so the
+        // reference is a direct engine run over the whole interval.
+        let engine = Dangoron::new(a.config.clone()).unwrap();
+        let prep = engine.prepare_shard(&d, a.query, a.ranks.clone()).unwrap();
+        let direct = engine.run_range(&prep, a.ranks.clone());
+        let single = flatten_windows(&direct.matrices);
         for chunk in [1usize, 2, 5, 23, 100] {
             let chunked = execute_controlled(
                 &a,
@@ -605,10 +552,10 @@ mod tests {
                 &mut |_| {},
             )
             .unwrap();
-            assert_eq!(chunked.ranks, single.ranks, "chunk={chunk}");
-            assert_eq!(chunked.stats, single.stats, "chunk={chunk}");
-            assert_eq!(chunked.edges.len(), single.edges.len(), "chunk={chunk}");
-            for ((wa, ea), (wb, eb)) in single.edges.iter().zip(&chunked.edges) {
+            assert_eq!(chunked.ranks, a.ranks, "chunk={chunk}");
+            assert_eq!(chunked.stats, direct.stats, "chunk={chunk}");
+            assert_eq!(chunked.edges.len(), single.len(), "chunk={chunk}");
+            for ((wa, ea), (wb, eb)) in single.iter().zip(&chunked.edges) {
                 assert_eq!(wa, wb, "chunk={chunk}");
                 assert_eq!((ea.i, ea.j), (eb.i, eb.j), "chunk={chunk}");
                 assert_eq!(

@@ -150,12 +150,11 @@ fn run_standalone() {
     let s = session.engine().stats();
     println!(
         "\nsession end: {} windows emitted over {}h of data \
-         ({}h of raw history retained; {} cells triangle-pruned, {} pairs skipped wholesale)",
+         ({}h of raw history retained; {} cells triangle-pruned)",
         session.engine().emitted_windows(),
         session.engine().ingested_cols(),
         session.engine().history_len(),
         s.pruned_by_triangle,
-        s.pairs_skipped_entirely,
     );
 
     // The equivalent batch answer, straight from the shared sketches —
