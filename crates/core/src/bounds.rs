@@ -29,8 +29,11 @@
 //! `c_xz·c_yz − √((1−c_xz²)(1−c_yz²)) ≤ c_xy ≤ c_xz·c_yz + √(…)`.
 //! This bound is unconditional (a theorem, not a heuristic).
 
-/// Prefix sums of `(1 − c_b)` over all basic windows of a pair; the jump
-/// bound for any departure range is then O(1).
+use sketch::output::EdgeRule;
+
+/// Prefix sums of `(1 − c_b)` (or `(1 + c_b)` for the lower bound) over
+/// all basic windows of a pair, built by [`PairCosts::from_correlations`];
+/// the jump bound for any departure range is then O(1).
 #[derive(Debug, Clone)]
 pub struct DepartureCost {
     /// `prefix[b] = Σ_{t<b} (1 − c_t)`, length `n_b + 1`.
@@ -38,51 +41,16 @@ pub struct DepartureCost {
 }
 
 impl DepartureCost {
-    /// Builds from per-basic-window correlations (`None` ⇒ undefined
-    /// correlation, treated as 0 — a neutral value; see module docs).
-    pub fn from_correlations(cs: impl Iterator<Item = Option<f64>>) -> Self {
-        let mut prefix = vec![0.0];
-        let mut acc = 0.0;
-        for c in cs {
-            acc += 1.0 - c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            prefix.push(acc);
-        }
+    /// An empty prefix (`[0.0]`) with room for `n_basic` basic windows.
+    fn with_capacity(n_basic: usize) -> Self {
+        let mut prefix = Vec::with_capacity(n_basic + 1);
+        prefix.push(0.0);
         Self { prefix }
     }
 
-    /// Builds the *lower-bound* cost prefix `Σ (1 + c_b)` — how fast the
-    /// Eq. 2 lower bound can fall as those basic windows depart.
-    pub fn from_correlations_lower(cs: impl Iterator<Item = Option<f64>>) -> Self {
-        let mut prefix = vec![0.0];
-        let mut acc = 0.0;
-        for c in cs {
-            acc += 1.0 + c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            prefix.push(acc);
-        }
-        Self { prefix }
-    }
-
-    /// Extends a [`DepartureCost::from_correlations`] prefix with further
-    /// basic windows' correlations. The accumulation continues from the
-    /// stored tail, so an extended prefix is bit-identical to a fresh
-    /// build over the concatenated sequence — the streaming-session
-    /// maintenance path.
-    pub fn extend_from_correlations(&mut self, cs: impl Iterator<Item = Option<f64>>) {
-        let mut acc = *self.prefix.last().expect("prefix is never empty");
-        for c in cs {
-            acc += 1.0 - c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            self.prefix.push(acc);
-        }
-    }
-
-    /// The [`DepartureCost::from_correlations_lower`] counterpart of
-    /// [`DepartureCost::extend_from_correlations`].
-    pub fn extend_from_correlations_lower(&mut self, cs: impl Iterator<Item = Option<f64>>) {
-        let mut acc = *self.prefix.last().expect("prefix is never empty");
-        for c in cs {
-            acc += 1.0 + c.unwrap_or(0.0); // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
-            self.prefix.push(acc);
-        }
+    /// The last prefix entry — where an extension resumes.
+    fn total(&self) -> f64 {
+        *self.prefix.last().expect("prefix is never empty")
     }
 
     /// Number of basic windows covered.
@@ -188,6 +156,42 @@ pub struct PairCosts {
 }
 
 impl PairCosts {
+    /// Builds both prefixes from per-basic-window correlations `cs` in one
+    /// pass: the upper prefix always, the lower one only for
+    /// [`EdgeRule::Absolute`]. `None` is an undefined (constant-window)
+    /// correlation, treated as 0 — a neutral value. Each prefix is
+    /// allocated at exactly `cs.len() + 1` entries.
+    pub fn from_correlations(
+        cs: impl ExactSizeIterator<Item = Option<f64>>,
+        rule: EdgeRule,
+    ) -> Self {
+        let n_basic = cs.len();
+        let mut costs = Self {
+            upper: DepartureCost::with_capacity(n_basic),
+            lower: (rule == EdgeRule::Absolute).then(|| DepartureCost::with_capacity(n_basic)),
+        };
+        costs.extend(cs);
+        costs
+    }
+
+    /// Appends further basic windows' correlations to both prefixes. The
+    /// accumulation continues from the stored tails, so an extended
+    /// prefix is bit-identical to a fresh build over the concatenated
+    /// sequence — the streaming-session maintenance path.
+    pub fn extend(&mut self, cs: impl Iterator<Item = Option<f64>>) {
+        let mut up = self.upper.total();
+        let mut low = self.lower.as_ref().map_or(0.0, DepartureCost::total);
+        for c in cs {
+            let c = c.unwrap_or(0.0);
+            up += 1.0 - c;
+            self.upper.prefix.push(up);
+            if let Some(lower) = &mut self.lower {
+                low += 1.0 + c; // lint:allow(float-reduction-outside-kernel) -- prefix-sum build: every partial is stored; extension resumes from the stored tail bit-identically
+                lower.prefix.push(low);
+            }
+        }
+    }
+
     /// Resident bytes of both prefixes.
     pub fn memory_bytes(&self) -> usize {
         self.upper.memory_bytes() + self.lower.as_ref().map_or(0, DepartureCost::memory_bytes)
@@ -196,7 +200,7 @@ impl PairCosts {
 
 /// Largest `k ∈ [1, k_max]` such that **both** Eq. 2 bounds confine the
 /// correlation strictly inside `(−(β−slack), β−slack)` — i.e. windows
-/// `i+1 … i+k` cannot produce an edge under [`sketch::output::EdgeRule::Absolute`].
+/// `i+1 … i+k` cannot produce an edge under [`EdgeRule::Absolute`].
 ///
 /// `corr_hi`/`corr_lo` bracket the current correlation (equal after an
 /// exact evaluation; a triangle interval after horizontal pruning). Both
@@ -260,11 +264,21 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use tsdata::stats::pearson;
 
+    /// The `Σ (1 − c_b)` prefix of `cs`.
+    fn upper(cs: impl ExactSizeIterator<Item = Option<f64>>) -> DepartureCost {
+        PairCosts::from_correlations(cs, EdgeRule::Positive).upper
+    }
+
+    /// The `Σ (1 + c_b)` prefix of `cs`.
+    fn lower(cs: impl ExactSizeIterator<Item = Option<f64>>) -> DepartureCost {
+        PairCosts::from_correlations(cs, EdgeRule::Absolute)
+            .lower
+            .expect("absolute costs keep a lower prefix")
+    }
+
     #[test]
     fn departure_cost_prefix() {
-        let dep = DepartureCost::from_correlations(
-            vec![Some(1.0), Some(0.5), Some(-1.0), None].into_iter(),
-        );
+        let dep = upper(vec![Some(1.0), Some(0.5), Some(-1.0), None].into_iter());
         assert_eq!(dep.n_basic(), 4);
         assert_eq!(dep.cost(0, 1), 0.0); // 1 − 1
         assert_eq!(dep.cost(1, 2), 0.5);
@@ -277,18 +291,22 @@ mod tests {
     #[test]
     fn extended_prefix_is_bit_identical_to_fresh_build() {
         let cs: Vec<Option<f64>> = vec![Some(0.9), Some(-0.3), None, Some(0.47), Some(0.99)];
-        let fresh = DepartureCost::from_correlations(cs.iter().cloned());
-        let mut grown = DepartureCost::from_correlations(cs[..2].iter().cloned());
-        grown.extend_from_correlations(cs[2..].iter().cloned());
-        assert_eq!(grown.n_basic(), fresh.n_basic());
-        for b in 0..=fresh.n_basic() {
-            assert_eq!(grown.cost(0, b).to_bits(), fresh.cost(0, b).to_bits());
-        }
-        let fresh = DepartureCost::from_correlations_lower(cs.iter().cloned());
-        let mut grown = DepartureCost::from_correlations_lower(cs[..3].iter().cloned());
-        grown.extend_from_correlations_lower(cs[3..].iter().cloned());
-        for b in 0..=fresh.n_basic() {
-            assert_eq!(grown.cost(0, b).to_bits(), fresh.cost(0, b).to_bits());
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            let fresh = PairCosts::from_correlations(cs.iter().cloned(), rule);
+            for split in 0..=cs.len() {
+                let mut grown = PairCosts::from_correlations(cs[..split].iter().cloned(), rule);
+                grown.extend(cs[split..].iter().cloned());
+                let pairs = [(&grown.upper, &fresh.upper)]
+                    .into_iter()
+                    .chain(grown.lower.as_ref().zip(fresh.lower.as_ref()));
+                for (g, f) in pairs {
+                    assert_eq!(g.n_basic(), f.n_basic());
+                    for b in 0..=f.n_basic() {
+                        assert_eq!(g.cost(0, b).to_bits(), f.cost(0, b).to_bits());
+                    }
+                }
+            }
+            assert_eq!(fresh.lower.is_some(), rule == EdgeRule::Absolute);
         }
     }
 
@@ -298,7 +316,7 @@ mod tests {
         let cs: Vec<Option<f64>> = (0..50)
             .map(|_| Some(rng.gen::<f64>() * 2.0 - 1.0))
             .collect();
-        let dep = DepartureCost::from_correlations(cs.into_iter());
+        let dep = upper(cs.into_iter());
         let mut prev = f64::NEG_INFINITY;
         for k in 0..=10 {
             let b = eq2_upper_bound(0.3, 7, 2, 5, k, &dep);
@@ -315,7 +333,7 @@ mod tests {
             let cs: Vec<Option<f64>> = (0..nb)
                 .map(|_| Some(rng.gen::<f64>() * 2.0 - 1.0))
                 .collect();
-            let dep = DepartureCost::from_correlations(cs.into_iter());
+            let dep = upper(cs.into_iter());
             let ns = rng.gen_range(2..8usize);
             let step_bw = rng.gen_range(1..3usize);
             let bw0 = rng.gen_range(0..3usize);
@@ -342,7 +360,7 @@ mod tests {
 
     #[test]
     fn max_jump_zero_cases() {
-        let dep = DepartureCost::from_correlations((0..10).map(|_| Some(0.0)));
+        let dep = upper((0..10).map(|_| Some(0.0)));
         // Already at/above threshold → bound(1) ≥ β → no jump.
         assert_eq!(max_jump(0.9, 0.8, 0.0, 4, 1, 0, 5, &dep), 0);
         // k_max = 0.
@@ -382,7 +400,7 @@ mod tests {
             y.extend(zy);
         }
         let ns = 8usize;
-        let dep = DepartureCost::from_correlations(cs.iter().copied());
+        let dep = upper(cs.iter().copied());
         // Window starting at basic window w: correlation over ns windows.
         let win_corr =
             |w: usize| pearson(&x[w * b..(w + ns) * b], &y[w * b..(w + ns) * b]).unwrap();
@@ -401,8 +419,7 @@ mod tests {
 
     #[test]
     fn lower_cost_prefix() {
-        let dep =
-            DepartureCost::from_correlations_lower(vec![Some(1.0), Some(-1.0), None].into_iter());
+        let dep = lower(vec![Some(1.0), Some(-1.0), None].into_iter());
         assert_eq!(dep.cost(0, 1), 2.0);
         assert_eq!(dep.cost(1, 2), 0.0);
         assert_eq!(dep.cost(2, 3), 1.0);
@@ -416,8 +433,8 @@ mod tests {
             let cs: Vec<Option<f64>> = (0..nb)
                 .map(|_| Some(rng.gen::<f64>() * 2.0 - 1.0))
                 .collect();
-            let up = DepartureCost::from_correlations(cs.iter().copied());
-            let low = DepartureCost::from_correlations_lower(cs.iter().copied());
+            let up = upper(cs.iter().copied());
+            let low = lower(cs.iter().copied());
             let ns = rng.gen_range(2..6usize);
             let bw0 = rng.gen_range(0..3usize);
             let k_max = (nb - bw0).min(12);
@@ -447,8 +464,8 @@ mod tests {
             let cs: Vec<Option<f64>> = (0..30)
                 .map(|_| Some(rng.gen::<f64>() * 2.0 - 1.0))
                 .collect();
-            let up = DepartureCost::from_correlations(cs.iter().copied());
-            let low = DepartureCost::from_correlations_lower(cs.iter().copied());
+            let up = upper(cs.iter().copied());
+            let low = lower(cs.iter().copied());
             let corr = rng.gen::<f64>() * 1.6 - 0.8;
             let beta = 0.85;
             let pos = max_jump(corr, beta, 0.0, 4, 1, 0, 20, &up);

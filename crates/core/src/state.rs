@@ -22,7 +22,7 @@ use crate::config::{BoundMode, DangoronConfig};
 use crate::engine::QueryResult;
 use crate::pivot::PivotSet;
 use crate::stats::PruningStats;
-use crate::walker::{extend_pair_costs, pair_costs, walk_pair, WalkGeometry};
+use crate::walker::{pair_costs, walk_pair, WalkGeometry};
 use sketch::output::Edge;
 use sketch::{pair, triangular, BasicWindowLayout, PairSketch, SketchStore, ThresholdedMatrix};
 use std::ops::Range;
@@ -60,10 +60,10 @@ impl<'a> PairState<'a> {
     /// Builds the state for the pair ranks `ranks` of `x` over `layout`.
     ///
     /// `on_demand` is `Some(x)` when pair sketches are to be built per
-    /// pair during the walk; `None` materialises them — the whole triangle
-    /// with the tiled [`pair::build_all`], a shard with
-    /// [`pair::build_range`] — followed, in jump mode, by their cost
-    /// prefixes, all with workers stealing chunks.
+    /// pair during the walk; `None` materialises them with
+    /// [`pair::build_with`] (tiled over the whole triangle, rank chunks
+    /// for a shard). In jump mode each pair's cost prefixes are built in
+    /// the same pass, right after its sketch.
     pub(crate) fn build(
         x: &TimeSeriesMatrix,
         layout: BasicWindowLayout,
@@ -89,22 +89,19 @@ impl<'a> PairState<'a> {
                 costs: None,
             });
         }
-        let pairs = if ranks == (0..n_pairs) {
-            pair::build_all(&layout, x, threads)?
+        let (pairs, costs) = if matches!(config.bound, BoundMode::PaperJump { .. }) {
+            // Each pair's cost prefix is built in the sketch tile, from a
+            // moment table that computes every series' (mean, σ) once.
+            let moments = store.basic_moments(0..layout.count);
+            let rule = config.edge_rule;
+            let (pairs, costs) =
+                pair::build_with(&layout, x, ranks.clone(), threads, |i, j, p| {
+                    PairCosts::from_correlations(p.basic_correlations(&moments, i, j), rule)
+                })?;
+            (pairs, Some(costs))
         } else {
-            pair::build_range(&layout, x, ranks.clone(), threads)?
+            (pair::build_range(&layout, x, ranks.clone(), threads)?, None)
         };
-        let costs = matches!(config.bound, BoundMode::PaperJump { .. }).then(|| {
-            let (rule, base) = (config.edge_rule, ranks.start);
-            exec::par_collect_chunks(pairs.len(), threads, 16, |range| {
-                range
-                    .map(|k| {
-                        let (i, j) = triangular::unrank(base + k, n);
-                        pair_costs(&store, &pairs[k], i, j, rule)
-                    })
-                    .collect()
-            })
-        });
         Ok(Self {
             store,
             ranks,
@@ -153,9 +150,10 @@ impl<'a> PairState<'a> {
 
     /// Absorbs the raw `tail` (global columns from `tail_start`) into the
     /// store, every resident pair sketch and the cost prefixes, reading
-    /// only the new columns — the streaming maintenance path. An extended
-    /// prefix is bit-identical to a fresh build, so drains keep matching
-    /// the batch engine.
+    /// only the new columns — the streaming maintenance path. Each pair's
+    /// sketch and costs are extended in one pass, from the moments of the
+    /// new basic windows only. An extended prefix is bit-identical to a
+    /// fresh build, so drains keep matching the batch engine.
     pub(crate) fn append_tail(
         &mut self,
         tail: &TimeSeriesMatrix,
@@ -168,32 +166,37 @@ impl<'a> PairState<'a> {
             pairs,
             costs,
         } = self;
-        store.append_tail(tail, tail_start)?;
+        let from = store.layout().count;
+        if store.append_tail(tail, tail_start)? == 0 {
+            return Ok(());
+        }
         let PairSketches::Resident(pairs) = pairs else {
             return Ok(());
         };
         let (layout, n, base) = (*store.layout(), store.n_series(), ranks.start);
+        let moments = costs
+            .is_some()
+            .then(|| store.basic_moments(from..layout.count));
+        let mut cost_slots = costs.as_deref_mut().map(|c| c.iter_mut());
+        let mut work: Vec<(&mut PairSketch, Option<&mut PairCosts>)> = pairs
+            .iter_mut()
+            .map(|p| (p, cost_slots.as_mut().and_then(Iterator::next)))
+            .collect();
         // Every pair ingests the same Δ columns — uniform cost — so static
         // per-worker slices are the right schedule here (no stealing
         // overhead). The preconditions of `PairSketch::append_tail` hold
         // by construction once `store.append_tail` succeeded: all rows
         // share the grown length and the layout only ever grows.
-        exec::par_chunks_mut(pairs, threads, |offset, piece| {
-            for (k, pair) in piece.iter_mut().enumerate() {
+        exec::par_chunks_mut(&mut work, threads, |offset, piece| {
+            for (k, (pair, cost)) in piece.iter_mut().enumerate() {
                 let (i, j) = triangular::unrank(base + offset + k, n);
                 pair.append_tail(&layout, tail.row(i), tail.row(j), tail_start)
                     .expect("pair/store layouts kept in lockstep");
+                if let (Some(cost), Some(moments)) = (cost, &moments) {
+                    cost.extend(pair.basic_correlations(moments, i, j));
+                }
             }
         });
-        if let Some(costs) = costs {
-            let (store, pairs) = (&*store, &*pairs);
-            exec::par_chunks_mut(costs, threads, |offset, piece| {
-                for (k, c) in piece.iter_mut().enumerate() {
-                    let (i, j) = triangular::unrank(base + offset + k, n);
-                    extend_pair_costs(c, store, &pairs[offset + k], i, j);
-                }
-            });
-        }
         Ok(())
     }
 
@@ -292,5 +295,158 @@ impl<'a> PairState<'a> {
         let matrices =
             ThresholdedMatrix::assemble_segments(n, beta, rule, geo.n_windows, &segments);
         QueryResult { matrices, stats }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bounds::DepartureCost;
+    use sketch::output::EdgeRule;
+
+    const WIDTH: usize = 10;
+
+    /// Seven series over `len` columns. Series 2 is constant throughout,
+    /// series 4 is constant in basic windows 1 and 5, and series 5 is
+    /// constant (at another level) in basic window 1 too — so some `c_b`
+    /// are undefined on one side and some on both.
+    fn matrix(len: usize) -> TimeSeriesMatrix {
+        let rows = (0..7)
+            .map(|s| {
+                (0..len)
+                    .map(|t| {
+                        let b = t / WIDTH;
+                        match s {
+                            2 => 3.25,
+                            4 if b == 1 || b == 5 => -1.5,
+                            5 if b == 1 => 0.75,
+                            _ => ((t * (s + 2)) as f64 * 0.173).sin() + 0.03 * (s * t) as f64,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        TimeSeriesMatrix::from_rows(rows).unwrap()
+    }
+
+    fn config(rule: EdgeRule, threads: usize) -> DangoronConfig {
+        DangoronConfig {
+            basic_window: WIDTH,
+            bound: BoundMode::PaperJump { slack: 0.0 },
+            edge_rule: rule,
+            threads,
+            ..Default::default()
+        }
+    }
+
+    fn build(
+        x: &TimeSeriesMatrix,
+        ranks: Range<usize>,
+        cfg: &DangoronConfig,
+    ) -> PairState<'static> {
+        let layout = BasicWindowLayout::cover(0, x.len(), WIDTH).unwrap();
+        PairState::build(x, layout, ranks, cfg, None).unwrap()
+    }
+
+    fn assert_prefix_bits(got: &DepartureCost, want: &DepartureCost, what: &str) {
+        assert_eq!(got.n_basic(), want.n_basic(), "{what}: length");
+        for b in 0..=want.n_basic() {
+            assert_eq!(
+                got.cost(0, b).to_bits(),
+                want.cost(0, b).to_bits(),
+                "{what}: prefix entry {b}"
+            );
+        }
+    }
+
+    fn assert_costs_bits(got: &PairCosts, want: &PairCosts, what: &str) {
+        assert_prefix_bits(&got.upper, &want.upper, what);
+        assert_eq!(got.lower.is_some(), want.lower.is_some(), "{what}: lower");
+        if let (Some(g), Some(w)) = (&got.lower, &want.lower) {
+            assert_prefix_bits(g, w, what);
+        }
+    }
+
+    /// Checks every resident pair of `state` against a fresh per-pair
+    /// sketch build and the public [`pair_costs`].
+    fn assert_matches_per_pair_build(state: &PairState<'_>, x: &TimeSeriesMatrix, rule: EdgeRule) {
+        let (store, n) = (state.store(), x.n_series());
+        assert_eq!(state.costs().len(), state.ranks().len());
+        for (k, rank) in state.ranks().enumerate() {
+            let (i, j) = triangular::unrank(rank, n);
+            let sketch = PairSketch::build(store.layout(), x.row(i), x.row(j)).unwrap();
+            assert_eq!(state.resident()[k], sketch, "sketch of rank {rank}");
+            let want = pair_costs(store, &sketch, i, j, rule);
+            assert_costs_bits(&state.costs()[k], &want, &format!("{rule:?} rank {rank}"));
+        }
+    }
+
+    #[test]
+    fn fused_cost_prefixes_match_pair_costs_bitwise() {
+        let x = matrix(240);
+        let n_pairs = triangular::count(x.n_series());
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            for threads in [1, 2, 8] {
+                let cfg = config(rule, threads);
+                for ranks in [0..n_pairs, 0..5, 5..6, 3..17, n_pairs - 4..n_pairs, 9..9] {
+                    let state = build(&x, ranks, &cfg);
+                    assert_matches_per_pair_build(&state, &x, rule);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_cost_prefixes_are_sized_exactly() {
+        let x = matrix(245);
+        let n_basic = x.len() / WIDTH;
+        let state = build(
+            &x,
+            0..triangular::count(x.n_series()),
+            &config(EdgeRule::Absolute, 2),
+        );
+        for costs in state.costs() {
+            let lower = costs
+                .lower
+                .as_ref()
+                .expect("absolute rule keeps a lower prefix");
+            for prefix in [&costs.upper, lower] {
+                assert_eq!(prefix.n_basic(), n_basic);
+                assert_eq!(
+                    prefix.memory_bytes(),
+                    (n_basic + 1) * std::mem::size_of::<f64>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn appended_cost_prefixes_match_a_fresh_build() {
+        let x = matrix(300);
+        let n_pairs = triangular::count(x.n_series());
+        let chunkings: [&[usize]; 3] = [&[240], &[7, 13, 1, 99, 120], &[10; 24]];
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            for (c, chunks) in chunkings.iter().enumerate() {
+                for ranks in [0..n_pairs, 4..15] {
+                    let cfg = config(rule, 1 + c);
+                    let mut state = build(&x.slice_columns(0, 60).unwrap(), ranks.clone(), &cfg);
+                    let mut end = 60;
+                    for &chunk in *chunks {
+                        end += chunk;
+                        // Hand over only what the store has not absorbed yet.
+                        let absorbed = state.store().layout().end();
+                        let tail = x.slice_columns(absorbed, end).unwrap();
+                        state.append_tail(&tail, absorbed, cfg.threads).unwrap();
+                    }
+                    assert_eq!(end, x.len());
+                    let fresh = build(&x, ranks, &cfg);
+                    assert_eq!(state.store(), fresh.store());
+                    assert_matches_per_pair_build(&state, &x, rule);
+                    for (got, want) in state.costs().iter().zip(fresh.costs()) {
+                        assert_costs_bits(got, want, &format!("{rule:?} chunking {c}"));
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,10 +5,11 @@
 //! construction **and updates**". [`StreamingDangoron`] owns the growing
 //! sketch state — per-series and per-pair prefixes plus, in jump mode,
 //! the Eq. 2 departure-cost prefixes — and maintains all of it
-//! incrementally (`SketchStore::append_tail` / `PairSketch::append_tail`
-//! / `extend_pair_costs` touch only the new columns — history is never
-//! rescanned), answering each [`StreamingDangoron::append`] with the
-//! thresholded matrices of every window that became complete.
+//! incrementally: `SketchStore::append_tail`, then one pass per pair that
+//! extends its sketch and its cost prefixes, touches only the new columns
+//! — history is never rescanned. Each [`StreamingDangoron::append`] is
+//! answered with the thresholded matrices of every window that became
+//! complete.
 //!
 //! Both pruning mechanisms of the batch engine apply:
 //!

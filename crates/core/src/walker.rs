@@ -9,7 +9,7 @@
 //! windows (Fig. 2's green blocks), land on the next (red block) and
 //! re-evaluate exactly.
 
-use crate::bounds::{max_jump, max_jump_absolute, DepartureCost, PairCosts};
+use crate::bounds::{max_jump, max_jump_absolute, PairCosts};
 use crate::config::BoundMode;
 use crate::pivot::PivotSet;
 use crate::stats::PruningStats;
@@ -68,12 +68,6 @@ impl WalkGeometry {
     }
 }
 
-/// Builds the Eq. 2 departure-cost prefix for a pair over the whole layout.
-pub fn departure_cost(store: &SketchStore, pair: &PairSketch, i: usize, j: usize) -> DepartureCost {
-    let nb = store.layout().count;
-    DepartureCost::from_correlations((0..nb).map(|b| pair.basic_correlation(store, i, j, b)))
-}
-
 /// Builds the full [`PairCosts`] for a pair: always the upper-bound
 /// prefix, plus the lower-bound prefix when the edge rule needs it.
 pub fn pair_costs(
@@ -84,18 +78,15 @@ pub fn pair_costs(
     rule: EdgeRule,
 ) -> PairCosts {
     let nb = store.layout().count;
-    let upper = departure_cost(store, pair, i, j);
-    let lower = (rule == EdgeRule::Absolute).then(|| {
-        DepartureCost::from_correlations_lower(
-            (0..nb).map(|b| pair.basic_correlation(store, i, j, b)),
-        )
-    });
-    PairCosts { upper, lower }
+    PairCosts::from_correlations(
+        (0..nb).map(|b| pair.basic_correlation(store, i, j, b)),
+        rule,
+    )
 }
 
 /// Extends stored [`PairCosts`] to cover the store's current basic-window
-/// count, reading only the new windows' correlations — the streaming
-/// maintenance path (bit-identical to a fresh [`pair_costs`] build).
+/// count, reading only the new windows' correlations — bit-identical to a
+/// fresh [`pair_costs`] build.
 pub fn extend_pair_costs(
     costs: &mut PairCosts,
     store: &SketchStore,
@@ -103,16 +94,8 @@ pub fn extend_pair_costs(
     i: usize,
     j: usize,
 ) {
-    let from = costs.upper.n_basic();
-    let nb = store.layout().count;
-    costs
-        .upper
-        .extend_from_correlations((from..nb).map(|b| pair.basic_correlation(store, i, j, b)));
-    if let Some(lower) = &mut costs.lower {
-        lower.extend_from_correlations_lower(
-            (from..nb).map(|b| pair.basic_correlation(store, i, j, b)),
-        );
-    }
+    let (from, nb) = (costs.upper.n_basic(), store.layout().count);
+    costs.extend((from..nb).map(|b| pair.basic_correlation(store, i, j, b)));
 }
 
 /// Walks all windows of one pair, calling `emit(window, value)` for every
@@ -257,6 +240,24 @@ mod tests {
             pair,
             query,
             geo,
+        }
+    }
+
+    #[test]
+    fn extended_pair_costs_match_a_fresh_build() {
+        let f = fixture(0.6, 0.8);
+        let head = f.x.slice_columns(0, 140).unwrap();
+        let layout = BasicWindowLayout::cover(0, 140, 20).unwrap();
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            let mut store = SketchStore::build(&head, layout).unwrap();
+            let mut pair = PairSketch::build(&layout, head.row(0), head.row(1)).unwrap();
+            let mut costs = pair_costs(&store, &pair, 0, 1, rule);
+            store.append(&f.x).unwrap();
+            pair.append(store.layout(), f.x.row(0), f.x.row(1)).unwrap();
+            extend_pair_costs(&mut costs, &store, &pair, 0, 1);
+            // `Debug` prints each f64 in its shortest round-trip form.
+            let fresh = pair_costs(&f.store, &f.pair, 0, 1, rule);
+            assert_eq!(format!("{costs:?}"), format!("{fresh:?}"), "{rule:?}");
         }
     }
 

@@ -147,9 +147,12 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wraps an accepted (or connected) stream. Cloning the read half can
-    /// fail only on resource exhaustion.
+    /// Wraps an accepted (or connected) stream — both of the
+    /// coordinator's accept sites go through here — and turns on
+    /// `TCP_NODELAY`, as [`WorkerIo::connect`] does on the worker's end.
+    /// Cloning the read half can fail only on resource exhaustion.
     pub fn new(stream: TcpStream) -> io::Result<Self> {
+        let _ = stream.set_nodelay(true);
         let reader = stream.try_clone()?;
         Ok(Self {
             stream,
@@ -228,6 +231,10 @@ impl WorkerIo<TcpStream, TcpStream> {
     /// doubles from 100 ms up to a 2 s cap, each sleep stretched by a
     /// seeded jitter of up to half the delay — a fleet of workers
     /// restarting together must not re-dial in lockstep.
+    ///
+    /// The link runs with `TCP_NODELAY`: every frame is a request or a
+    /// reply someone waits on, so Nagle's coalescing would only hold it
+    /// back until the peer's delayed ACK.
     pub fn connect(addr: &str, patience: Duration, jitter_seed: u64) -> io::Result<Self> {
         let deadline = std::time::Instant::now() + patience;
         let mut rng = crate::chaos::Rng::new(jitter_seed);
@@ -235,6 +242,7 @@ impl WorkerIo<TcpStream, TcpStream> {
         loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
+                    stream.set_nodelay(true)?;
                     let input = stream.try_clone()?;
                     return Ok(Self {
                         input,
@@ -342,6 +350,18 @@ where
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    #[test]
+    fn tcp_shard_links_run_with_nodelay_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = WorkerIo::connect(&addr, Duration::from_secs(5), 3).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let coordinator = TcpTransport::new(stream).unwrap();
+        assert!(worker.input.nodelay().unwrap());
+        assert!(worker.output.nodelay().unwrap());
+        assert!(coordinator.stream.nodelay().unwrap());
+    }
 
     #[test]
     fn tcp_transport_frames_roundtrip_and_kill_unblocks_the_reader() {

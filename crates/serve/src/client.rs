@@ -19,7 +19,7 @@ use dangoron::DangoronConfig;
 use dist::proto::Hello;
 use dist::transport::WorkerIo;
 use sketch::output::{Edge, EdgeRule};
-use sketch::ThresholdedMatrix;
+use sketch::{SlidingQuery, ThresholdedMatrix};
 use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
@@ -102,9 +102,11 @@ impl ServeClient {
         Self::over(link.input, link.output)
     }
 
-    /// Wraps an established stream pair (tests and chaos wrappers) and
+    /// Wraps an established stream pair (tests and chaos wrappers), turns
+    /// on `TCP_NODELAY` (every frame is a request the daemon waits on) and
     /// sends the handshake.
     pub fn over(reader: TcpStream, writer: TcpStream) -> io::Result<Self> {
+        writer.set_nodelay(true)?;
         let mut client = Self {
             reader,
             writer,
@@ -244,6 +246,28 @@ impl ServeClient {
                     return Err(io::Error::other(format!(
                         "query id mismatch: sent {id}, got {got}"
                     )));
+                }
+                // `matrices` allocates one matrix per claimed window, so a
+                // claim beyond what this window/step allows over the
+                // covered prefix is refused before anything is sized by it.
+                // (A step of 0 is never answered; `max(1)` only keeps a
+                // hostile reply to one from dividing by zero.)
+                let most = SlidingQuery {
+                    start: 0,
+                    end: covered_cols as usize,
+                    window,
+                    step: step.max(1),
+                    threshold,
+                }
+                .n_windows();
+                if n_windows > most as u64 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "query reply claims {n_windows} windows; window {window}, step {step} \
+                             over {covered_cols} columns allow at most {most}"
+                        ),
+                    ));
                 }
                 Ok(QueryReply {
                     covered_cols: covered_cols as usize,

@@ -486,6 +486,7 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::frame;
     use sketch::output::EdgeRule;
     use tsdata::generators;
 
@@ -709,6 +710,49 @@ mod tests {
         ] {
             assert!(decode(&frame(edges)).is_err(), "{why}");
         }
+    }
+
+    #[test]
+    fn query_results_claiming_more_windows_than_asked_are_refused() {
+        // The frame itself decodes — nothing is sized by `n_windows` here —
+        // so the bound sits in the client, which knows the request.
+        let reply = |id: u64, n_windows: u64| {
+            encode(&ServeMessage::QueryResult {
+                id,
+                covered_cols: 100,
+                n_windows,
+                edges: Vec::new(),
+            })
+        };
+        assert!(decode(&reply(1, 1 << 40)).is_ok());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut daemon, _) = listener.accept().unwrap();
+        let mut client =
+            crate::client::ServeClient::over(dialed.try_clone().unwrap(), dialed).unwrap();
+        // 100 columns, window 60, step 20: at most 3 windows.
+        let claims = [3, 4, 1 << 40];
+        let fake_daemon = std::thread::spawn(move || {
+            frame::read_from(&mut daemon, MAX_FRAME).unwrap().unwrap(); // Hello
+            for n_windows in claims {
+                let query = frame::read_from(&mut daemon, MAX_FRAME).unwrap().unwrap();
+                let Ok(ServeMessage::Query { id, .. }) = decode(&query) else {
+                    panic!("expected a Query frame");
+                };
+                frame::write_to(&mut daemon, &reply(id, n_windows)).unwrap();
+            }
+        });
+        assert_eq!(client.query("s", 60, 20, 0.8).unwrap().n_windows, 3);
+        for claim in &claims[1..] {
+            let err = client.query("s", 60, 20, 0.8).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{claim}: {err}"
+            );
+            assert!(err.to_string().contains("at most 3"), "{claim}: {err}");
+        }
+        fake_daemon.join().unwrap();
     }
 
     #[test]

@@ -455,7 +455,7 @@ pub fn serve(
                 break;
             }
         }
-        let (stream, peer) = listener.accept()?;
+        let (stream, peer) = accept_link(&listener)?;
         accepted += 1;
         let conn_id = accepted;
         let registry = Arc::clone(&registry);
@@ -470,6 +470,15 @@ pub fn serve(
         let _ = h.join();
     }
     Ok(())
+}
+
+/// Accepts one client link with `TCP_NODELAY` on: replies and deltas are
+/// frames a client waits on, and Nagle would hold each back until the
+/// client's delayed ACK.
+fn accept_link(listener: &TcpListener) -> io::Result<(TcpStream, std::net::SocketAddr)> {
+    let (stream, peer) = listener.accept()?;
+    let _ = stream.set_nodelay(true);
+    Ok((stream, peer))
 }
 
 /// Binds an ephemeral local port and serves a registry on a background
@@ -502,6 +511,17 @@ mod tests {
             basic_window: 20,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn serve_links_run_with_nodelay_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let client_end = dialed.try_clone().unwrap();
+        let _client = ServeClient::over(dialed.try_clone().unwrap(), dialed).unwrap();
+        let (daemon_end, _) = accept_link(&listener).unwrap();
+        assert!(client_end.nodelay().unwrap());
+        assert!(daemon_end.nodelay().unwrap());
     }
 
     #[test]

@@ -122,9 +122,11 @@ pub mod frame {
         out
     }
 
-    /// Writes one frame to `w` and flushes it. Fails fast (nothing
-    /// written) when the payload exceeds [`MAX_PAYLOAD`] — wrapping the
-    /// prefix would corrupt the stream mid-frame.
+    /// Writes one frame to `w` as a single `write_all` of [`encode`]'s
+    /// buffer and flushes it, so no transport sees a frame split into a
+    /// lone length prefix and a payload. Fails fast (nothing written)
+    /// when the payload exceeds [`MAX_PAYLOAD`] — wrapping the prefix
+    /// would corrupt the stream mid-frame.
     pub fn write_to(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         if payload.len() > MAX_PAYLOAD {
             return Err(io::Error::new(
@@ -135,8 +137,7 @@ pub mod frame {
                 ),
             ));
         }
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(payload)?;
+        w.write_all(&encode(payload))?;
         w.flush()
     }
 

@@ -13,9 +13,11 @@
 //! * [`plan`] — query geometry: [`plan::SlidingQuery`] (the paper's
 //!   `r, l, η, β`) and [`plan::BasicWindowLayout`] alignment;
 //! * [`store`] — per-series prefix-summed basic-window statistics, with
-//!   compact binary (de)serialisation;
+//!   compact binary (de)serialisation, and the transient per-window
+//!   moment table [`store::BasicMoments`];
 //! * [`pair`] — per-pair cross-product sketches, plus the cache-blocked
-//!   all-pairs builder [`pair::build_all`];
+//!   builder [`pair::build_with`], which can finish each pair (e.g. its
+//!   Eq. 2 costs) while the sketch is in cache;
 //! * [`combine`] — O(1) window correlation from the sketches (Eq. 1);
 //! * [`output`] — [`output::ThresholdedMatrix`], the sparse `C_k` the
 //!   problem definition asks for;
@@ -57,4 +59,4 @@ pub mod triangular;
 pub use output::ThresholdedMatrix;
 pub use pair::PairSketch;
 pub use plan::{BasicWindowLayout, SlidingQuery};
-pub use store::SketchStore;
+pub use store::{BasicMoments, SketchStore};

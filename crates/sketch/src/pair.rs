@@ -7,8 +7,9 @@
 //! cross sum is O(1).
 
 use crate::plan::BasicWindowLayout;
-use crate::store::SketchStore;
+use crate::store::{BasicMoments, SketchStore};
 use crate::triangular;
+use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
 /// Cross-product sketch for one ordered pair of series.
@@ -152,106 +153,98 @@ impl PairSketch {
     ) -> Option<f64> {
         let sx = store.basic_stats(i, b);
         let sy = store.basic_stats(j, b);
-        let n = sx.n;
-        let cov = self.cross_sum(b, b + 1) / n - sx.mean() * sy.mean();
-        let denom = sx.std_dev() * sy.std_dev();
-        if denom <= 0.0 {
-            return None;
-        }
-        Some((cov / denom).clamp(-1.0, 1.0))
+        correlation(
+            self.cross_sum(b, b + 1),
+            sx.n,
+            (sx.mean(), sx.std_dev()),
+            (sy.mean(), sy.std_dev()),
+        )
+    }
+
+    /// [`PairSketch::basic_correlation`] of every basic window `moments`
+    /// covers, in order, reading both series' mean and σ from the table
+    /// instead of recomputing them — bit-identical, since both evaluate
+    /// the same expression on the same moments.
+    pub fn basic_correlations<'s>(
+        &'s self,
+        moments: &'s BasicMoments,
+        i: usize,
+        j: usize,
+    ) -> impl ExactSizeIterator<Item = Option<f64>> + 's {
+        let n = moments.n;
+        moments
+            .windows
+            .clone()
+            .zip(moments.series(i).iter().zip(moments.series(j)))
+            .map(move |(b, (&mx, &my))| correlation(self.cross_sum(b, b + 1), n, mx, my))
     }
 }
 
+/// The correlation of one basic window of `n` points from its cross sum
+/// and both series' `(mean, σ)`; `None` when either σ is zero. The one
+/// `c_b` expression behind [`PairSketch::basic_correlation`] and
+/// [`PairSketch::basic_correlations`].
+#[inline]
+fn correlation(cross: f64, n: f64, (mx, sx): (f64, f64), (my, sy): (f64, f64)) -> Option<f64> {
+    let cov = cross / n - mx * my;
+    let denom = sx * sy;
+    if denom <= 0.0 {
+        return None;
+    }
+    Some((cov / denom).clamp(-1.0, 1.0))
+}
+
 /// Builds the pair sketch of **every** `i < j` pair of `x`, in
-/// [`triangular::rank`] order, using cache-blocked tiles and `threads`
-/// workers.
-///
-/// The naive enumeration streams a fresh `y` row from memory for every
-/// pair — O(N²·L) bytes of traffic. Tiling the pair grid into row-blocks
-/// sized to stay L2-resident means each block of rows is read once per
-/// tile instead of once per pair, turning the build memory-bound →
-/// cache-bound. Tiles are independent, so workers steal them from the
-/// shared tile list; results are scattered back by pair rank, making the
-/// output identical for any thread count and any tile size.
+/// [`triangular::rank`] order, with `threads` workers — [`build_with`]
+/// over the whole triangle, with nothing to finish.
 pub fn build_all(
     layout: &BasicWindowLayout,
     x: &TimeSeriesMatrix,
     threads: usize,
 ) -> Result<Vec<PairSketch>, TsError> {
-    let n = x.n_series();
-    if layout.end() > x.len() {
-        return Err(TsError::OutOfRange {
-            requested: layout.end(),
-            available: x.len(),
-        });
-    }
-    let n_pairs = triangular::count(n);
-    if n_pairs == 0 {
-        return Ok(Vec::new());
-    }
-
-    // Row-block size: two blocks of rows (the tile's i-side and j-side)
-    // should fit in ~half of a typical 512 KiB L2 together.
-    let row_bytes = x.len() * std::mem::size_of::<f64>();
-    let block = (128 * 1024 / row_bytes.max(1)).clamp(2, 64);
-    let n_blocks = n.div_ceil(block);
-    let block_range = |b: usize| (b * block)..((b + 1) * block).min(n);
-
-    // Upper triangle of tiles, diagonal included.
-    let tiles: Vec<(usize, usize)> = (0..n_blocks)
-        .flat_map(|bi| (bi..n_blocks).map(move |bj| (bi, bj)))
-        .collect();
-
-    let per_tile: Vec<Vec<(usize, PairSketch)>> =
-        exec::par_collect_chunks(tiles.len(), threads, 1, |range| {
-            range
-                .map(|t| {
-                    let (bi, bj) = tiles[t];
-                    let mut out = Vec::new();
-                    for i in block_range(bi) {
-                        let row_i = x.row(i);
-                        for j in block_range(bj) {
-                            if j > i {
-                                out.push((
-                                    triangular::rank(i, j, n),
-                                    PairSketch::build_unchecked(layout, row_i, x.row(j)),
-                                ));
-                            }
-                        }
-                    }
-                    out
-                })
-                .collect()
-        });
-
-    let mut slots: Vec<Option<PairSketch>> = (0..n_pairs).map(|_| None).collect();
-    for tile in per_tile {
-        for (rank, sketch) in tile {
-            debug_assert!(slots[rank].is_none(), "tile overlap at rank {rank}");
-            slots[rank] = Some(sketch);
-        }
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("tiling covers every pair"))
-        .collect())
+    let n_pairs = triangular::count(x.n_series());
+    build_range(layout, x, 0..n_pairs, threads)
 }
 
 /// Builds the pair sketches of a **contiguous rank interval**
 /// `[ranks.start, ranks.end)` of the triangle, in rank order — the shard
 /// variant of [`build_all`] used by distributed workers so a worker never
-/// touches out-of-shard pairs.
-///
-/// Each sketch is produced by the same per-pair kernel reduction as
-/// [`PairSketch::build`] (which [`build_all`] also uses per entry), so the
-/// returned slice is bit-identical to the corresponding sub-slice of a
-/// [`build_all`] result for any thread count.
+/// touches out-of-shard pairs. [`build_with`] with nothing to finish.
 pub fn build_range(
     layout: &BasicWindowLayout,
     x: &TimeSeriesMatrix,
-    ranks: std::ops::Range<usize>,
+    ranks: Range<usize>,
     threads: usize,
 ) -> Result<Vec<PairSketch>, TsError> {
+    build_with(layout, x, ranks, threads, |_, _, _| ()).map(|(sketches, _)| sketches)
+}
+
+/// Builds the pair sketches of the rank interval `ranks`, in rank order,
+/// and calls `finish(i, j, &sketch)` on each right after building it,
+/// while the sketch is still in cache. Returns the sketches and the
+/// finisher's results, both indexed by `rank − ranks.start`.
+///
+/// The whole triangle is built in cache-blocked tiles. The naive
+/// enumeration streams a fresh `y` row from memory for every pair —
+/// O(N²·L) bytes of traffic. Tiling the pair grid into row-blocks sized to
+/// stay L2-resident means each block of rows is read once per tile instead
+/// of once per pair, turning the build memory-bound → cache-bound. A
+/// proper sub-interval (a shard) is built pair by pair in rank order.
+/// Either way workers steal tiles or rank chunks, and results land by
+/// pair rank. Each sketch is the same per-pair kernel reduction as
+/// [`PairSketch::build`], so the output is identical for any thread
+/// count, any tile size and any interval.
+pub fn build_with<T, F>(
+    layout: &BasicWindowLayout,
+    x: &TimeSeriesMatrix,
+    ranks: Range<usize>,
+    threads: usize,
+    finish: F,
+) -> Result<(Vec<PairSketch>, Vec<T>), TsError>
+where
+    T: Send,
+    F: Fn(usize, usize, &PairSketch) -> T + Sync,
+{
     let n = x.n_series();
     if layout.end() > x.len() {
         return Err(TsError::OutOfRange {
@@ -266,14 +259,64 @@ pub fn build_range(
             available: n_pairs,
         });
     }
-    Ok(exec::par_collect_chunks(ranks.len(), threads, 8, |chunk| {
-        chunk
-            .map(|k| {
-                let (i, j) = triangular::unrank(ranks.start + k, n);
-                PairSketch::build_unchecked(layout, x.row(i), x.row(j))
-            })
-            .collect()
-    }))
+    let build = |i: usize, j: usize| {
+        let sketch = PairSketch::build_unchecked(layout, x.row(i), x.row(j));
+        let done = finish(i, j, &sketch);
+        (sketch, done)
+    };
+    if ranks != (0..n_pairs) || n_pairs == 0 {
+        let built = exec::par_collect_chunks(ranks.len(), threads, 8, |chunk| {
+            chunk
+                .map(|k| {
+                    let (i, j) = triangular::unrank(ranks.start + k, n);
+                    build(i, j)
+                })
+                .collect()
+        });
+        return Ok(built.into_iter().unzip());
+    }
+
+    // Row-block size: two blocks of rows (the tile's i-side and j-side)
+    // should fit in ~half of a typical 512 KiB L2 together.
+    let row_bytes = x.len() * std::mem::size_of::<f64>();
+    let block = (128 * 1024 / row_bytes.max(1)).clamp(2, 64);
+    let n_blocks = n.div_ceil(block);
+    let block_range = |b: usize| (b * block)..((b + 1) * block).min(n);
+
+    // Upper triangle of tiles, diagonal included.
+    let tiles: Vec<(usize, usize)> = (0..n_blocks)
+        .flat_map(|bi| (bi..n_blocks).map(move |bj| (bi, bj)))
+        .collect();
+
+    let per_tile: Vec<Vec<(usize, (PairSketch, T))>> =
+        exec::par_collect_chunks(tiles.len(), threads, 1, |range| {
+            range
+                .map(|t| {
+                    let (bi, bj) = tiles[t];
+                    let mut out = Vec::new();
+                    for i in block_range(bi) {
+                        for j in block_range(bj) {
+                            if j > i {
+                                out.push((triangular::rank(i, j, n), build(i, j)));
+                            }
+                        }
+                    }
+                    out
+                })
+                .collect()
+        });
+
+    let mut slots: Vec<Option<(PairSketch, T)>> = (0..n_pairs).map(|_| None).collect();
+    for tile in per_tile {
+        for (rank, built) in tile {
+            debug_assert!(slots[rank].is_none(), "tile overlap at rank {rank}");
+            slots[rank] = Some(built);
+        }
+    }
+    Ok(slots
+        .into_iter()
+        .map(|s| s.expect("tiling covers every pair"))
+        .unzip())
 }
 
 #[cfg(test)]

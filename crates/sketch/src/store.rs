@@ -7,6 +7,7 @@
 
 use crate::plan::BasicWindowLayout;
 use bytes::{Buf, BufMut};
+use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
 /// Pooled raw sums of one series over a window: `n`, `Σx`, `Σx²`.
@@ -37,6 +38,29 @@ impl WindowStats {
     #[inline]
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
+    }
+}
+
+/// Mean and population σ of every series over a span of basic windows,
+/// from [`SketchStore::basic_moments`]. A transient table for bulk `c_b`
+/// builds ([`PairSketch::basic_correlations`](crate::PairSketch::basic_correlations)):
+/// built for one prepare or one append, then dropped.
+#[derive(Debug)]
+pub struct BasicMoments {
+    /// The basic windows covered.
+    pub(crate) windows: Range<usize>,
+    /// Points per basic window — the `n` of every [`WindowStats`].
+    pub(crate) n: f64,
+    /// `(mean, σ)` per (series, window), series-major.
+    moments: Vec<(f64, f64)>,
+}
+
+impl BasicMoments {
+    /// `(mean, σ)` of series `i` for each covered basic window, in order.
+    #[inline]
+    pub(crate) fn series(&self, i: usize) -> &[(f64, f64)] {
+        let len = self.windows.len();
+        &self.moments[i * len..(i + 1) * len]
     }
 }
 
@@ -123,6 +147,26 @@ impl SketchStore {
     #[inline]
     pub fn basic_stats(&self, i: usize, b: usize) -> WindowStats {
         self.window_stats(i, b, b + 1)
+    }
+
+    /// The [`BasicMoments`] of every series over the basic windows
+    /// `windows` — the per-series half of each `c_b`, computed once per
+    /// (series, window) for a bulk cost build instead of once per pair.
+    pub fn basic_moments(&self, windows: Range<usize>) -> BasicMoments {
+        debug_assert!(windows.start <= windows.end && windows.end <= self.layout.count);
+        let moments = (0..self.n_series)
+            .flat_map(|i| {
+                windows.clone().map(move |b| {
+                    let s = self.basic_stats(i, b);
+                    (s.mean(), s.std_dev())
+                })
+            })
+            .collect();
+        BasicMoments {
+            windows,
+            n: self.layout.width as f64,
+            moments,
+        }
     }
 
     /// Extends the store with the basic windows that have become complete
