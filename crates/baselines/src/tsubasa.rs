@@ -46,31 +46,6 @@ pub struct TsubasaPrepared {
     n: usize,
 }
 
-impl TsubasaPrepared {
-    /// TSUBASA's headline capability: the exact correlation of **one
-    /// arbitrary** aligned window `[ws, we)` for a pair, answered from the
-    /// stored sketches in O(n_s) without touching raw data. Returns `None`
-    /// when a window is constant (correlation undefined).
-    pub fn query_window(
-        &self,
-        i: usize,
-        j: usize,
-        ws: usize,
-        we: usize,
-    ) -> Result<Option<f64>, TsError> {
-        if i == j || i >= self.n || j >= self.n {
-            return Err(TsError::OutOfRange {
-                requested: i.max(j),
-                available: self.n,
-            });
-        }
-        let (b0, b1) = self.layout.window_to_basic(ws, we)?;
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        let pair = &self.pairs[triangular::rank(a, b, self.n)];
-        Ok(combine_tsubasa(&self.store, pair, a, b, b0, b1))
-    }
-}
-
 impl Tsubasa {
     /// Offline phase: build every sketch (mirrors
     /// `dangoron::Dangoron::prepare` in `Precomputed` mode).
@@ -284,37 +259,6 @@ mod tests {
         assert!(run.prepare > std::time::Duration::ZERO);
         assert!(run.query > std::time::Duration::ZERO);
         assert_eq!(run.matrices.len(), q.n_windows());
-    }
-
-    #[test]
-    fn arbitrary_window_queries_are_exact() {
-        let x = generators::clustered_matrix(6, 240, 2, 0.5, 19).unwrap();
-        let q = SlidingQuery {
-            start: 0,
-            end: 240,
-            window: 40,
-            step: 20,
-            threshold: 0.0,
-        };
-        let prep = Tsubasa {
-            basic_window: 20,
-            threads: 1,
-        }
-        .prepare(&x, q)
-        .unwrap();
-        // Any aligned (ws, we), any pair, either index order.
-        for (ws, we) in [(0usize, 40usize), (20, 140), (60, 240), (0, 240)] {
-            for (i, j) in [(0usize, 3usize), (4, 1), (2, 5)] {
-                let got = prep.query_window(i, j, ws, we).unwrap().unwrap();
-                let truth = tsdata::stats::pearson(&x.row(i)[ws..we], &x.row(j)[ws..we]).unwrap();
-                assert!((got - truth).abs() < 1e-9, "({i},{j}) [{ws},{we})");
-            }
-        }
-        // Unaligned or out-of-range windows are rejected.
-        assert!(prep.query_window(0, 1, 10, 50).is_err());
-        assert!(prep.query_window(0, 1, 0, 500).is_err());
-        assert!(prep.query_window(1, 1, 0, 40).is_err());
-        assert!(prep.query_window(0, 9, 0, 40).is_err());
     }
 
     #[test]

@@ -244,18 +244,6 @@ pub fn max_jump_absolute(
     lo_k
 }
 
-/// Triangle-inequality bounds on `c_xy` from pivot correlations.
-///
-/// Returns `(lower, upper)`. Requires both inputs in `[-1, 1]`. The
-/// single-pair convenience form of [`kernel::triangle_interval`], so the
-/// scalar bound and the vectorised pivot-table scan share one definition
-/// (and one rounding behaviour) by construction.
-#[inline]
-pub fn triangle_bounds(c_xz: f64, c_yz: f64) -> (f64, f64) {
-    debug_assert!((-1.0..=1.0).contains(&c_xz) && (-1.0..=1.0).contains(&c_yz));
-    kernel::triangle_interval(&[c_xz], &[c_yz])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,13 +465,13 @@ mod tests {
     #[test]
     fn triangle_bounds_known_values() {
         // Orthogonal pivot tells nothing: bounds are [−1, 1].
-        let (lo, hi) = triangle_bounds(0.0, 0.0);
+        let (lo, hi) = kernel::triangle_interval(&[0.0], &[0.0]);
         assert_eq!((lo, hi), (-1.0, 1.0));
         // Perfect pivot correlation pins the value.
-        let (lo, hi) = triangle_bounds(1.0, 0.6);
+        let (lo, hi) = kernel::triangle_interval(&[1.0], &[0.6]);
         assert!((lo - 0.6).abs() < 1e-12 && (hi - 0.6).abs() < 1e-12);
         // Symmetric case.
-        let (lo, hi) = triangle_bounds(0.9, 0.9);
+        let (lo, hi) = kernel::triangle_interval(&[0.9], &[0.9]);
         assert!((hi - (0.81 + 0.19)).abs() < 1e-12);
         assert!((lo - (0.81 - 0.19)).abs() < 1e-12);
     }
@@ -508,7 +496,7 @@ mod tests {
             let cxy = pearson(&x, &y).unwrap();
             let cxz = pearson(&x, &z).unwrap();
             let cyz = pearson(&y, &z).unwrap();
-            let (lo, hi) = triangle_bounds(cxz, cyz);
+            let (lo, hi) = kernel::triangle_interval(&[cxz], &[cyz]);
             prop_assert!(cxy >= lo - 1e-9 && cxy <= hi + 1e-9,
                 "c_xy={cxy} outside [{lo}, {hi}]");
         }
@@ -516,7 +504,7 @@ mod tests {
         /// Bounds are always ordered and inside [−1, 1].
         #[test]
         fn triangle_bounds_are_sane(a in -1.0f64..=1.0, b in -1.0f64..=1.0) {
-            let (lo, hi) = triangle_bounds(a, b);
+            let (lo, hi) = kernel::triangle_interval(&[a], &[b]);
             prop_assert!(lo <= hi + 1e-12);
             prop_assert!((-1.0..=1.0).contains(&lo));
             prop_assert!((-1.0..=1.0).contains(&hi));

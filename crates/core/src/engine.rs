@@ -636,9 +636,7 @@ mod tests {
                     let prep = engine.prepare_shard(&x, q, w[0]..w[1]).unwrap();
                     let part = engine.run_range(&prep, w[0]..w[1]);
                     stats.merge(&part.stats);
-                    for (win, m) in part.matrices.iter().enumerate() {
-                        flat.extend(m.edges().iter().map(|&e| (win as u32, e)));
-                    }
+                    flat.extend(ThresholdedMatrix::flatten_windows(&part.matrices));
                 }
                 let merged = ThresholdedMatrix::assemble_windows(
                     12,

@@ -260,17 +260,6 @@ impl PivotSet {
         (best_lo, best_hi)
     }
 
-    /// Tightest triangle upper bound (see [`PivotSet::interval`]).
-    pub fn upper_bound(&self, i: usize, j: usize, w: usize) -> f64 {
-        self.interval(i, j, w).1
-    }
-
-    /// Pair-level prefilter: true when the triangle upper bound is below
-    /// `beta` in **every** window — the pair can be skipped wholesale.
-    pub fn pair_always_below(&self, i: usize, j: usize, beta: f64) -> bool {
-        (0..self.n_windows).all(|w| self.upper_bound(i, j, w) < beta)
-    }
-
     /// Rule-aware pair-level prefilter over windows `[w0, w1)`: true when
     /// none of those windows can produce an edge under `rule` at `beta` —
     /// the walk over that window range can be skipped wholesale.
@@ -291,11 +280,6 @@ impl PivotSet {
                 EdgeRule::Absolute => hi < beta && lo > -beta,
             }
         })
-    }
-
-    /// Rule-aware pair-level prefilter over **every** window.
-    pub fn pair_never_edges(&self, i: usize, j: usize, beta: f64, rule: EdgeRule) -> bool {
-        self.pair_never_edges_in(i, j, beta, rule, 0, self.n_windows)
     }
 }
 
@@ -459,7 +443,7 @@ mod tests {
                     let (ws, we) = query.window_range(w);
                     let truth =
                         tsdata::stats::pearson(&x.row(i)[ws..we], &x.row(j)[ws..we]).unwrap();
-                    let ub = pv.upper_bound(i, j, w);
+                    let ub = pv.interval(i, j, w).1;
                     assert!(
                         truth <= ub + 1e-9,
                         "pair ({i},{j}) window {w}: {truth} > {ub}"
@@ -473,17 +457,16 @@ mod tests {
     fn pair_prefilter_agrees_with_bounds() {
         let (x, store, layout, query) = setup(8);
         let pv = build(&x, &store, &layout, &query, vec![0, 4]);
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                let all_below = pv.pair_always_below(i, j, 0.8);
-                let manual = (0..query.n_windows()).all(|w| pv.upper_bound(i, j, w) < 0.8);
-                assert_eq!(all_below, manual);
-                // The ranged prefilter over the full range agrees with the
-                // unranged one.
-                assert_eq!(
-                    pv.pair_never_edges(i, j, 0.8, EdgeRule::Positive),
-                    pv.pair_never_edges_in(i, j, 0.8, EdgeRule::Positive, 0, pv.n_windows())
-                );
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            for i in 0..8 {
+                for j in (i + 1)..8 {
+                    let never = pv.pair_never_edges_in(i, j, 0.8, rule, 0, pv.n_windows());
+                    let manual = (0..query.n_windows()).all(|w| {
+                        let (lo, hi) = pv.interval(i, j, w);
+                        hi < 0.8 && (rule == EdgeRule::Positive || lo > -0.8)
+                    });
+                    assert_eq!(never, manual, "{rule:?} pair ({i},{j})");
+                }
             }
         }
     }
@@ -495,7 +478,9 @@ mod tests {
         let pv = build(&x, &store, &layout, &query, vec![0, 1]);
         let pruned = (0..10)
             .flat_map(|i| ((i + 1)..10).map(move |j| (i, j)))
-            .filter(|&(i, j)| pv.pair_always_below(i, j, 0.95))
+            .filter(|&(i, j)| {
+                pv.pair_never_edges_in(i, j, 0.95, EdgeRule::Positive, 0, pv.n_windows())
+            })
             .count();
         assert!(pruned > 0, "expected at least one wholesale-prunable pair");
     }

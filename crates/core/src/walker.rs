@@ -84,20 +84,6 @@ pub fn pair_costs(
     )
 }
 
-/// Extends stored [`PairCosts`] to cover the store's current basic-window
-/// count, reading only the new windows' correlations — bit-identical to a
-/// fresh [`pair_costs`] build.
-pub fn extend_pair_costs(
-    costs: &mut PairCosts,
-    store: &SketchStore,
-    pair: &PairSketch,
-    i: usize,
-    j: usize,
-) {
-    let (from, nb) = (costs.upper.n_basic(), store.layout().count);
-    costs.extend((from..nb).map(|b| pair.basic_correlation(store, i, j, b)));
-}
-
 /// Walks all windows of one pair, calling `emit(window, value)` for every
 /// window whose correlation passes `rule` at `beta`. Counters are recorded
 /// into `stats`.
@@ -254,7 +240,8 @@ mod tests {
             let mut costs = pair_costs(&store, &pair, 0, 1, rule);
             store.append(&f.x).unwrap();
             pair.append(store.layout(), f.x.row(0), f.x.row(1)).unwrap();
-            extend_pair_costs(&mut costs, &store, &pair, 0, 1);
+            let (from, nb) = (costs.upper.n_basic(), store.layout().count);
+            costs.extend((from..nb).map(|b| pair.basic_correlation(&store, 0, 1, b)));
             // `Debug` prints each f64 in its shortest round-trip form.
             let fresh = pair_costs(&f.store, &f.pair, 0, 1, rule);
             assert_eq!(format!("{costs:?}"), format!("{fresh:?}"), "{rule:?}");

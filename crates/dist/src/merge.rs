@@ -45,18 +45,6 @@ pub fn merge_shard_edges(
     ThresholdedMatrix::assemble_segments(n_series, beta, rule, n_windows, &segments)
 }
 
-/// Flattens an engine result's per-window matrices back into the sorted
-/// `(window, edge)` wire form — matrices are `(i, j)`-sorted and windows
-/// ascend, so the output is sorted by `(window, i, j)` by construction.
-pub fn flatten_windows(matrices: &[ThresholdedMatrix]) -> Vec<(u32, Edge)> {
-    let total: usize = matrices.iter().map(|m| m.n_edges()).sum();
-    let mut flat = Vec::with_capacity(total);
-    for (w, m) in matrices.iter().enumerate() {
-        flat.extend(m.edges().iter().map(|&e| (w as u32, e)));
-    }
-    flat
-}
-
 /// Bitwise equality of two window sequences — the coordinator's `--verify`
 /// check against the single-process engine.
 pub fn windows_bit_identical(a: &[ThresholdedMatrix], b: &[ThresholdedMatrix]) -> bool {
@@ -96,18 +84,8 @@ mod tests {
         assert_eq!(ms[2].n_edges(), 2);
         assert_eq!(ms[2].get(0, 2), 0.7);
         assert_eq!(ms[2].get(2, 3), 0.85);
-    }
-
-    #[test]
-    fn flatten_windows_inverts_merge() {
-        let shard = (
-            0..6usize,
-            vec![(0u32, e(0, 1, 0.9)), (1, e(1, 3, 0.8)), (1, e(2, 3, 0.7))],
-        );
-        let ms = merge_shard_edges(4, 0.5, EdgeRule::Positive, 2, vec![shard.clone()]);
-        assert_eq!(flatten_windows(&ms), shard.1);
         assert!(windows_bit_identical(&ms, &ms));
-        let other = merge_shard_edges(4, 0.5, EdgeRule::Positive, 2, vec![(0..6, vec![])]);
-        assert!(!windows_bit_identical(&ms, &other));
+        let empty = merge_shard_edges(4, 0.5, EdgeRule::Positive, 3, vec![(0..6, vec![])]);
+        assert!(!windows_bit_identical(&ms, &empty));
     }
 }

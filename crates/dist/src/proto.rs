@@ -7,7 +7,7 @@
 //! | tag | message  | direction          | body |
 //! |-----|----------|--------------------|------|
 //! | 1   | `Assign` | coordinator→worker | mode, shard id + rank interval, engine config, query — **no matrix**; the worker re-uses its loaded matrix |
-//! | 2   | `Result` | worker→coordinator | shard id + rank interval, per-phase wall times, [`PruningStats`], the shard's `(window, edge)` buffer sorted by `(window, i, j)` |
+//! | 2   | `Result` | worker→coordinator | shard id + rank interval, per-phase wall times, [`PruningStats`], the shard's `(window, edge)` buffer strictly ascending by `(window, i, j)` with every `i < j` (decode rejects anything else) |
 //! | 3   | `Error`  | worker→coordinator | echoed shard id + UTF-8 message (the shard is re-planned) |
 //! | 4   | `Hello`  | worker→coordinator | handshake: the protocol version, the first frame on any link |
 //! | 5   | `Load`   | coordinator→worker | the full column matrix, shipped **once per worker** at registration |
@@ -140,7 +140,8 @@ pub struct ShardResult {
     pub query_s: f64,
     /// The shard's pruning counters.
     pub stats: PruningStats,
-    /// The shard's edges, sorted by `(window, i, j)`.
+    /// The shard's edges, strictly ascending by `(window, i, j)` with every
+    /// `i < j` (checked by [`decode`]).
     pub edges: Vec<(u32, Edge)>,
 }
 
@@ -248,13 +249,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             out.put_f64_le(r.prepare_s);
             out.put_f64_le(r.query_s);
             encode_stats(&mut out, &r.stats);
-            out.put_u64_le(r.edges.len() as u64);
-            for (w, e) in &r.edges {
-                out.put_u32_le(*w);
-                out.put_u32_le(e.i);
-                out.put_u32_le(e.j);
-                out.put_f64_le(e.value);
-            }
+            put_window_edges(&mut out, &r.edges);
         }
         Message::Error(shard_id, text) => {
             out.put_u8(TAG_ERROR);
@@ -306,11 +301,7 @@ pub fn encode_load(data: &TimeSeriesMatrix) -> Vec<u8> {
 
 fn write_load(out: &mut Vec<u8>, data: &TimeSeriesMatrix) {
     out.put_u8(TAG_LOAD);
-    out.put_u64_le(data.n_series() as u64);
-    out.put_u64_le(data.len() as u64);
-    for v in data.as_slice() {
-        out.put_f64_le(*v);
-    }
+    put_matrix(out, data);
 }
 
 /// Decodes a frame payload.
@@ -356,17 +347,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, String> {
                 query,
             })
         }
-        TAG_LOAD => {
-            let n = take_u64(&mut buf, "n_series")? as usize;
-            let cols = take_u64(&mut buf, "n_cols")? as usize;
-            let cells = n
-                .checked_mul(cols)
-                .ok_or_else(|| "matrix dimensions overflow".to_string())?;
-            let data = take_f64s(&mut buf, cells, "matrix")?;
-            let data = TimeSeriesMatrix::from_flat(n, cols, data)
-                .map_err(|e| format!("bad matrix: {e:?}"))?;
-            Message::Load(data)
-        }
+        TAG_LOAD => Message::Load(take_matrix(&mut buf)?),
         TAG_HELLO => Message::Hello(Hello {
             version: take_u32(&mut buf, "version")?,
         }),
@@ -377,20 +358,7 @@ pub fn decode(payload: &[u8]) -> Result<Message, String> {
             let prepare_s = take_f64(&mut buf, "prepare_s")?;
             let query_s = take_f64(&mut buf, "query_s")?;
             let stats = decode_stats(&mut buf)?;
-            let n_edges = take_u64(&mut buf, "n_edges")? as usize;
-            need(
-                &buf,
-                n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
-                "edges",
-            )?;
-            let mut edges = Vec::with_capacity(n_edges);
-            for _ in 0..n_edges {
-                let w = buf.get_u32_le();
-                let i = buf.get_u32_le();
-                let j = buf.get_u32_le();
-                let value = buf.get_f64_le();
-                edges.push((w, Edge { i, j, value }));
-            }
+            let edges = take_window_edges(&mut buf)?;
             Message::Result(ShardResult {
                 shard_id,
                 ranks: start..end,
@@ -611,6 +579,73 @@ pub fn take_f64s(buf: &mut &[u8], count: usize, what: &str) -> Result<Vec<f64>, 
         what,
     )?;
     Ok((0..count).map(|_| buf.get_f64_le()).collect())
+}
+
+/// Writes a matrix: its series and column counts as `u64`s, then its
+/// row-major cells as `f64`s — the `Load` body, and the serving tier's
+/// `Open`/`Append` payload.
+pub fn put_matrix(out: &mut Vec<u8>, data: &TimeSeriesMatrix) {
+    out.put_u64_le(data.n_series() as u64);
+    out.put_u64_le(data.len() as u64);
+    for v in data.as_slice() {
+        out.put_f64_le(*v);
+    }
+}
+
+/// Reads a matrix written by [`put_matrix`]; the cell count is checked
+/// against the bytes present before it sizes an allocation.
+pub fn take_matrix(buf: &mut &[u8]) -> Result<TimeSeriesMatrix, String> {
+    let n = take_u64(buf, "n_series")? as usize;
+    let cols = take_u64(buf, "n_cols")? as usize;
+    let cells = n
+        .checked_mul(cols)
+        .ok_or_else(|| "matrix dimensions overflow".to_string())?;
+    let data = take_f64s(buf, cells, "matrix")?;
+    TimeSeriesMatrix::from_flat(n, cols, data).map_err(|e| format!("bad matrix: {e:?}"))
+}
+
+/// Writes a `(window, edge)` list: a `u64` count, then 20 bytes per edge —
+/// window, `i` and `j` as `u32`s, the value as `f64`. The shard `Result`
+/// body and the serving tier's `QueryResult` payload.
+pub fn put_window_edges(out: &mut Vec<u8>, edges: &[(u32, Edge)]) {
+    out.put_u64_le(edges.len() as u64);
+    for (w, e) in edges {
+        out.put_u32_le(*w);
+        out.put_u32_le(e.i);
+        out.put_u32_le(e.j);
+        out.put_f64_le(e.value);
+    }
+}
+
+/// Reads a list written by [`put_window_edges`]. The count is checked
+/// against the bytes present before it sizes an allocation, and every
+/// edge must lie above the diagonal (`i < j`) in strictly ascending
+/// `(window, i, j)` order — the order the merge and its callers rely on.
+pub fn take_window_edges(buf: &mut &[u8]) -> Result<Vec<(u32, Edge)>, String> {
+    let n_edges = take_u64(buf, "n_edges")? as usize;
+    need(
+        buf,
+        n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
+        "edges",
+    )?;
+    let mut edges: Vec<(u32, Edge)> = Vec::with_capacity(n_edges);
+    for k in 0..n_edges {
+        let w = buf.get_u32_le();
+        let i = buf.get_u32_le();
+        let j = buf.get_u32_le();
+        let value = buf.get_f64_le();
+        if i >= j {
+            return Err(format!("edge {k} ({i}, {j}) is not above the diagonal"));
+        }
+        if edges
+            .last()
+            .is_some_and(|(pw, p)| (*pw, p.i, p.j) >= (w, i, j))
+        {
+            return Err(format!("edge {k} breaks the (window, i, j) order"));
+        }
+        edges.push((w, Edge { i, j, value }));
+    }
+    Ok(edges)
 }
 
 #[cfg(test)]
@@ -856,5 +891,28 @@ mod tests {
         let at = payload.len() - 8; // the trailing n_edges field
         payload[at..].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode(&payload).is_err());
+        // Result edges on or below the diagonal, or out of `(window, i, j)`
+        // order, are rejected: the merge relies on that order.
+        let e = |w: u32, i: u32, j: u32| (w, Edge { i, j, value: 0.9 });
+        let result = |edges: Vec<(u32, Edge)>| {
+            encode(&Message::Result(ShardResult {
+                shard_id: 0,
+                ranks: 0..10,
+                prepare_s: 0.0,
+                query_s: 0.0,
+                stats: PruningStats::default(),
+                edges,
+            }))
+        };
+        assert!(decode(&result(vec![e(0, 0, 1), e(2, 0, 1), e(2, 1, 4)])).is_ok());
+        for (why, edges) in [
+            ("diagonal", vec![e(0, 2, 2)]),
+            ("lower triangle", vec![e(1, 3, 1)]),
+            ("duplicate", vec![e(1, 0, 1), e(1, 0, 1)]),
+            ("windows descend", vec![e(2, 0, 1), e(1, 0, 2)]),
+            ("pairs descend", vec![e(1, 0, 2), e(1, 0, 1)]),
+        ] {
+            assert!(decode(&result(edges)).is_err(), "{why}");
+        }
     }
 }

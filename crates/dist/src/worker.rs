@@ -443,9 +443,8 @@ fn execute_streaming_reporting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::flatten_windows;
     use dangoron::{BoundMode, DangoronConfig};
-    use sketch::SlidingQuery;
+    use sketch::{SlidingQuery, ThresholdedMatrix};
     use tsdata::generators;
 
     fn data() -> TimeSeriesMatrix {
@@ -541,7 +540,7 @@ mod tests {
         let engine = Dangoron::new(a.config.clone()).unwrap();
         let prep = engine.prepare_shard(&d, a.query, a.ranks.clone()).unwrap();
         let direct = engine.run_range(&prep, a.ranks.clone());
-        let single = flatten_windows(&direct.matrices);
+        let single = ThresholdedMatrix::flatten_windows(&direct.matrices);
         for chunk in [1usize, 2, 5, 23, 100] {
             let chunked = execute_controlled(
                 &a,
@@ -700,6 +699,9 @@ mod tests {
         let prep = engine.prepare_shard(&d, a.query, 3..17).unwrap();
         let direct = engine.run_range(&prep, 3..17);
         assert_eq!(r.stats, direct.stats);
-        assert_eq!(r.edges, flatten_windows(&direct.matrices));
+        assert_eq!(
+            r.edges,
+            ThresholdedMatrix::flatten_windows(&direct.matrices)
+        );
     }
 }

@@ -52,14 +52,6 @@ impl TimeIndexedProjection {
         }
     }
 
-    /// Sketch of the z-normalised window `x[t0 .. t0+len)` computed from
-    /// scratch (no incremental state). Returns `None` when the window has
-    /// zero variance.
-    pub fn sketch_window(&self, series: &[f64], t0: usize, len: usize) -> Option<Vec<f64>> {
-        let state = SlidingSketch::init(*self, series, t0, len);
-        state.normalized()
-    }
-
     /// Estimate `corr(x, y)` from two sketches of z-normalised windows of
     /// length `len`.
     pub fn estimate_correlation(sx: &[f64], sy: &[f64], len: usize) -> f64 {
@@ -261,8 +253,8 @@ mod tests {
             cov / (vx * vy).sqrt()
         };
         let p = TimeIndexedProjection::new(512, 11);
-        let sx = p.sketch_window(&x, 0, n).unwrap();
-        let sy = p.sketch_window(&y, 0, n).unwrap();
+        let sx = SlidingSketch::init(p, &x, 0, n).normalized().unwrap();
+        let sy = SlidingSketch::init(p, &y, 0, n).normalized().unwrap();
         let est = TimeIndexedProjection::estimate_correlation(&sx, &sy, n);
         assert!((est - exact).abs() < 0.12, "exact {exact}, estimated {est}");
     }
@@ -271,7 +263,7 @@ mod tests {
     fn self_correlation_estimates_near_one() {
         let x = series(300, 5);
         let p = TimeIndexedProjection::new(256, 13);
-        let s = p.sketch_window(&x, 10, 128).unwrap();
+        let s = SlidingSketch::init(p, &x, 10, 128).normalized().unwrap();
         let est = TimeIndexedProjection::estimate_correlation(&s, &s, 128);
         assert!(est > 0.8, "self-estimate {est}");
     }
@@ -280,7 +272,7 @@ mod tests {
     fn zero_variance_window_is_none() {
         let x = vec![3.0; 100];
         let p = TimeIndexedProjection::new(8, 1);
-        assert!(p.sketch_window(&x, 0, 50).is_none());
+        assert!(SlidingSketch::init(p, &x, 0, 50).normalized().is_none());
     }
 
     #[test]

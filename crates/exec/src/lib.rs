@@ -50,8 +50,6 @@
 //! deterministic by construction, so SIMD-parallel code keeps bit-exact
 //! reproducibility.
 
-pub mod hardware;
-
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 

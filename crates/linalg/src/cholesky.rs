@@ -34,11 +34,6 @@ pub fn cholesky(a: &Matrix, tol: f64) -> Result<Matrix, LinalgError> {
     Ok(l)
 }
 
-/// Cholesky with the default pivot tolerance `1e-12`.
-pub fn cholesky_default(a: &Matrix) -> Result<Matrix, LinalgError> {
-    cholesky(a, 1e-12)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,7 +45,7 @@ mod tests {
             vec![2.0, 5.0, 1.5],
             vec![0.6, 1.5, 2.0],
         ]);
-        let l = cholesky_default(&a).unwrap();
+        let l = cholesky(&a, 1e-12).unwrap();
         let back = l.matmul(&l.transpose()).unwrap();
         assert!(a.max_abs_diff(&back) < 1e-10);
         // L is lower triangular.
@@ -63,7 +58,7 @@ mod tests {
 
     #[test]
     fn identity_factors_to_identity() {
-        let l = cholesky_default(&Matrix::identity(4)).unwrap();
+        let l = cholesky(&Matrix::identity(4), 1e-12).unwrap();
         assert_eq!(l, Matrix::identity(4));
     }
 
@@ -71,7 +66,7 @@ mod tests {
     fn known_2x2_factor() {
         // [[4, 2], [2, 2]] = [[2, 0], [1, 1]] · transpose
         let a = Matrix::from_rows(vec![vec![4.0, 2.0], vec![2.0, 2.0]]);
-        let l = cholesky_default(&a).unwrap();
+        let l = cholesky(&a, 1e-12).unwrap();
         assert!((l.get(0, 0) - 2.0).abs() < 1e-12);
         assert!((l.get(1, 0) - 1.0).abs() < 1e-12);
         assert!((l.get(1, 1) - 1.0).abs() < 1e-12);
@@ -82,7 +77,7 @@ mod tests {
         // Eigenvalues 3 and −1 → not PD.
         let a = Matrix::from_rows(vec![vec![1.0, 2.0], vec![2.0, 1.0]]);
         assert!(matches!(
-            cholesky_default(&a),
+            cholesky(&a, 1e-12),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
     }
@@ -90,10 +85,10 @@ mod tests {
     #[test]
     fn rejects_asymmetric_and_nonsquare() {
         let a = Matrix::from_rows(vec![vec![1.0, 0.5], vec![0.2, 1.0]]);
-        assert_eq!(cholesky_default(&a), Err(LinalgError::NotSymmetric));
+        assert_eq!(cholesky(&a, 1e-12), Err(LinalgError::NotSymmetric));
         let r = Matrix::zeros(2, 3);
         assert!(matches!(
-            cholesky_default(&r),
+            cholesky(&r, 1e-12),
             Err(LinalgError::NotSquare { .. })
         ));
     }
@@ -110,7 +105,7 @@ mod tests {
                 }
             }
         }
-        let l = cholesky_default(&a).unwrap();
+        let l = cholesky(&a, 1e-12).unwrap();
         let back = l.matmul(&l.transpose()).unwrap();
         assert!(a.max_abs_diff(&back) < 1e-10);
     }

@@ -184,18 +184,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix-vector product.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if self.cols != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!("matvec {}×{} by vec {}", self.rows, self.cols, v.len()),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| kernel::dot(self.row(i), v))
-            .collect())
-    }
-
     /// True when square and symmetric within `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -220,21 +208,6 @@ impl Matrix {
             });
         }
         Ok(self.rows)
-    }
-
-    /// Frobenius norm of the difference `self − other`.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn frobenius_distance(&self, other: &Matrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let diff: Vec<f64> = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        kernel::sum_squares(&diff).sqrt()
     }
 
     /// Elementwise maximum absolute difference.
@@ -303,13 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_works() {
-        let a = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let t = a.transpose();
@@ -340,7 +306,6 @@ mod tests {
     fn distances() {
         let a = Matrix::identity(2);
         let b = Matrix::zeros(2, 2);
-        assert!((a.frobenius_distance(&b) - 2.0f64.sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs_diff(&b), 1.0);
     }
 

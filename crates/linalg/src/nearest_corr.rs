@@ -108,7 +108,7 @@ pub fn is_positive_semidefinite(a: &Matrix, tol: f64) -> Result<bool, LinalgErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cholesky::cholesky_default;
+    use crate::cholesky::cholesky;
 
     fn unit_diag(m: &Matrix) -> bool {
         (0..m.rows()).all(|i| (m.get(i, i) - 1.0).abs() < 1e-12)
@@ -153,7 +153,7 @@ mod tests {
             vec![-0.99, 0.99, 1.0],
         ]);
         let r = nearest_correlation(&a, NearestCorrOptions::default()).unwrap();
-        assert!(cholesky_default(&r).is_ok(), "repaired matrix must be PD");
+        assert!(cholesky(&r, 1e-12).is_ok(), "repaired matrix must be PD");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use linalg::cholesky::cholesky_default;
+use linalg::cholesky::cholesky;
 use linalg::jacobi::jacobi_eigen_default;
 use linalg::matrix::Matrix;
 use linalg::nearest_corr::{is_positive_semidefinite, nearest_correlation, NearestCorrOptions};
@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn cholesky_reconstructs_spd(n in 1usize..10, seed in 0u64..10_000) {
         let a = random_spd(n, seed);
-        let l = cholesky_default(&a).unwrap();
+        let l = cholesky(&a, 1e-12).unwrap();
         let back = l.matmul(&l.transpose()).unwrap();
         prop_assert!(a.max_abs_diff(&back) < 1e-8);
         // L is lower triangular with positive diagonal.
@@ -96,7 +96,7 @@ proptest! {
         }
         prop_assert!(is_positive_semidefinite(&r, 1e-6).unwrap());
         // The repaired matrix is Cholesky-able (strictly PD by the floor).
-        prop_assert!(cholesky_default(&r).is_ok());
+        prop_assert!(cholesky(&r, 1e-12).is_ok());
     }
 
     /// Projection is idempotent on already-valid correlation matrices.

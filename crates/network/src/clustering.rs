@@ -1,5 +1,5 @@
-//! Clustering coefficients — the transitivity metrics the neuroscience
-//! literature runs on functional-connectivity networks.
+//! Local clustering coefficients — the triangle-closure metrics the
+//! neuroscience literature runs on functional-connectivity networks.
 
 use crate::graph::CsrGraph;
 
@@ -33,33 +33,6 @@ pub fn average_clustering(g: &CsrGraph) -> f64 {
     kernel::sum(&locals) / n as f64
 }
 
-/// Global clustering coefficient (transitivity): `3 × triangles / open +
-/// closed triplets`.
-pub fn transitivity(g: &CsrGraph) -> f64 {
-    let n = g.n_nodes();
-    let mut triplets = 0usize;
-    let mut closed = 0usize; // counts each triangle 3 times
-    for v in 0..n {
-        let d = g.degree(v);
-        if d >= 2 {
-            triplets += d * (d - 1) / 2;
-        }
-        let nbrs = g.neighbors(v);
-        for (a_idx, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[a_idx + 1..] {
-                if g.has_edge(a as usize, b as usize) {
-                    closed += 1;
-                }
-            }
-        }
-    }
-    if triplets == 0 {
-        0.0
-    } else {
-        closed as f64 / triplets as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,14 +54,12 @@ mod tests {
             assert_eq!(local_clustering(&g, v), 1.0);
         }
         assert_eq!(average_clustering(&g), 1.0);
-        assert_eq!(transitivity(&g), 1.0);
     }
 
     #[test]
     fn path_has_zero_clustering() {
         let g = graph(3, &[(0, 1), (1, 2)]);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
     }
 
     #[test]
@@ -102,9 +73,6 @@ mod tests {
         assert_eq!(local_clustering(&g, 3), 0.0);
         let avg = (1.0 + 1.0 + 1.0 / 3.0 + 0.0) / 4.0;
         assert!((average_clustering(&g) - avg).abs() < 1e-12);
-        // Triplets: d(0)=2→1, d(1)=2→1, d(2)=3→3, d(3)=1→0 ⇒ 5.
-        // Closed triplets = 3 (one triangle counted at each corner).
-        assert!((transitivity(&g) - 3.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl UnionFind {
     pub fn n_sets(&self) -> usize {
         self.n_sets
     }
-
-    /// Size of `v`'s set.
-    pub fn set_size(&mut self, v: usize) -> usize {
-        let r = self.find(v);
-        self.size[r] as usize
-    }
 }
 
 /// Component labelling of a graph.
@@ -126,8 +120,6 @@ mod tests {
         assert_eq!(uf.n_sets(), 3);
         assert_eq!(uf.find(0), uf.find(2));
         assert_ne!(uf.find(0), uf.find(3));
-        assert_eq!(uf.set_size(1), 3);
-        assert_eq!(uf.set_size(4), 1);
     }
 
     #[test]

@@ -1,84 +1,12 @@
-//! Degree sequences and distributions.
+//! Degree ranking: hubs first.
 
 use crate::graph::CsrGraph;
-
-/// Degree of every node.
-pub fn degree_sequence(g: &CsrGraph) -> Vec<usize> {
-    (0..g.n_nodes()).map(|v| g.degree(v)).collect()
-}
-
-/// Histogram of degrees: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let seq = degree_sequence(g);
-    let max = seq.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for d in seq {
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Mean degree (0 for the empty graph).
-pub fn mean_degree(g: &CsrGraph) -> f64 {
-    if g.n_nodes() == 0 {
-        return 0.0;
-    }
-    2.0 * g.n_edges() as f64 / g.n_nodes() as f64
-}
 
 /// Nodes sorted by decreasing degree (hubs first); ties broken by index.
 pub fn hubs(g: &CsrGraph) -> Vec<usize> {
     let mut order: Vec<usize> = (0..g.n_nodes()).collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
     order
-}
-
-/// Weighted degree (strength) of every node: the sum of incident edge
-/// weights — the standard node statistic for correlation networks, where
-/// edge weights are the correlations themselves.
-pub fn strength_sequence(g: &CsrGraph) -> Vec<f64> {
-    (0..g.n_nodes())
-        .map(|v| g.weights(v).iter().sum())
-        .collect()
-}
-
-/// Degree assortativity (Pearson correlation of degrees across edges);
-/// `None` when the graph has no edges or degenerate degree variance.
-/// Positive values mean hubs attach to hubs — a diagnostic the climate
-/// literature tracks across windows.
-pub fn degree_assortativity(g: &CsrGraph) -> Option<f64> {
-    let mut xs = Vec::with_capacity(2 * g.n_edges());
-    let mut ys = Vec::with_capacity(2 * g.n_edges());
-    for u in 0..g.n_nodes() {
-        for &v in g.neighbors(u) {
-            // Each undirected edge contributes both orientations, which
-            // symmetrises the estimator.
-            xs.push(g.degree(u) as f64);
-            ys.push(g.degree(v as usize) as f64);
-        }
-    }
-    if xs.is_empty() {
-        return None;
-    }
-    tsdata_pearson(&xs, &ys)
-}
-
-fn tsdata_pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    let n = xs.len() as f64;
-    let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for (&x, &y) in xs.iter().zip(ys) {
-        sx += x;
-        sy += y;
-        sxx += x * x;
-        syy += y * y;
-        sxy += x * y;
-    }
-    let vx = sxx - sx * sx / n;
-    let vy = syy - sy * sy / n;
-    if vx <= 0.0 || vy <= 0.0 {
-        return None;
-    }
-    Some(((sxy - sx * sy / n) / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0))
 }
 
 #[cfg(test)]
@@ -97,57 +25,13 @@ mod tests {
 
     #[test]
     fn star_degrees() {
-        let g = star(5);
-        assert_eq!(degree_sequence(&g), vec![4, 1, 1, 1, 1]);
-        assert_eq!(degree_histogram(&g), vec![0, 4, 0, 0, 1]);
-        assert!((mean_degree(&g) - 8.0 / 5.0).abs() < 1e-12);
-        assert_eq!(hubs(&g)[0], 0);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = star(7);
-        assert_eq!(degree_histogram(&g).iter().sum::<usize>(), 7);
+        assert_eq!(hubs(&star(5))[0], 0);
     }
 
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from_matrix(&ThresholdedMatrix::new(3, 0.5));
-        assert_eq!(degree_sequence(&g), vec![0, 0, 0]);
-        assert_eq!(degree_histogram(&g), vec![3]);
-        assert_eq!(mean_degree(&g), 0.0);
-    }
-
-    #[test]
-    fn strength_sums_incident_weights() {
-        let mut m = ThresholdedMatrix::new(3, 0.0);
-        m.push(0, 1, 0.9);
-        m.push(0, 2, 0.6);
-        m.finalize();
-        let g = CsrGraph::from_matrix(&m);
-        let s = strength_sequence(&g);
-        assert!((s[0] - 1.5).abs() < 1e-12);
-        assert!((s[1] - 0.9).abs() < 1e-12);
-        assert!((s[2] - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assortativity_sign_is_meaningful() {
-        // Star: the hub (high degree) attaches only to leaves (degree 1)
-        // → strongly disassortative.
-        let g = star(6);
-        let a = degree_assortativity(&g).unwrap();
-        assert!(a < -0.9, "star assortativity {a}");
-        // Perfect matching: every endpoint has degree 1 → degenerate
-        // variance → None.
-        let mut m = ThresholdedMatrix::new(4, 0.0);
-        m.push(0, 1, 0.9);
-        m.push(2, 3, 0.9);
-        m.finalize();
-        assert!(degree_assortativity(&CsrGraph::from_matrix(&m)).is_none());
-        // Empty graph → None.
-        let empty = CsrGraph::from_matrix(&ThresholdedMatrix::new(3, 0.5));
-        assert!(degree_assortativity(&empty).is_none());
+        assert_eq!(hubs(&g), vec![0, 1, 2]);
     }
 
     #[test]

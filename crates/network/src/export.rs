@@ -8,7 +8,6 @@
 //! an exported network re-imported elsewhere carries the exact `f64`
 //! correlation values the engines produced.
 
-use crate::graph::CsrGraph;
 use sketch::ThresholdedMatrix;
 use std::fmt::Write as _;
 
@@ -42,28 +41,6 @@ pub fn to_edge_list(m: &ThresholdedMatrix) -> String {
     let mut out = String::new();
     for e in m.edges() {
         out.push_str(&format!("{}\t{}\t{:.6}\n", e.i, e.j, e.value));
-    }
-    out
-}
-
-/// Edge list of a whole window sequence with a leading window column:
-/// `window\ti\tj\tweight` — the temporal-network interchange format.
-pub fn to_temporal_edge_list(matrices: &[ThresholdedMatrix]) -> String {
-    let mut out = String::new();
-    for (w, m) in matrices.iter().enumerate() {
-        for e in m.edges() {
-            out.push_str(&format!("{w}\t{}\t{}\t{:.6}\n", e.i, e.j, e.value));
-        }
-    }
-    out
-}
-
-/// CSV edge list of one window's network: header `i,j,value`, one edge
-/// per line, full `f64` round-trip precision.
-pub fn to_csv(m: &ThresholdedMatrix) -> String {
-    let mut out = String::from("i,j,value\n");
-    for e in m.edges() {
-        let _ = writeln!(out, "{},{},{}", e.i, e.j, fmt_f64(e.value));
     }
     out
 }
@@ -170,20 +147,6 @@ fn json_string(v: &str) -> String {
     out
 }
 
-/// Adjacency snapshot of a CSR graph as `node: neighbor(weight), …` lines —
-/// human-oriented debugging output.
-pub fn to_adjacency_text(g: &CsrGraph) -> String {
-    let mut out = String::new();
-    for v in 0..g.n_nodes() {
-        out.push_str(&format!("{v}:"));
-        for (&nb, &w) in g.neighbors(v).iter().zip(g.weights(v)) {
-            out.push_str(&format!(" {nb}({w:.2})"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,31 +185,18 @@ mod tests {
     }
 
     #[test]
-    fn temporal_edge_list_prefixes_window() {
-        let ms = vec![sample(), ThresholdedMatrix::new(3, 0.5), sample()];
-        let el = to_temporal_edge_list(&ms);
-        assert!(el.lines().all(|l| l.split('\t').count() == 4));
-        assert!(el.starts_with("0\t0\t1"));
-        assert!(el.contains("\n2\t0\t1"));
-    }
-
-    #[test]
     fn csv_exports_have_headers_and_full_precision() {
         let mut m = ThresholdedMatrix::new(3, 0.5);
         m.push(0, 1, 0.8765432109876543);
         m.finalize();
-        let csv = to_csv(&m);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "i,j,value");
-        let v: f64 = lines[1].split(',').nth(2).unwrap().parse().unwrap();
-        assert_eq!(v.to_bits(), 0.8765432109876543f64.to_bits());
-
         let t = to_temporal_csv(&[m.clone(), ThresholdedMatrix::new(3, 0.5), m]);
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines[0], "window,i,j,value");
         assert_eq!(lines.len(), 3);
         assert!(lines[1].starts_with("0,0,1,"));
         assert!(lines[2].starts_with("2,0,1,"));
+        let v: f64 = lines[1].split(',').nth(3).unwrap().parse().unwrap();
+        assert_eq!(v.to_bits(), 0.8765432109876543f64.to_bits());
     }
 
     #[test]
@@ -272,18 +222,7 @@ mod tests {
         let mut m = ThresholdedMatrix::new(2, 0.5);
         m.push(0, 1, 1.0);
         m.finalize();
-        assert!(to_csv(&m).contains("0,1,1.0"));
+        assert!(to_temporal_csv(&[m.clone()]).contains("0,0,1,1.0"));
         assert!(to_json(&m, None).contains("\"value\": 1.0"));
-    }
-
-    #[test]
-    fn adjacency_text_is_symmetric() {
-        let g = CsrGraph::from_matrix(&sample());
-        let txt = to_adjacency_text(&g);
-        let lines: Vec<&str> = txt.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("1(0.90)"));
-        assert!(lines[1].contains("0(0.90)"));
-        assert!(lines[1].contains("2(0.75)"));
     }
 }

@@ -91,15 +91,6 @@ impl CsrGraph {
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         u != v && self.neighbors(u).binary_search(&(v as u32)).is_ok()
     }
-
-    /// Edge weight, if present.
-    pub fn edge_weight(&self, u: usize, v: usize) -> Option<f64> {
-        if u == v {
-            return None;
-        }
-        let pos = self.neighbors(u).binary_search(&(v as u32)).ok()?;
-        Some(self.weights(u)[pos])
-    }
 }
 
 #[cfg(test)]
@@ -144,11 +135,10 @@ mod tests {
     #[test]
     fn weights_are_preserved_both_directions() {
         let g = sample();
-        assert_eq!(g.edge_weight(0, 1), Some(0.9));
-        assert_eq!(g.edge_weight(1, 0), Some(0.9));
-        assert_eq!(g.edge_weight(3, 4), Some(0.6));
-        assert_eq!(g.edge_weight(0, 4), None);
-        assert_eq!(g.edge_weight(1, 1), None);
+        assert_eq!(g.weights(0), &[0.9, 0.8]);
+        assert_eq!(g.weights(1), &[0.9, 0.7]);
+        assert_eq!(g.weights(3), &[0.6]);
+        assert_eq!(g.weights(4), &[0.6]);
     }
 
     #[test]

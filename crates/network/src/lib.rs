@@ -6,8 +6,8 @@
 //! provides the analyses the motivating literature runs on them:
 //!
 //! * [`components`] — connected components via union-find;
-//! * [`degree`] — degree sequences and distributions;
-//! * [`clustering`] — local/global clustering coefficients;
+//! * [`degree`] — hub ranking by degree;
+//! * [`clustering`] — local clustering coefficients and their average;
 //! * [`temporal`] — dynamics across the window sequence: edge stability,
 //!   "blinking links" (the El Niño signature of Gozolchiani et al. \[3\]),
 //!   and per-window summary series.

@@ -348,12 +348,6 @@ impl ServeClient {
         drop(self.reader);
     }
 
-    /// Detaches the raw read half (chaos wrappers that need to own the
-    /// socket directly).
-    pub fn into_streams(self) -> (TcpStream, TcpStream) {
-        (self.reader, self.writer)
-    }
-
     /// Reads one raw frame off the link (protocol-level tests).
     pub fn read_raw_frame(&mut self, max_len: usize) -> io::Result<Option<Vec<u8>>> {
         frame::read_from(&mut self.reader, max_len)

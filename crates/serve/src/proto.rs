@@ -17,7 +17,7 @@
 //! | 16  | `QueryResult` | daemon → client | echoed id, the covered-column prefix the answer is exact for, window count, `(window, edge)` list strictly ascending by `(window, i, j)`, every window below the count and every `i < j` (decode rejects anything else) |
 //! | 17  | `Subscribe`   | client → daemon | subscription id, session name |
 //! | 18  | `Subscribed`  | daemon → client | echoed id, the first global window index the subscription will deliver (back-fill `0..next_window` with a `Query`) |
-//! | 19  | `Delta`       | daemon → client | subscription id, one closed window's index and its edge list — never a whole matrix re-emit |
+//! | 19  | `Delta`       | daemon → client | subscription id, one closed window's index and its edge list strictly ascending by `(i, j)` with every `i < j` (decode rejects anything else) — never a whole matrix re-emit |
 //! | 20  | `Evict`       | client → daemon | session name |
 //! | 21  | `Evicted`     | daemon → client | echoed name, whether it existed |
 //! | 22  | `ServeError`  | daemon → client | the query/subscription id it answers (0 = the link itself), UTF-8 message |
@@ -184,14 +184,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
-fn put_matrix(out: &mut Vec<u8>, data: &TimeSeriesMatrix) {
-    out.put_u64_le(data.n_series() as u64);
-    out.put_u64_le(data.len() as u64);
-    for v in data.as_slice() {
-        out.put_f64_le(*v);
-    }
-}
-
 fn take_str(buf: &mut &[u8], cap: usize, what: &str) -> Result<String, String> {
     let len = proto::take_u64(buf, what)? as usize;
     if len > cap {
@@ -202,16 +194,6 @@ fn take_str(buf: &mut &[u8], cap: usize, what: &str) -> Result<String, String> {
         .map_err(|_| format!("{what} is not UTF-8"))?;
     buf.advance(len);
     Ok(s)
-}
-
-fn take_matrix(buf: &mut &[u8]) -> Result<TimeSeriesMatrix, String> {
-    let n = proto::take_u64(buf, "n_series")? as usize;
-    let cols = proto::take_u64(buf, "n_cols")? as usize;
-    let cells = n
-        .checked_mul(cols)
-        .ok_or_else(|| "matrix dimensions overflow".to_string())?;
-    let data = proto::take_f64s(buf, cells, "matrix")?;
-    TimeSeriesMatrix::from_flat(n, cols, data).map_err(|e| format!("bad matrix: {e:?}"))
 }
 
 /// Encodes a serve message into a frame payload (no length prefix).
@@ -237,7 +219,7 @@ pub fn encode(msg: &ServeMessage) -> Vec<u8> {
             out.put_u64_le(*step as u64);
             out.put_f64_le(*threshold);
             proto::encode_config(&mut out, config);
-            put_matrix(&mut out, data);
+            proto::put_matrix(&mut out, data);
         }
         ServeMessage::Opened {
             name,
@@ -252,7 +234,7 @@ pub fn encode(msg: &ServeMessage) -> Vec<u8> {
         ServeMessage::Append { name, data } => {
             out.put_u8(TAG_APPEND);
             put_str(&mut out, name);
-            put_matrix(&mut out, data);
+            proto::put_matrix(&mut out, data);
         }
         ServeMessage::Appended {
             name,
@@ -290,13 +272,7 @@ pub fn encode(msg: &ServeMessage) -> Vec<u8> {
             out.put_u64_le(*id);
             out.put_u64_le(*covered_cols);
             out.put_u64_le(*n_windows);
-            out.put_u64_le(edges.len() as u64);
-            for (w, e) in edges {
-                out.put_u32_le(*w);
-                out.put_u32_le(e.i);
-                out.put_u32_le(e.j);
-                out.put_f64_le(e.value);
-            }
+            proto::put_window_edges(&mut out, edges);
         }
         ServeMessage::Subscribe { id, name } => {
             out.put_u8(TAG_SUBSCRIBE);
@@ -366,7 +342,7 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
             let step = proto::take_u64(&mut buf, "step")? as usize;
             let threshold = proto::take_f64(&mut buf, "threshold")?;
             let config = proto::decode_config(&mut buf)?;
-            let data = take_matrix(&mut buf)?;
+            let data = proto::take_matrix(&mut buf)?;
             ServeMessage::Open {
                 name,
                 window,
@@ -383,7 +359,7 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
         },
         TAG_APPEND => ServeMessage::Append {
             name: take_str(&mut buf, MAX_NAME, "session name")?,
-            data: take_matrix(&mut buf)?,
+            data: proto::take_matrix(&mut buf)?,
         },
         TAG_APPENDED => ServeMessage::Appended {
             name: take_str(&mut buf, MAX_NAME, "session name")?,
@@ -402,31 +378,10 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
             let id = proto::take_u64(&mut buf, "query id")?;
             let covered_cols = proto::take_u64(&mut buf, "covered_cols")?;
             let n_windows = proto::take_u64(&mut buf, "n_windows")?;
-            let n_edges = proto::take_u64(&mut buf, "n_edges")? as usize;
-            proto::need(
-                &buf,
-                n_edges.checked_mul(20).ok_or("edge bytes overflow")?,
-                "edges",
-            )?;
-            let mut edges: Vec<(u32, Edge)> = Vec::with_capacity(n_edges);
-            for k in 0..n_edges {
-                let w = buf.get_u32_le();
-                let i = buf.get_u32_le();
-                let j = buf.get_u32_le();
-                let value = buf.get_f64_le();
-                if u64::from(w) >= n_windows {
-                    return Err(format!("edge {k} in window {w} of {n_windows}"));
-                }
-                if i >= j {
-                    return Err(format!("edge {k} ({i}, {j}) is not above the diagonal"));
-                }
-                if edges
-                    .last()
-                    .is_some_and(|(pw, p)| (*pw, p.i, p.j) >= (w, i, j))
-                {
-                    return Err(format!("edge {k} breaks the (window, i, j) order"));
-                }
-                edges.push((w, Edge { i, j, value }));
+            let edges = proto::take_window_edges(&mut buf)?;
+            // Windows ascend, so the last edge carries the largest one.
+            if let Some((w, _)) = edges.last().filter(|(w, _)| u64::from(*w) >= n_windows) {
+                return Err(format!("edge in window {w} of {n_windows}"));
             }
             ServeMessage::QueryResult {
                 id,
@@ -452,11 +407,17 @@ pub fn decode(payload: &[u8]) -> Result<ServeMessage, String> {
                 n_edges.checked_mul(16).ok_or("edge bytes overflow")?,
                 "edges",
             )?;
-            let mut edges = Vec::with_capacity(n_edges);
-            for _ in 0..n_edges {
+            let mut edges: Vec<Edge> = Vec::with_capacity(n_edges);
+            for k in 0..n_edges {
                 let i = buf.get_u32_le();
                 let j = buf.get_u32_le();
                 let value = buf.get_f64_le();
+                if i >= j {
+                    return Err(format!("edge {k} ({i}, {j}) is not above the diagonal"));
+                }
+                if edges.last().is_some_and(|p| (p.i, p.j) >= (i, j)) {
+                    return Err(format!("edge {k} breaks the (i, j) order"));
+                }
                 edges.push(Edge { i, j, value });
             }
             ServeMessage::Delta { id, window, edges }
@@ -709,6 +670,26 @@ mod tests {
             ("pairs descend", vec![e(1, 0, 2), e(1, 0, 1)]),
         ] {
             assert!(decode(&frame(edges)).is_err(), "{why}");
+        }
+        // A `Delta` carries one window: the same rules on `(i, j)`.
+        let delta = |pairs: &[(u32, u32)]| {
+            encode(&ServeMessage::Delta {
+                id: 1,
+                window: 0,
+                edges: pairs
+                    .iter()
+                    .map(|&(i, j)| Edge { i, j, value: 0.9 })
+                    .collect(),
+            })
+        };
+        assert!(decode(&delta(&[(0, 1), (0, 2), (1, 4)])).is_ok());
+        for (why, pairs) in [
+            ("diagonal", &[(2, 2)][..]),
+            ("lower triangle", &[(3, 1)]),
+            ("duplicate", &[(0, 1), (0, 1)]),
+            ("pairs descend", &[(0, 2), (0, 1)]),
+        ] {
+            assert!(decode(&delta(pairs)).is_err(), "delta: {why}");
         }
     }
 

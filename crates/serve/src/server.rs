@@ -22,6 +22,7 @@ use crate::proto::{self, ServeMessage};
 use crate::session::Session;
 use bytes::frame;
 use dist::proto::{check_hello, MAX_HELLO_FRAME};
+use sketch::ThresholdedMatrix;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -121,11 +122,6 @@ impl Registry {
         let slot = lock(&self.slots).get(name).cloned()?;
         self.touch(&slot);
         Some(slot)
-    }
-
-    /// Summed cached resident bytes across all sessions.
-    pub fn total_memory(&self) -> usize {
-        lock(&self.slots).values().map(|s| s.memory_bytes()).sum()
     }
 
     /// Resident session count.
@@ -335,16 +331,11 @@ fn dispatch(
                 match answer {
                     Ok((covered, result)) => {
                         registry.metrics.queries.inc();
-                        let n_windows = result.matrices.len();
-                        let mut edges = Vec::new();
-                        for (w, m) in result.matrices.iter().enumerate() {
-                            edges.extend(m.edges().iter().map(|e| (w as u32, *e)));
-                        }
                         ServeMessage::QueryResult {
                             id,
                             covered_cols: covered as u64,
-                            n_windows: n_windows as u64,
-                            edges,
+                            n_windows: result.matrices.len() as u64,
+                            edges: ThresholdedMatrix::flatten_windows(&result.matrices),
                         }
                     }
                     Err(e) => fail(id, format!("query '{name}': {e:?}")),

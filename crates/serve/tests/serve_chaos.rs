@@ -14,7 +14,7 @@ use dist::chaos::{ChaosTransport, FaultPlan};
 use dist::transport::{TcpTransport, Transport};
 use serve::proto::{self, ServeMessage};
 use serve::{Registry, ServeClient};
-use sketch::SlidingQuery;
+use sketch::{SlidingQuery, ThresholdedMatrix};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -132,10 +132,7 @@ fn verify_daemon_health(addr: &str, seed: u64, n_links: usize, full: &TimeSeries
                         },
                     )
                     .expect("one-shot");
-                let mut fresh_edges = Vec::new();
-                for (w, m) in fresh.matrices.iter().enumerate() {
-                    fresh_edges.extend(m.edges().iter().map(|e| (w as u32, *e)));
-                }
+                let fresh_edges = ThresholdedMatrix::flatten_windows(&fresh.matrices);
                 assert_eq!(reply.edges.len(), fresh_edges.len(), "{name}: edge count");
                 for (a, b) in reply.edges.iter().zip(&fresh_edges) {
                     assert_eq!((a.0, a.1.i, a.1.j), (b.0, b.1.i, b.1.j), "{name}");

@@ -119,6 +119,19 @@ impl ThresholdedMatrix {
         Self::assemble_segments(n, beta, rule, n_windows, &[&flat])
     }
 
+    /// Flattens finalized per-window matrices into the window-tagged form
+    /// [`ThresholdedMatrix::assemble_windows`] takes — its inverse. Windows
+    /// ascend and each matrix is `(i, j)`-sorted, so the output is sorted
+    /// by `(window, i, j)`: the wire order of shard and query results.
+    pub fn flatten_windows(matrices: &[ThresholdedMatrix]) -> Vec<(u32, Edge)> {
+        let total: usize = matrices.iter().map(|m| m.n_edges()).sum();
+        let mut flat = Vec::with_capacity(total);
+        for (w, m) in matrices.iter().enumerate() {
+            flat.extend(m.edges().iter().map(|&e| (w as u32, e)));
+        }
+        flat
+    }
+
     /// Assembles one finalized matrix per window from window-tagged edge
     /// segments, in O(E): one pass counts each window's edges, a second
     /// scatters them, segment by segment, into exactly-sized per-window
@@ -505,6 +518,15 @@ mod tests {
         m.push(1, 2, 0.6);
         let pairs: Vec<(usize, usize)> = m.edge_pairs().collect();
         assert_eq!(pairs, vec![(0, 3), (1, 2)]);
+    }
+
+    #[test]
+    fn flatten_windows_inverts_merge() {
+        let e = |i: u32, j: u32, value: f64| Edge { i, j, value };
+        let flat = vec![(0u32, e(0, 1, 0.9)), (1, e(1, 3, 0.8)), (1, e(2, 3, 0.7))];
+        let ms = ThresholdedMatrix::assemble_windows(4, 0.5, EdgeRule::Positive, 3, flat.clone());
+        assert_eq!(ms[2].n_edges(), 0);
+        assert_eq!(ThresholdedMatrix::flatten_windows(&ms), flat);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::error::TsError;
 use crate::rand_util::standard_normal;
 use crate::series::TimeSeriesMatrix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Iid standard Gaussian noise of length `len`.
 pub fn white_noise(len: usize, seed: u64) -> Vec<f64> {
@@ -29,11 +29,6 @@ pub fn ar1(len: usize, phi: f64, sigma: f64, seed: u64) -> Vec<f64> {
         out.push(x);
     }
     out
-}
-
-/// Gaussian random walk with the given step standard deviation.
-pub fn random_walk(len: usize, step_sigma: f64, seed: u64) -> Vec<f64> {
-    ar1(len, 1.0, step_sigma, seed)
 }
 
 /// A sum of sinusoids: `Σ_k amp_k · sin(2π · freq_k · t / len + phase_k)`.
@@ -112,25 +107,6 @@ pub fn clustered_matrix(
     TimeSeriesMatrix::from_rows(rows)
 }
 
-/// Geometric-Brownian-like log-price series for the finance example:
-/// `p_t = p_{t−1}·exp(mu + sigma·ε_t)`, returned as prices.
-pub fn gbm_prices(len: usize, mu: f64, sigma: f64, p0: f64, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(len);
-    let mut p = p0;
-    for _ in 0..len {
-        p *= (mu + sigma * standard_normal(&mut rng)).exp();
-        out.push(p);
-    }
-    out
-}
-
-/// Uniform noise in `[lo, hi)` — a non-Gaussian workload.
-pub fn uniform_noise(len: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,20 +176,5 @@ mod tests {
                 assert!(r.abs() < 0.1, "r({i},{j}) = {r}");
             }
         }
-    }
-
-    #[test]
-    fn gbm_prices_stay_positive() {
-        let p = gbm_prices(1_000, 0.0, 0.02, 100.0, 1);
-        assert!(p.iter().all(|&v| v > 0.0));
-        assert_eq!(p.len(), 1_000);
-    }
-
-    #[test]
-    fn uniform_noise_respects_bounds() {
-        let u = uniform_noise(10_000, -2.0, 3.0, 4);
-        assert!(u.iter().all(|&v| (-2.0..3.0).contains(&v)));
-        let m = stats::mean(&u).unwrap();
-        assert!((m - 0.5).abs() < 0.1, "mean = {m}");
     }
 }

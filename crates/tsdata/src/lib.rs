@@ -25,7 +25,6 @@
 //! ```
 
 pub mod climate;
-pub mod csv;
 pub mod error;
 pub mod generators;
 pub mod rand_util;

@@ -18,13 +18,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     mean + std * standard_normal(rng)
 }
 
-/// Fill a buffer with iid standard normal samples.
-pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    for v in out.iter_mut() {
-        *v = standard_normal(rng);
-    }
-}
-
 /// Beta(a, b) sample via the Jöhnk/Gamma-free acceptance method for small
 /// shapes and the ratio of Gamma draws (Marsaglia–Tsang) otherwise.
 pub fn beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
@@ -58,24 +51,6 @@ pub fn gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
         if u.ln() < 0.5 * x * x + d - d * v3 + d * v3.ln() {
             return d * v3;
         }
-    }
-}
-
-/// Student-t sample with `nu` degrees of freedom (heavy-tailed noise).
-pub fn student_t<R: Rng + ?Sized>(rng: &mut R, nu: f64) -> f64 {
-    assert!(nu > 0.0, "degrees of freedom must be positive");
-    let z = standard_normal(rng);
-    let g = gamma(rng, nu / 2.0) * 2.0; // chi-squared(nu)
-    z / (g / nu).sqrt()
-}
-
-/// Rademacher sample (±1 with equal probability) — the ParCorr projection
-/// entries.
-pub fn rademacher<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    if rng.gen::<bool>() {
-        1.0
-    } else {
-        -1.0
     }
 }
 
@@ -135,26 +110,6 @@ mod tests {
         // Skewed case: Beta(2, 6) has mean 0.25.
         let mean = (0..n).map(|_| beta(&mut r, 2.0, 6.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean = {mean}");
-    }
-
-    #[test]
-    fn student_t_is_symmetric_and_heavy() {
-        let mut r = rng();
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| student_t(&mut r, 3.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean = {mean}");
-        // Heavier tails than a normal: P(|t| > 3) for t(3) ≈ 5.8 %, vs 0.27 %.
-        let tail = samples.iter().filter(|x| x.abs() > 3.0).count() as f64 / n as f64;
-        assert!(tail > 0.02, "tail = {tail}");
-    }
-
-    #[test]
-    fn rademacher_is_balanced() {
-        let mut r = rng();
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| rademacher(&mut r)).sum();
-        assert!(sum.abs() < 1_500.0, "sum = {sum}");
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl TimeSeriesMatrix {
         &self.data
     }
 
-    /// Consume into the flat row-major buffer.
-    pub fn into_flat(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Restrict to the column range `[start, end)` — the paper's query range
     /// `r = (s, e)` applied up front. Copies the selected region.
     pub fn slice_columns(&self, start: usize, end: usize) -> Result<Self, TsError> {
@@ -178,24 +173,6 @@ impl TimeSeriesMatrix {
         Self::from_flat(self.n, width, data)
     }
 
-    /// Restrict to a subset of series (rows), in the given order.
-    pub fn select_rows(&self, indices: &[usize]) -> Result<Self, TsError> {
-        if indices.is_empty() {
-            return Err(TsError::Empty);
-        }
-        let mut data = Vec::with_capacity(indices.len() * self.len);
-        for &i in indices {
-            if i >= self.n {
-                return Err(TsError::OutOfRange {
-                    requested: i,
-                    available: self.n,
-                });
-            }
-            data.extend_from_slice(self.row(i));
-        }
-        Self::from_flat(indices.len(), self.len, data)
-    }
-
     /// Append new columns (later timestamps) from a matrix with the same
     /// series count — the streaming-arrival primitive. O(N·(L + Δ)).
     pub fn append_columns(&mut self, cols: &TimeSeriesMatrix) -> Result<(), TsError> {
@@ -214,19 +191,6 @@ impl TimeSeriesMatrix {
         }
         self.data = data;
         self.len = new_len;
-        Ok(())
-    }
-
-    /// Append one series. Its length must match.
-    pub fn push_row(&mut self, row: &[f64]) -> Result<(), TsError> {
-        if row.len() != self.len {
-            return Err(TsError::DimensionMismatch {
-                expected: self.len,
-                found: row.len(),
-            });
-        }
-        self.data.extend_from_slice(row);
-        self.n += 1;
         Ok(())
     }
 }
@@ -281,7 +245,7 @@ mod tests {
         let m = TimeSeriesMatrix::from_flat(2, 3, vec![1., 2., 3., 4., 5., 6.]).unwrap();
         assert_eq!(m.row(0), &[1., 2., 3.]);
         assert_eq!(m.row(1), &[4., 5., 6.]);
-        assert_eq!(m.into_flat(), vec![1., 2., 3., 4., 5., 6.]);
+        assert_eq!(m.as_slice(), &[1., 2., 3., 4., 5., 6.]);
     }
 
     #[test]
@@ -325,16 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_reorders() {
-        let m = sample();
-        let s = m.select_rows(&[2, 0]).unwrap();
-        assert_eq!(s.row(0), &[9.0, 10.0, 11.0, 12.0]);
-        assert_eq!(s.row(1), &[1.0, 2.0, 3.0, 4.0]);
-        assert!(m.select_rows(&[7]).is_err());
-        assert!(m.select_rows(&[]).is_err());
-    }
-
-    #[test]
     fn append_columns_extends_time() {
         let mut m = sample();
         let more = TimeSeriesMatrix::from_rows(vec![
@@ -350,14 +304,6 @@ mod tests {
         // Wrong series count is rejected.
         let bad = TimeSeriesMatrix::from_rows(vec![vec![1.0]]).unwrap();
         assert!(m.append_columns(&bad).is_err());
-    }
-
-    #[test]
-    fn push_row_extends() {
-        let mut m = sample();
-        m.push_row(&[0.0, 0.0, 0.0, 0.0]).unwrap();
-        assert_eq!(m.n_series(), 4);
-        assert!(m.push_row(&[1.0]).is_err());
     }
 
     #[test]

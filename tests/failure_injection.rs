@@ -8,7 +8,7 @@ use baselines::statstream::StatStream;
 use baselines::tsubasa::Tsubasa;
 use baselines::SlidingEngine;
 use dangoron::{Dangoron, DangoronConfig};
-use sketch::SlidingQuery;
+use sketch::{SlidingQuery, ThresholdedMatrix};
 use tsdata::sync::repair_non_finite;
 use tsdata::{generators, TimeSeriesMatrix};
 
@@ -229,16 +229,10 @@ fn dropped_subscriber_never_poisons_the_session_or_stalls_other_tenants() {
             },
         )
         .unwrap();
-    let n_fresh: usize = fresh.matrices.iter().map(|m| m.n_edges()).sum();
-    assert_eq!(reply.edges.len(), n_fresh);
-    for ((w, e), (fw, fe)) in reply.edges.iter().zip(
-        fresh
-            .matrices
-            .iter()
-            .enumerate()
-            .flat_map(|(w, m)| m.edges().iter().map(move |e| (w as u32, e))),
-    ) {
-        assert_eq!((*w, e.i, e.j), (fw, fe.i, fe.j));
+    let fresh_edges = ThresholdedMatrix::flatten_windows(&fresh.matrices);
+    assert_eq!(reply.edges.len(), fresh_edges.len());
+    for ((w, e), (fw, fe)) in reply.edges.iter().zip(&fresh_edges) {
+        assert_eq!((*w, e.i, e.j), (*fw, fe.i, fe.j));
         assert_eq!(e.value.to_bits(), fe.value.to_bits());
     }
 }

@@ -16,7 +16,7 @@ use dangoron::config::{HorizontalConfig, PivotStrategy};
 use dangoron::{BoundMode, Dangoron, DangoronConfig};
 use dist::chaos::Rng;
 use serve::{Registry, ServeClient};
-use sketch::SlidingQuery;
+use sketch::{SlidingQuery, ThresholdedMatrix};
 use std::sync::Arc;
 use std::time::Duration;
 use tsdata::{generators, TimeSeriesMatrix};
@@ -75,10 +75,7 @@ fn verify_against_fresh(
             },
         )
         .expect("fresh one-shot run");
-    let mut fresh_edges = Vec::new();
-    for (w, m) in fresh.matrices.iter().enumerate() {
-        fresh_edges.extend(m.edges().iter().map(|e| (w as u32, *e)));
-    }
+    let fresh_edges = ThresholdedMatrix::flatten_windows(&fresh.matrices);
     assert_eq!(
         wire_edges.len(),
         fresh_edges.len(),
