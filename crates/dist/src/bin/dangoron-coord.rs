@@ -1,9 +1,10 @@
 //! The shard coordinator CLI: plans the pair space, drives
-//! `dangoron-shard` workers over the climate workload — spawned over
-//! stdio pipes by default, or accepted over TCP with `--listen` — merges
-//! their sorted edge buffers, and (optionally) verifies the merged result
-//! bitwise against the single-process engine — the CI `shard-smoke` and
-//! `tcp-smoke` entry point.
+//! `dangoron-shard` workers over the climate workload — by default it
+//! spawns them and they dial back over loopback TCP; with `--listen` it
+//! waits for workers started independently — merges their sorted edge
+//! buffers, and (optionally) verifies the merged result bitwise against
+//! the single-process engine — the CI `shard-smoke` and `tcp-smoke`
+//! entry point.
 //!
 //! ```text
 //! dangoron-coord [--shards K] [--workers W] [--worker-threads T]
@@ -18,8 +19,8 @@
 //!                [--export-json PATH] [--export-csv PATH] [--export-dot PATH]
 //! ```
 //!
-//! `--listen ADDR` switches to the TCP transport: instead of spawning
-//! children, the coordinator waits (up to `--accept-timeout-s`, default
+//! `--listen ADDR` switches to independently started workers: instead
+//! of spawning children, the coordinator waits (up to `--accept-timeout-s`, default
 //! 30) for `--workers` processes started independently with
 //! `dangoron-shard --connect ADDR` — and keeps the door open after that:
 //! workers may join mid-run, and dropped workers re-dialing with
@@ -216,7 +217,7 @@ fn main() {
                     eprintln!(
                         "dangoron-coord: cannot find the dangoron-shard binary; \
                          build it (cargo build -p dist), pass --worker-bin, or \
-                         use --listen for the TCP transport"
+                         use --listen for independently started workers"
                     );
                     std::process::exit(2);
                 }

@@ -1,11 +1,10 @@
-//! The shard worker process: serves `Load`/`Assign` frames with the
-//! sharded engines, writing `Result`/`Error` frames back, until the
-//! coordinator closes the link. See `dist::proto` for the wire format.
+//! The shard worker process: dials a listening `dangoron-coord`, serves
+//! `Load`/`Assign` frames with the sharded engines, writing
+//! `Result`/`Error` frames back, until the coordinator closes the link.
+//! See `dist::proto` for the wire format.
 //!
 //! ```text
-//! dangoron-shard                          # spawned mode: frames over stdio
-//! dangoron-shard --connect ADDR           # TCP mode: dial a listening
-//!                                         # dangoron-coord
+//! dangoron-shard --connect ADDR           # the coordinator's listener
 //!            [--connect-timeout-s S]      # dial patience per attempt
 //!                                         # (jittered backoff, default 30)
 //!            [--reconnect N]              # after a dropped link, re-dial
@@ -13,8 +12,9 @@
 //!                                         # run as a new member
 //! ```
 //!
-//! In both modes the worker's first frame is the `Hello` handshake
-//! (the protocol version). With `--reconnect`, a worker
+//! A coordinator in spawn mode starts its children exactly this way.
+//! The worker's first frame is the `Hello` handshake (the protocol
+//! version). With `--reconnect`, a worker
 //! whose link dies mid-run (coordinator restart, network fault, injected
 //! chaos) dials again with the same jittered backoff and — because the
 //! coordinator's membership is elastic — is re-admitted as a *new*
@@ -68,22 +68,11 @@ fn main() {
         }
         k += 2;
     }
-    if connect.is_none() && (reconnect > 0 || connect_timeout_s != 30) {
-        eprintln!("dangoron-shard: --reconnect/--connect-timeout-s require --connect");
+    let Some(addr) = connect else {
+        eprintln!("dangoron-shard: --connect ADDR is required");
         std::process::exit(2);
-    }
-
-    let result = match connect {
-        Some(addr) => serve_tcp(&addr, Duration::from_secs(connect_timeout_s), reconnect),
-        None => {
-            let stdin = io::stdin();
-            let input = stdin.lock();
-            // Not the lock: the serve loop writes from two threads
-            // through its own mutex, and `StdoutLock` is not `Send`.
-            dist::worker::serve(input, io::stdout())
-        }
     };
-    if let Err(e) = result {
+    if let Err(e) = serve_tcp(&addr, Duration::from_secs(connect_timeout_s), reconnect) {
         eprintln!("dangoron-shard: {e}");
         std::process::exit(1);
     }

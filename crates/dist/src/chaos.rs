@@ -88,13 +88,6 @@ pub struct LinkFaults {
     pub truncate_frame: Option<u32>,
 }
 
-impl LinkFaults {
-    /// True when this link has no faults scheduled.
-    pub fn is_clean(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// A deterministic, per-link fault schedule for a whole run.
 #[derive(Debug, Clone)]
 pub enum FaultPlan {
@@ -211,24 +204,12 @@ impl Transport for ChaosTransport {
         self.inner.take_reader()
     }
 
-    fn handshake_complete(&mut self) {
-        self.inner.handshake_complete();
-    }
-
     fn close_send(&mut self) {
         self.inner.close_send();
     }
 
     fn kill(&mut self) {
         self.inner.kill();
-    }
-
-    fn reap(&mut self) {
-        self.inner.reap();
-    }
-
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
     }
 }
 
@@ -259,7 +240,7 @@ mod tests {
         );
         // A seeded storm actually schedules faults.
         assert!(
-            (0..16).any(|l| !plan.for_link(l).is_clean()),
+            (0..16).any(|l| plan.for_link(l) != LinkFaults::default()),
             "seed 42 scheduled no faults at all"
         );
     }
@@ -271,8 +252,8 @@ mod tests {
             ..Default::default()
         }]);
         assert_eq!(plan.for_link(0).kill_after_frames, Some(3));
-        assert!(plan.for_link(1).is_clean());
-        assert!(plan.for_link(99).is_clean());
+        assert_eq!(plan.for_link(1), LinkFaults::default());
+        assert_eq!(plan.for_link(99), LinkFaults::default());
     }
 
     /// A mock transport recording framed/raw writes and kills.
@@ -300,10 +281,6 @@ mod tests {
         fn close_send(&mut self) {}
         fn kill(&mut self) {
             self.0.lock().unwrap().killed = true;
-        }
-        fn reap(&mut self) {}
-        fn kind(&self) -> &'static str {
-            "mock"
         }
     }
 

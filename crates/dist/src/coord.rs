@@ -1,12 +1,15 @@
-//! The shard coordinator: worker registration over a pluggable
-//! transport, elastic membership, liveness, work-stealing, fault
-//! handling and result collection.
+//! The shard coordinator: worker admission over TCP, elastic
+//! membership, liveness, work-stealing, fault handling and result
+//! collection.
 //!
 //! The coordinator owns the shard plan and a pool of `dangoron-shard`
-//! workers reached through a [`Transport`] — either children it spawned
-//! over stdio pipes ([`TransportMode::Spawn`]) or independently started
-//! processes that connected to its TCP listener
-//! ([`TransportMode::Tcp`]). Registration is the same on every link: the
+//! workers, each reached over one TCP link ([`TcpTransport`]). The two
+//! [`TransportMode`]s differ only in where the workers come from:
+//! [`TransportMode::Spawn`] binds `127.0.0.1:0` and starts its own
+//! children as `dangoron-shard --connect ADDR`, while
+//! [`TransportMode::Tcp`] binds the configured address and waits for
+//! workers started independently. Either way one acceptor thread takes
+//! every connection and one function, `admit`, readies it: the
 //! worker's first frame must be a [`proto::Hello`] at this build's
 //! [`proto::PROTOCOL_VERSION`] ([`proto::check_hello`]), and the
 //! coordinator answers with one [`Message::Load`] frame holding the
@@ -14,15 +17,18 @@
 //! interval, config and query — so queued and re-planned shards reuse
 //! the already-loaded matrix instead of re-shipping it.
 //!
-//! ## The elastic membership model (TCP mode)
+//! ## Membership
 //!
-//! The accept window never really closes: after the initial quorum the
-//! listener moves to an acceptor thread, and any worker that completes
-//! the handshake **mid-run** is admitted as a new member — shipped the
-//! retained `Load` frame and dealt work off the pending queue (or, if
-//! nothing is pending, via a steal; see below). A dropped worker that
-//! re-dials (`dangoron-shard --reconnect`) is deliberately *not*
-//! special-cased: it is simply a new member on a new link. Its old
+//! Dispatch waits for the initial quorum: `n_workers` registered, or the
+//! window closed (`accept_timeout` over TCP, `handshake_timeout` for
+//! spawned children) with at least one. A spawn-mode membership is then
+//! fixed: the acceptor stops and the `Load` frame is freed. A TCP
+//! membership is **elastic**: the acceptor keeps running, and any worker
+//! that completes the handshake mid-run is admitted as a new member —
+//! shipped the retained `Load` frame and dealt work off the pending
+//! queue (or, if nothing is pending, via a steal; see below). A dropped
+//! worker that re-dials (`dangoron-shard --reconnect`) is deliberately
+//! *not* special-cased: it is simply a new member on a new link. Its old
 //! identity's in-flight interval was already re-planned when the old
 //! link died, and any of the old link's frames still in flight are
 //! discarded by their stale assignment id — ids are unique per run, so
@@ -69,7 +75,8 @@
 //! assignment id and discarded — never merged twice. Killing a worker
 //! severs both link directions ([`Transport::kill`]), which unblocks and
 //! joins its reader thread; no thread or child process outlives
-//! [`run`], including on error paths (worker handles kill on drop).
+//! [`run`], including on error paths (worker handles sever their links,
+//! and spawned children are killed, on drop).
 //!
 //! Because shards are pure functions of their rank interval, re-planning
 //! never changes the answer: any disjoint cover of the triangle merges to
@@ -84,7 +91,7 @@ use crate::merge::{merge_shard_edges, ShardEdges};
 use crate::metrics::CoordMetrics;
 use crate::plan::{split_range, ShardPlan};
 use crate::proto::{self, Assignment, Message, WorkerMode};
-use crate::transport::{ChildTransport, TcpTransport, Transport};
+use crate::transport::{TcpTransport, Transport};
 use crate::worker;
 use bytes::frame;
 use dangoron::{DangoronConfig, PruningStats};
@@ -92,10 +99,10 @@ use sketch::{triangular, SlidingQuery, ThresholdedMatrix};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -113,8 +120,7 @@ pub enum CoordError {
         /// The OS error text.
         reason: String,
     },
-    /// No worker ever registered (accept window closed empty, or every
-    /// link failed during registration).
+    /// No worker registered before the admission window closed.
     NoWorkers {
         /// What went wrong.
         reason: String,
@@ -176,7 +182,8 @@ impl From<String> for CoordError {
 /// Where the coordinator's workers come from.
 #[derive(Debug, Clone)]
 pub enum TransportMode {
-    /// Spawn `dangoron-shard` children and speak over stdio pipes.
+    /// Bind `127.0.0.1:0` and spawn `dangoron-shard --connect ADDR`
+    /// children. The membership is fixed once they are admitted.
     Spawn {
         /// Path to the `dangoron-shard` worker binary.
         worker_bin: PathBuf,
@@ -188,8 +195,8 @@ pub enum TransportMode {
         /// Address to bind (e.g. `127.0.0.1:7441`, or port `0` for an
         /// OS-assigned port — then use [`run_with_listener`] to learn it).
         listen: String,
-        /// How long to wait for `n_workers` links before starting with
-        /// however many arrived (at least one). Also the grace window a
+        /// How long to wait for `n_workers` workers before starting with
+        /// however many registered (at least one). Also the grace window a
         /// run that lost *every* worker waits for a replacement to join
         /// before giving up.
         accept_timeout: Duration,
@@ -212,11 +219,11 @@ pub struct CoordinatorConfig {
     /// How long an outstanding assignment may go **without progress**
     /// before its worker is declared hung and killed.
     pub timeout: Duration,
-    /// Deadline for a new link's `Hello` frame — spawned children and
-    /// TCP peers (initial and late-joining) alike.
+    /// Deadline for a new link's `Hello` frame, on every link. In spawn
+    /// mode it is also the window the children have to register in.
     pub handshake_timeout: Duration,
-    /// Crash injection (spawn mode only): this worker index aborts on its
-    /// first assignment (sets [`worker::FAIL_ENV`] in the child's
+    /// Crash injection (spawn mode only): this child, in spawn order,
+    /// aborts on its first assignment (sets [`worker::FAIL_ENV`] in its
     /// environment) — the replan path's deterministic test hook. TCP
     /// workers are separate processes, so there the operator sets the
     /// environment variable on the worker itself.
@@ -301,7 +308,7 @@ pub struct CoordStats {
     pub replans: usize,
     /// Workers lost over the run.
     pub worker_failures: usize,
-    /// Workers admitted **after** the run started (elastic TCP mode) —
+    /// Workers admitted **after** the initial quorum (elastic TCP mode) —
     /// fresh members and reconnecting ones alike.
     pub late_joins: usize,
     /// `Steal` requests sent to stragglers.
@@ -315,7 +322,8 @@ pub struct CoordStats {
     pub pongs: usize,
     /// `Progress` frames received.
     pub progress_frames: usize,
-    /// Transport the run used (`"pipe"`, `"tcp"`, `"in-process"`).
+    /// How the run reached its workers: `"tcp"` for [`run`] in either
+    /// mode, `"in-process"` for [`run_in_process`].
     pub transport: String,
     /// Assignment frames sent (replans included).
     pub assignments: usize,
@@ -349,9 +357,8 @@ pub struct DistResult {
 enum Event {
     Msg(usize, Message),
     Closed(usize, String),
-    /// A peer completed the handshake on the mid-run acceptor (elastic
-    /// TCP mode only).
-    Joined(Box<dyn Transport>, Box<dyn Read + Send>),
+    /// A peer completed the handshake on the acceptor.
+    Joined(TcpTransport, Box<dyn Read + Send>),
 }
 
 struct WorkerHandle {
@@ -378,15 +385,13 @@ impl WorkerHandle {
         }
     }
 
-    /// Graceful end-of-run: EOF the send half, reap the peer, join the
-    /// reader.
+    /// Graceful end-of-run: EOF the send half, join the reader.
     fn shutdown(&mut self) {
         if !self.alive {
             self.abandon();
             return;
         }
         self.transport.close_send();
-        self.transport.reap();
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
@@ -487,34 +492,15 @@ pub fn run(
     data: &TimeSeriesMatrix,
     query: SlidingQuery,
 ) -> Result<DistResult, CoordError> {
-    match &cfg.transport {
-        TransportMode::Spawn { .. } => run_inner(cfg, None, engine_cfg, data, query),
-        TransportMode::Tcp { listen, .. } => {
-            let listener = TcpListener::bind(listen).map_err(|e| CoordError::Bind {
-                addr: listen.clone(),
-                reason: e.to_string(),
-            })?;
-            run_inner(cfg, Some(listener), engine_cfg, data, query)
-        }
-    }
-}
-
-/// [`run`] with a pre-bound listener — the caller learns the actual
-/// address (port `0` binds) from [`TcpListener::local_addr`] before any
-/// worker needs it. `cfg.transport` must be [`TransportMode::Tcp`].
-pub fn run_with_listener(
-    cfg: &CoordinatorConfig,
-    listener: TcpListener,
-    engine_cfg: &DangoronConfig,
-    data: &TimeSeriesMatrix,
-    query: SlidingQuery,
-) -> Result<DistResult, CoordError> {
-    if !matches!(cfg.transport, TransportMode::Tcp { .. }) {
-        return Err(CoordError::Internal(
-            "run_with_listener requires TransportMode::Tcp".into(),
-        ));
-    }
-    run_inner(cfg, Some(listener), engine_cfg, data, query)
+    let addr = match &cfg.transport {
+        TransportMode::Spawn { .. } => "127.0.0.1:0",
+        TransportMode::Tcp { listen, .. } => listen,
+    };
+    let listener = TcpListener::bind(addr).map_err(|e| CoordError::Bind {
+        addr: addr.to_string(),
+        reason: e.to_string(),
+    })?;
+    run_with_listener(cfg, listener, engine_cfg, data, query)
 }
 
 /// Wraps a validated link for duty: lifts the pre-trust limits, applies
@@ -524,7 +510,7 @@ pub fn run_with_listener(
 /// must not cost the run while other links exist.
 #[allow(clippy::too_many_arguments)]
 fn register_worker(
-    mut transport: Box<dyn Transport>,
+    mut transport: TcpTransport,
     mut reader: Box<dyn Read + Send>,
     load_payload: &[u8],
     chaos: Option<&FaultPlan>,
@@ -536,9 +522,12 @@ fn register_worker(
     transport.handshake_complete();
     let link = *link_seq;
     *link_seq += 1;
-    let mut transport = match chaos {
-        Some(plan) => Box::new(ChaosTransport::new(transport, plan.for_link(link))),
-        None => transport,
+    let mut transport: Box<dyn Transport> = match chaos {
+        Some(plan) => Box::new(ChaosTransport::new(
+            Box::new(transport),
+            plan.for_link(link),
+        )),
+        None => Box::new(transport),
     };
     if let Err(e) = transport.send(load_payload) {
         eprintln!("dist: dropping a worker at registration (cannot ship the Load frame: {e})");
@@ -558,26 +547,165 @@ fn register_worker(
     true
 }
 
-/// Stops and joins the mid-run acceptor thread when dropped, on success
-/// and error paths alike — the thread holds the listener and a channel
-/// sender, and must not outlive the run.
-struct AcceptorGuard {
+/// The one door every worker link comes through: a thread blocked in
+/// `accept()` hands each stream to [`admit`]. Dropping the guard stops
+/// and joins the thread, on success and error paths alike — it holds the
+/// listener and a channel sender, and must not outlive the run.
+struct Acceptor {
     stop: Arc<AtomicBool>,
+    /// The listener's address, with a wildcard IP replaced by loopback:
+    /// what spawned children dial, and what the stop signal connects to.
+    addr: SocketAddr,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Drop for AcceptorGuard {
+impl Acceptor {
+    fn start(
+        listener: TcpListener,
+        tx: mpsc::Sender<Event>,
+        handshake_timeout: Duration,
+        io_timeout: Duration,
+    ) -> std::io::Result<Self> {
+        let mut addr = listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match stream {
+                        Ok(stream) => admit(stream, &tx, handshake_timeout, io_timeout),
+                        Err(e) => {
+                            eprintln!("dist: TCP accept failed: {e}");
+                            break;
+                        }
+                    }
+                }
+            })
+        };
+        Ok(Self {
+            stop,
+            addr,
+            handle: Some(handle),
+        })
+    }
+}
+
+impl Drop for Acceptor {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
+            // One connect wakes the blocked accept(). It fails only when
+            // the listener is gone, i.e. the thread has already exited.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
     }
 }
 
-fn run_inner(
+/// Readies one accepted stream. The peer is not yet trusted, so its
+/// first-frame read is bounded by the handshake timeout as a socket read
+/// timeout (lifted at registration) and by [`proto::MAX_HELLO_FRAME`] —
+/// and the handshake runs on its **own thread**, so a peer that connects
+/// and then says nothing (a load-balancer probe holding the socket open)
+/// cannot stall the peers queued behind it. A peer that fails the
+/// handshake — a port scanner, a health check, a version-mismatched
+/// worker — is dropped without costing a worker slot or the run; one
+/// that passes arrives as an [`Event::Joined`].
+fn admit(
+    stream: TcpStream,
+    tx: &mpsc::Sender<Event>,
+    handshake_timeout: Duration,
+    io_timeout: Duration,
+) {
+    let peer = stream
+        .peer_addr()
+        .map_or_else(|_| "a peer".to_string(), |a| a.to_string());
+    let _ = stream.set_read_timeout(Some(handshake_timeout));
+    let _ = stream.set_write_timeout(Some(io_timeout.max(Duration::from_secs(1))));
+    let mut transport = match TcpTransport::new(stream) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("dist: dropping {peer}: {e}");
+            return;
+        }
+    };
+    let Some(mut reader) = transport.take_reader() else {
+        return;
+    };
+    let tx = tx.clone();
+    std::thread::spawn(move || match handshake(&mut *reader) {
+        Ok(()) => {
+            // A send failure means the run already ended; the transport
+            // drops (and closes the link) on its way out.
+            let _ = tx.send(Event::Joined(transport, reader));
+        }
+        Err(e) => eprintln!("dist: rejecting {peer}: {e}"),
+    });
+}
+
+/// The spawn-mode children. They dial the coordinator like any TCP
+/// worker; this guard only owns the processes. [`Children::wait`] reaps
+/// them once their links are closed; on an error path the drop kills,
+/// then reaps them.
+struct Children(Vec<Child>);
+
+impl Children {
+    /// Spawns `n` workers dialing `addr` (none unless `cfg` is spawn
+    /// mode).
+    fn spawn(cfg: &CoordinatorConfig, n: usize, addr: SocketAddr) -> Result<Self, CoordError> {
+        let mut children = Self(Vec::new());
+        let TransportMode::Spawn { worker_bin } = &cfg.transport else {
+            return Ok(children);
+        };
+        for w in 0..n {
+            let mut cmd = Command::new(worker_bin);
+            cmd.arg("--connect")
+                .arg(addr.to_string())
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit());
+            if cfg.kill_worker == Some(w) {
+                cmd.env(worker::FAIL_ENV, "1");
+            }
+            let child = cmd
+                .spawn()
+                .map_err(|e| CoordError::Internal(format!("cannot spawn {worker_bin:?}: {e}")))?;
+            children.0.push(child);
+        }
+        Ok(children)
+    }
+
+    fn wait(mut self) {
+        for mut c in self.0.drain(..) {
+            let _ = c.wait();
+        }
+    }
+}
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for c in &mut self.0 {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
+}
+
+/// [`run`] with a pre-bound listener — the caller learns the actual
+/// address (port `0` binds) from [`TcpListener::local_addr`] before any
+/// worker needs it. In spawn mode the children dial this listener.
+pub fn run_with_listener(
     cfg: &CoordinatorConfig,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     engine_cfg: &DangoronConfig,
     data: &TimeSeriesMatrix,
     query: SlidingQuery,
@@ -590,10 +718,11 @@ fn run_inner(
         ));
     }
     let n_workers = cfg.n_workers.clamp(1, plan.shards().len());
-    let elastic = matches!(cfg.transport, TransportMode::Tcp { .. });
-    let rejoin_window = match &cfg.transport {
-        TransportMode::Tcp { accept_timeout, .. } => *accept_timeout,
-        TransportMode::Spawn { .. } => Duration::ZERO,
+    // The admission window; in elastic mode also the grace window a run
+    // that lost every worker waits for a replacement.
+    let (elastic, window) = match &cfg.transport {
+        TransportMode::Tcp { accept_timeout, .. } => (true, *accept_timeout),
+        TransportMode::Spawn { .. } => (false, cfg.handshake_timeout),
     };
 
     // The Load frame is identical for every worker: encode it once,
@@ -606,63 +735,17 @@ fn run_inner(
             proto::MAX_FRAME
         )));
     }
+    // Kept while the membership is open; a fixed one frees it (it is
+    // matrix-sized) once the quorum is in.
+    let mut load_payload = Some(load_payload);
 
     let (tx, rx) = mpsc::channel::<Event>();
-    // Both connect paths hand back links whose handshake already
-    // validated — a spawn-mode failure is fatal (our own child is
-    // broken), a TCP peer that fails it is dropped without costing the
-    // run or an accept slot.
-    let (links, acceptor) = match (&cfg.transport, listener) {
-        (TransportMode::Spawn { worker_bin }, _) => {
-            let mut links = Vec::with_capacity(n_workers);
-            for w in 0..n_workers {
-                links.push(spawn_worker(
-                    worker_bin,
-                    cfg.kill_worker == Some(w),
-                    cfg.handshake_timeout,
-                )?);
-            }
-            (links, None)
-        }
-        (TransportMode::Tcp { accept_timeout, .. }, Some(listener)) => {
-            let links = accept_tcp_workers(
-                &listener,
-                n_workers,
-                *accept_timeout,
-                cfg.handshake_timeout,
-                cfg.timeout,
-            )?;
-            // The membership stays open: the listener moves to an
-            // acceptor thread and mid-run joiners arrive as events.
-            let stop = Arc::new(AtomicBool::new(false));
-            let handle = {
-                let stop = stop.clone();
-                let tx = tx.clone();
-                let handshake_timeout = cfg.handshake_timeout;
-                let io_timeout = cfg.timeout;
-                std::thread::spawn(move || {
-                    accept_loop(listener, stop, tx, handshake_timeout, io_timeout)
-                })
-            };
-            (
-                links,
-                Some(AcceptorGuard {
-                    stop,
-                    handle: Some(handle),
-                }),
-            )
-        }
-        (TransportMode::Tcp { .. }, None) => {
-            return Err(CoordError::Internal(
-                "TCP mode reached run_inner without a bound listener".into(),
-            ))
-        }
-    };
-    let transport_kind = links
-        .first()
-        .map(|(t, _)| t.kind())
-        .unwrap_or("none")
-        .to_string();
+    let acceptor = Acceptor::start(listener, tx.clone(), cfg.handshake_timeout, cfg.timeout)
+        .map_err(|e| CoordError::Internal(format!("cannot read the listener address: {e}")))?;
+    let children = Children::spawn(cfg, n_workers, acceptor.addr)?;
+    let mut acceptor = Some(acceptor);
+    // Set until the initial quorum is in; dispatch waits for it.
+    let mut quorum_by = Some(Instant::now() + window);
 
     // Every counter the run keeps lives in the obs registry; the
     // end-of-run CoordStats is a snapshot of it, so a live scrape and
@@ -674,37 +757,8 @@ fn run_inner(
     let metrics = CoordMetrics::new(&registry);
     metrics.shards_planned.set(plan.shards().len() as i64);
 
-    // Registration: ship the matrix once per worker, then hand the read
-    // half to a dedicated reader thread.
-    let mut workers: Vec<WorkerHandle> = Vec::with_capacity(links.len());
+    let mut workers: Vec<WorkerHandle> = Vec::with_capacity(n_workers);
     let mut link_seq = 0usize;
-    for (transport, reader) in links {
-        register_worker(
-            transport,
-            reader,
-            &load_payload,
-            cfg.chaos.as_ref(),
-            &mut link_seq,
-            &mut workers,
-            &metrics,
-            &tx,
-        );
-    }
-    if workers.is_empty() {
-        return Err(CoordError::NoWorkers {
-            reason: "every worker failed during registration".into(),
-        });
-    }
-    metrics.workers.set(workers.len() as i64);
-    // The encoded Load frame is matrix-sized. A fixed membership never
-    // needs it again — free it before the assignment/merge phase. An
-    // elastic one keeps it for late joiners.
-    let load_payload = if elastic {
-        Some(load_payload)
-    } else {
-        drop(load_payload);
-        None
-    };
 
     let mut pending: VecDeque<PendingShard> = plan
         .shards()
@@ -752,13 +806,43 @@ fn run_inner(
     };
 
     loop {
+        // The initial quorum is in once `n_workers` have registered or
+        // the window has closed.
+        if let Some(by) = quorum_by {
+            if workers.len() >= n_workers || Instant::now() >= by {
+                quorum_by = None;
+                if workers.is_empty() {
+                    let hint = if elastic {
+                        " — start workers with `dangoron-shard --connect ADDR`"
+                    } else {
+                        ""
+                    };
+                    return Err(CoordError::NoWorkers {
+                        reason: format!("no worker registered within {window:?}{hint}"),
+                    });
+                }
+                if workers.len() < n_workers {
+                    eprintln!(
+                        "dist: admission window closed with {}/{n_workers} workers; proceeding",
+                        workers.len()
+                    );
+                }
+                metrics.workers.set(workers.len() as i64);
+                if !elastic {
+                    // A fixed membership: stop admitting and free the
+                    // Load frame before the assignment/merge phase.
+                    acceptor = None;
+                    load_payload = None;
+                }
+            }
+        }
         // Refresh the live-membership gauge once per supervision round —
         // a relaxed store, purely for scrapers.
         metrics.workers_live.set(live(&workers) as i64);
 
-        // Dispatch to every idle live worker.
+        // Dispatch to every idle live worker, once the quorum is in.
         for w in 0..workers.len() {
-            if pending.is_empty() {
+            if quorum_by.is_some() || pending.is_empty() {
                 break;
             }
             if !workers[w].alive || busy.contains_key(&w) {
@@ -853,7 +937,7 @@ fn run_inner(
             break;
         }
         let now = Instant::now();
-        if live(&workers) == 0 && busy.is_empty() {
+        if quorum_by.is_none() && live(&workers) == 0 && busy.is_empty() {
             let no_survivors = || CoordError::NoSurvivors {
                 pending: pending.len(),
                 in_flight: 0,
@@ -865,7 +949,7 @@ fn run_inner(
             // Elastic runs ride out the re-join window: a worker with
             // --reconnect (or a fresh one) may still appear.
             let since = *lost_all_at.get_or_insert(now);
-            if now.duration_since(since) >= rejoin_window {
+            if now.duration_since(since) >= window {
                 return Err(no_survivors());
             }
         } else {
@@ -934,24 +1018,26 @@ fn run_inner(
         }
 
         // Wait for the next event or the earliest deadline (ping
-        // cadence, progress deadlines, the lost-everyone grace window).
+        // cadence, progress deadlines, the quorum window, the
+        // lost-everyone grace window).
         let mut deadline = next_ping;
         for o in busy.values() {
             deadline = deadline.min(o.progress_at + cfg.timeout);
         }
+        if let Some(by) = quorum_by {
+            deadline = deadline.min(by);
+        }
         if let Some(since) = lost_all_at {
-            deadline = deadline.min(since + rejoin_window);
+            deadline = deadline.min(since + window);
         }
         let wait = deadline.saturating_duration_since(Instant::now());
         match rx.recv_timeout(wait) {
-            Ok(Event::Joined(transport, reader)) => {
-                // Only elastic runs keep the Load frame (and only they
-                // spawn an acceptor); a Joined event without it would be
-                // a membership-state bug, not a peer failure.
+            Ok(Event::Joined(mut transport, reader)) => {
                 let Some(load) = load_payload.as_deref() else {
-                    return Err(CoordError::Internal(
-                        "late-join event on a fixed membership (Load frame already freed)".into(),
-                    ));
+                    // The membership is closed: a handshake that
+                    // finished after the quorum is turned away.
+                    transport.kill();
+                    continue;
                 };
                 if register_worker(
                     transport,
@@ -962,7 +1048,8 @@ fn run_inner(
                     &mut workers,
                     &metrics,
                     &tx,
-                ) {
+                ) && quorum_by.is_none()
+                {
                     metrics.late_joins.inc();
                     eprintln!(
                         "dist: admitted late-joining worker {} ({} alive)",
@@ -1133,6 +1220,7 @@ fn run_inner(
     for h in &mut workers {
         h.shutdown();
     }
+    children.wait();
 
     let matrices = merge_shard_edges(
         data.n_series(),
@@ -1145,7 +1233,7 @@ fn run_inner(
         matrices,
         stats,
         shards: summaries,
-        coord: metrics.snapshot(transport_kind, t_start.elapsed().as_secs_f64()),
+        coord: metrics.snapshot("tcp".to_string(), t_start.elapsed().as_secs_f64()),
     })
 }
 
@@ -1182,213 +1270,6 @@ fn reader_loop(idx: usize, mut reader: &mut (dyn Read + Send), tx: &mpsc::Sender
                 let _ = tx.send(Event::Closed(idx, e.to_string()));
                 break;
             }
-        }
-    }
-}
-
-type Link = (Box<dyn Transport>, Box<dyn Read + Send>);
-
-/// Runs the blocking [`handshake`] read on a helper thread with a
-/// deadline — anonymous pipes have no read timeouts, so without this a
-/// spawned worker that never writes its `Hello` (a hung binary, or one
-/// speaking protocol v1, which waits for an `Assign` first) would
-/// deadlock the coordinator. On success the read half is handed back; on
-/// timeout the helper thread stays parked in `read()` until the caller
-/// kills the transport, which severs the pipe and lets it exit.
-fn handshake_with_deadline(
-    mut reader: Box<dyn Read + Send>,
-    deadline: Duration,
-) -> Result<Box<dyn Read + Send>, String> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let res = handshake(&mut *reader);
-        let _ = tx.send((reader, res));
-    });
-    match rx.recv_timeout(deadline) {
-        Ok((reader, Ok(()))) => Ok(reader),
-        Ok((_, Err(e))) => Err(e),
-        Err(_) => Err(format!("no handshake within {deadline:?}")),
-    }
-}
-
-/// Spawns one worker child over stdio pipes and validates its handshake.
-/// A failure here is fatal to the run — the configured worker binary
-/// itself is broken or incompatible.
-fn spawn_worker(
-    worker_bin: &std::path::Path,
-    inject_fail: bool,
-    handshake_timeout: Duration,
-) -> Result<Link, CoordError> {
-    let mut cmd = Command::new(worker_bin);
-    cmd.stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    if inject_fail {
-        cmd.env(worker::FAIL_ENV, "1");
-    }
-    let child = cmd
-        .spawn()
-        .map_err(|e| CoordError::Internal(format!("cannot spawn {worker_bin:?}: {e}")))?;
-    let mut transport = ChildTransport::new(child);
-    let reader = transport
-        .take_reader()
-        .ok_or_else(|| CoordError::Internal("spawned child has no stdout pipe".into()))?;
-    match handshake_with_deadline(reader, handshake_timeout) {
-        Ok(reader) => Ok((Box::new(transport), reader)),
-        Err(e) => {
-            transport.kill();
-            Err(CoordError::Internal(format!(
-                "worker {worker_bin:?} handshake failed: {e}"
-            )))
-        }
-    }
-}
-
-/// Accepts workers off the listener until `want` have completed the
-/// [`handshake`] or `accept_timeout` closes the window. The peer is not
-/// yet trusted, so its first-frame read is bounded by the handshake
-/// timeout as a socket read timeout (lifted by `handshake_complete` once
-/// validated) and by [`proto::MAX_HELLO_FRAME`] — and each handshake
-/// runs on its **own thread**, so a peer that connects and then says
-/// nothing (a load-balancer probe holding the socket open) cannot
-/// serialise the accept loop and starve legitimate workers queued behind
-/// it. A peer that fails the handshake — a port scanner, a health check,
-/// a version-mismatched worker — is dropped without costing a worker
-/// slot or the run. Returns an error only when the window closes with
-/// zero workers.
-fn accept_tcp_workers(
-    listener: &TcpListener,
-    want: usize,
-    accept_timeout: Duration,
-    handshake_timeout: Duration,
-    io_timeout: Duration,
-) -> Result<Vec<Link>, CoordError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CoordError::Internal(format!("cannot poll the TCP listener: {e}")))?;
-    let deadline = Instant::now() + accept_timeout;
-    let (tx, rx) = mpsc::channel::<Result<Link, String>>();
-    let mut links: Vec<Link> = Vec::with_capacity(want);
-    let mut in_flight = 0usize;
-    let collect = |done: Result<Link, String>, links: &mut Vec<Link>| match done {
-        Ok(link) => {
-            eprintln!("dist: accepted worker {}", links.len());
-            links.push(link);
-        }
-        Err(e) => eprintln!("dist: rejecting peer: {e}"),
-    };
-    while links.len() < want {
-        while let Ok(done) = rx.try_recv() {
-            in_flight -= 1;
-            collect(done, &mut links);
-        }
-        if links.len() >= want {
-            break;
-        }
-        if Instant::now() >= deadline {
-            if in_flight == 0 {
-                break;
-            }
-            // The window is closed; only handshakes already in flight can
-            // still qualify. Each is bounded by the pre-trust socket
-            // read timeout, so this drains quickly.
-            if let Ok(done) = rx.recv_timeout(Duration::from_millis(200)) {
-                in_flight -= 1;
-                collect(done, &mut links);
-            }
-            continue;
-        }
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                // Some platforms (Windows, several BSDs) hand accepted
-                // sockets the listener's nonblocking flag; the handshake
-                // relies on blocking reads bounded by the read timeout.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(handshake_timeout));
-                let _ = stream.set_write_timeout(Some(io_timeout.max(Duration::from_secs(1))));
-                match TcpTransport::new(stream) {
-                    Ok(mut transport) => {
-                        let Some(mut reader) = transport.take_reader() else {
-                            eprintln!("dist: dropping {peer}: read half unavailable");
-                            continue;
-                        };
-                        let tx = tx.clone();
-                        in_flight += 1;
-                        std::thread::spawn(move || {
-                            let res = handshake(&mut *reader)
-                                .map(|()| (Box::new(transport) as Box<dyn Transport>, reader))
-                                .map_err(|e| format!("{peer}: {e}"));
-                            let _ = tx.send(res);
-                        });
-                    }
-                    Err(e) => eprintln!("dist: dropping {peer}: {e}"),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(CoordError::Internal(format!("TCP accept failed: {e}"))),
-        }
-    }
-    if links.is_empty() {
-        return Err(CoordError::NoWorkers {
-            reason: format!(
-                "no worker connected within {accept_timeout:?} — start workers with \
-                 `dangoron-shard --connect ADDR`"
-            ),
-        });
-    }
-    if links.len() < want {
-        eprintln!(
-            "dist: accept window closed with {}/{want} workers; proceeding",
-            links.len()
-        );
-    }
-    Ok(links)
-}
-
-/// The mid-run membership door (elastic TCP mode): keeps accepting and
-/// handshaking peers until the run ends, turning each validated one into
-/// an [`Event::Joined`]. Owns the listener; per-peer handshakes run on
-/// their own short-lived threads, exactly like the initial window.
-fn accept_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    tx: mpsc::Sender<Event>,
-    handshake_timeout: Duration,
-    io_timeout: Duration,
-) {
-    // The listener is already nonblocking from the initial window.
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(handshake_timeout));
-                let _ = stream.set_write_timeout(Some(io_timeout.max(Duration::from_secs(1))));
-                match TcpTransport::new(stream) {
-                    Ok(mut transport) => {
-                        let Some(mut reader) = transport.take_reader() else {
-                            eprintln!("dist: dropping late peer {peer}: read half unavailable");
-                            continue;
-                        };
-                        let tx = tx.clone();
-                        std::thread::spawn(move || match handshake(&mut *reader) {
-                            Ok(()) => {
-                                // A send failure means the run already
-                                // ended; the transport drops (and kills
-                                // the link) on its way out.
-                                let _ = tx.send(Event::Joined(Box::new(transport), reader));
-                            }
-                            Err(e) => eprintln!("dist: rejecting late peer {peer}: {e}"),
-                        });
-                    }
-                    Err(e) => eprintln!("dist: dropping late peer {peer}: {e}"),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => break,
         }
     }
 }

@@ -5,10 +5,11 @@
 //! [`plan::ShardPlan`] cuts `[0, N·(N−1)/2)` into balanced contiguous
 //! intervals, a [`coord`]inator ships each interval to a
 //! `dangoron-shard` worker *process* over a length-prefixed frame
-//! protocol ([`proto`], framing from the `bytes` shim) carried by a
-//! pluggable [`transport`] — spawned children over stdio pipes, or
-//! independently started workers over TCP (`dangoron-coord --listen` /
-//! `dangoron-shard --connect`, with a protocol-version handshake).
+//! protocol ([`proto`], framing from the `bytes` shim) over TCP
+//! ([`transport`]). Every worker dials the coordinator
+//! (`dangoron-shard --connect`), whether the coordinator spawned it or it
+//! was started independently for `dangoron-coord --listen`, and opens
+//! with a protocol-version handshake.
 //! The workload matrix ships **once per worker** in a `Load` frame at
 //! registration; every `Assign` is a slim rank interval + config, so
 //! queued and re-planned shards reuse the loaded matrix. The per-shard

@@ -4,18 +4,9 @@
 //! The rank space ([`sketch::triangular`]) is the ParCorr-style sharding
 //! key: dense, total-ordered, and shared by every engine in the workspace,
 //! so a contiguous rank interval is simultaneously a well-defined unit of
-//! work, of result (its sorted edge buffer), and of re-planning. Two
-//! layouts are offered:
-//!
-//! * [`ShardPlan::balanced`] — exact area balance: every shard carries the
-//!   same number of pairs (±1), cut anywhere in the rank space.
-//! * [`ShardPlan::row_aligned`] — shard boundaries snap to *row* starts of
-//!   the triangle (all pairs `(i, ·)` of a row stay together, so a worker
-//!   streams each of its left-hand series exactly once). A naive equal
-//!   *row-span* split would be badly skewed — row `i` holds `n−1−i` pairs,
-//!   so the first of `k` row bands would carry nearly twice the average
-//!   work — hence the cut rows are chosen by cumulative triangle **area**,
-//!   not by row count.
+//! work, of result (its sorted edge buffer), and of re-planning.
+//! [`ShardPlan::balanced`] cuts it by exact area: every shard carries the
+//! same number of pairs (±1), cut anywhere in the rank space.
 
 use sketch::triangular;
 use std::ops::Range;
@@ -46,53 +37,6 @@ impl ShardPlan {
             .enumerate()
             .map(|(id, ranks)| Shard { id, ranks })
             .collect();
-        Self { n_series, shards }
-    }
-
-    /// Row-aligned, area-balanced plan: shard boundaries fall on row
-    /// starts of the triangle, with cut rows chosen so each shard's pair
-    /// count tracks `count(n)/k` as closely as row granularity allows.
-    pub fn row_aligned(n_series: usize, n_shards: usize) -> Self {
-        let n = n_series;
-        let n_pairs = triangular::count(n);
-        let k = n_shards.clamp(1, n_pairs.max(1));
-        // Rank of the first pair of row `i` — the cumulative triangle area
-        // above it.
-        let row_start = |i: usize| -> usize {
-            if n < 2 || i >= n - 1 {
-                n_pairs
-            } else {
-                triangular::rank(i, i + 1, n)
-            }
-        };
-        let mut shards = Vec::with_capacity(k);
-        let mut cut = 0usize; // current cut row
-        for s in 0..k {
-            if n_pairs == 0 {
-                break;
-            }
-            let target = (s + 1) * n_pairs / k;
-            // Smallest row whose start reaches the target area, but always
-            // at least one row past the previous cut.
-            let mut hi = cut + 1;
-            while s + 1 < k && hi < n - 1 && row_start(hi) < target {
-                hi += 1;
-            }
-            if s + 1 == k {
-                hi = n.saturating_sub(1).max(cut + 1);
-            }
-            let ranks = row_start(cut)..row_start(hi);
-            if !ranks.is_empty() {
-                shards.push(Shard {
-                    id: shards.len(),
-                    ranks,
-                });
-            }
-            cut = hi;
-            if cut >= n.saturating_sub(1) {
-                break;
-            }
-        }
         Self { n_series, shards }
     }
 
@@ -165,42 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn row_aligned_covers_and_snaps_to_rows() {
-        for n in [2usize, 5, 9, 33, 64] {
-            for k in [1usize, 2, 4, 8] {
-                let plan = ShardPlan::row_aligned(n, k);
-                assert_partition(&plan);
-                for s in plan.shards() {
-                    // Every boundary is a row start: the pair at the
-                    // boundary has j == i + 1.
-                    let (i, j) = triangular::unrank(s.ranks.start, n);
-                    assert_eq!(j, i + 1, "n={n} k={k}: shard {} not row-aligned", s.id);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_aligned_beats_equal_row_span() {
-        // 64 series, 4 shards: an equal row-span split (16 rows each)
-        // gives the first band 888 of 2016 pairs (44%); the area-balanced
-        // cut must stay far closer to the ideal 504.
-        let n = 64;
-        let plan = ShardPlan::row_aligned(n, 4);
-        let (max, _) = plan.balance();
-        assert!(
-            max < 700,
-            "area balancing regressed to row-span balance: max shard {max} pairs"
-        );
-    }
-
-    #[test]
     fn degenerate_plans() {
         assert!(ShardPlan::balanced(0, 4).shards().is_empty());
         assert!(ShardPlan::balanced(1, 4).shards().is_empty());
         assert_eq!(ShardPlan::balanced(2, 4).shards().len(), 1);
-        assert!(ShardPlan::row_aligned(1, 4).shards().is_empty());
-        assert_eq!(ShardPlan::row_aligned(2, 4).shards().len(), 1);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub enum WorkerMode {
 }
 
 /// The peer's side of the handshake: the first frame a worker or serve
-/// client writes on any link, whether over pipes or TCP.
+/// client writes on any link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// The peer's [`PROTOCOL_VERSION`].

@@ -1,26 +1,20 @@
-//! Pluggable coordinator↔worker transports.
+//! Coordinator↔worker links.
 //!
 //! The wire protocol ([`crate::proto`]) is a sequence of length-prefixed
-//! frames over *any* byte stream; this module abstracts where that stream
-//! comes from. A [`Transport`] is one established, bidirectional link to
-//! one worker: framed writes on the coordinator thread, and a detachable
-//! read half the coordinator moves onto a dedicated reader thread. Two
-//! implementations exist:
+//! frames over a TCP stream. Workers dial the coordinator
+//! ([`WorkerIo::connect`]), whether it spawned them or they were started
+//! independently, possibly on other machines; the coordinator wraps each
+//! accepted stream in a [`TcpTransport`]: framed writes on the
+//! coordinator thread, and a detachable read half the coordinator moves
+//! onto a dedicated reader thread. The [`Transport`] trait is the seam
+//! the fault-injecting [`crate::chaos::ChaosTransport`] decorates.
 //!
-//! * [`ChildTransport`] — the PR 4 mode: the coordinator spawns a
-//!   `dangoron-shard` child and speaks over its stdio pipes;
-//! * [`TcpTransport`] — workers started independently (possibly on other
-//!   machines) connect to `dangoron-coord --listen ADDR`, and the
-//!   coordinator accepts them off a [`std::net::TcpListener`].
-//!
-//! Both halves of a link are severed by [`Transport::kill`] (SIGKILL for
-//! a child, `shutdown(Both)` for a socket), which is what guarantees the
-//! reader thread unblocks and can be joined — a reader blocked in
-//! `read()` on a live pipe/socket would otherwise leak.
+//! [`Transport::kill`] severs both directions (`shutdown(Both)`), which
+//! is what guarantees the reader thread unblocks and can be joined — a
+//! reader blocked in `read()` on a live socket would otherwise leak.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::process::{Child, ChildStdin, ChildStdout};
 use std::time::Duration;
 
 use bytes::frame;
@@ -39,11 +33,6 @@ pub trait Transport: Send {
     /// Takes the read half (at most once) for the reader thread.
     fn take_reader(&mut self) -> Option<Box<dyn Read + Send>>;
 
-    /// Called once the peer's handshake has been validated — the link is
-    /// trusted from here on. [`TcpTransport`] uses this to lift the
-    /// short pre-trust socket read timeout; the default is a no-op.
-    fn handshake_complete(&mut self) {}
-
     /// Signals end-of-assignments: the worker's serve loop sees a clean
     /// EOF on its next read and exits.
     fn close_send(&mut self);
@@ -52,90 +41,6 @@ pub trait Transport: Send {
     /// returns, a blocked reader-thread `read()` is guaranteed to
     /// complete (EOF or error).
     fn kill(&mut self);
-
-    /// Reaps whatever the transport owns (waits on a child process);
-    /// called after [`Transport::close_send`] or [`Transport::kill`].
-    fn reap(&mut self);
-
-    /// A short human label for diagnostics (`"pipe"` / `"tcp"`).
-    fn kind(&self) -> &'static str;
-}
-
-/// A spawned `dangoron-shard` child over its stdio pipes.
-pub struct ChildTransport {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    stdout: Option<ChildStdout>,
-}
-
-impl ChildTransport {
-    /// Wraps a child whose stdin/stdout were spawned piped.
-    pub fn new(mut child: Child) -> Self {
-        let stdin = child.stdin.take();
-        let stdout = child.stdout.take();
-        Self {
-            child,
-            stdin,
-            stdout,
-        }
-    }
-}
-
-impl Drop for ChildTransport {
-    /// Error-path cleanup: a transport dropped before a graceful
-    /// `close_send` + `reap` (e.g. registration bailed out mid-loop)
-    /// must not leave the child as a zombie. After a normal shutdown the
-    /// kill is a no-op and the wait returns the cached status.
-    fn drop(&mut self) {
-        self.stdin.take();
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Transport for ChildTransport {
-    fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        let stdin = self
-            .stdin
-            .as_mut()
-            .ok_or_else(|| io::Error::other("worker stdin already closed"))?;
-        frame::write_to(stdin, payload)
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let stdin = self
-            .stdin
-            .as_mut()
-            .ok_or_else(|| io::Error::other("worker stdin already closed"))?;
-        stdin.write_all(bytes)?;
-        stdin.flush()
-    }
-
-    fn take_reader(&mut self) -> Option<Box<dyn Read + Send>> {
-        self.stdout
-            .take()
-            .map(|s| Box::new(s) as Box<dyn Read + Send>)
-    }
-
-    fn close_send(&mut self) {
-        self.stdin.take(); // dropping the pipe is the EOF
-    }
-
-    fn kill(&mut self) {
-        self.stdin.take();
-        let _ = self.child.kill();
-        // Reap immediately: child death closes its stdout pipe, which is
-        // what unblocks the reader thread.
-        let _ = self.child.wait();
-    }
-
-    fn reap(&mut self) {
-        let _ = self.child.wait();
-    }
-
-    fn kind(&self) -> &'static str {
-        "pipe"
-    }
 }
 
 /// A worker connected over TCP. The write half is owned here; the read
@@ -147,8 +52,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wraps an accepted (or connected) stream — both of the
-    /// coordinator's accept sites go through here — and turns on
+    /// Wraps an accepted (or connected) stream and turns on
     /// `TCP_NODELAY`, as [`WorkerIo::connect`] does on the worker's end.
     /// Cloning the read half can fail only on resource exhaustion.
     pub fn new(stream: TcpStream) -> io::Result<Self> {
@@ -160,19 +64,12 @@ impl TcpTransport {
         })
     }
 
-    /// Sets the socket read timeout (used to bound the handshake read on
-    /// a not-yet-trusted peer; `None` blocks forever).
-    pub fn set_read_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(t)
-    }
-
-    /// Reads one frame synchronously off the link — the coordinator's
-    /// handshake read, before the read half is detached.
-    pub fn recv(&mut self, max_len: usize) -> io::Result<Option<Vec<u8>>> {
-        match self.reader.as_mut() {
-            Some(r) => frame::read_from(r, max_len),
-            None => Err(io::Error::other("read half already detached")),
-        }
+    /// Called once the peer's handshake has been validated — the link is
+    /// trusted from here on, so the short pre-trust read timeout goes.
+    /// The socket option is shared with the cloned read half, so this
+    /// also unblocks the reader thread's long waits.
+    pub fn handshake_complete(&mut self) {
+        let _ = self.stream.set_read_timeout(None);
     }
 }
 
@@ -192,12 +89,6 @@ impl Transport for TcpTransport {
             .map(|s| Box::new(s) as Box<dyn Read + Send>)
     }
 
-    fn handshake_complete(&mut self) {
-        // The read-timeout socket option is shared with the cloned read
-        // half, so this also unblocks the reader thread's long waits.
-        let _ = self.stream.set_read_timeout(None);
-    }
-
     fn close_send(&mut self) {
         let _ = self.stream.shutdown(Shutdown::Write);
     }
@@ -205,17 +96,10 @@ impl Transport for TcpTransport {
     fn kill(&mut self) {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
-
-    fn reap(&mut self) {}
-
-    fn kind(&self) -> &'static str {
-        "tcp"
-    }
 }
 
-/// The worker's side of a link: a framed `Read + Write` pair driving
-/// [`crate::worker::serve`]. Stdio pipes and TCP sockets both reduce to
-/// this.
+/// The worker's side of a link: the two halves of one TCP stream,
+/// driving [`crate::worker::serve`].
 pub struct WorkerIo<R: Read, W: Write> {
     /// The frame source (assignments in).
     pub input: R,
@@ -376,16 +260,17 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         let mut t = TcpTransport::new(stream).unwrap();
-        t.send(b"ping").unwrap();
-        assert_eq!(t.recv(1024).unwrap().unwrap(), b"ping");
         let mut reader = t.take_reader().unwrap();
+        t.send(b"ping").unwrap();
+        assert_eq!(
+            frame::read_from(&mut reader, 1024).unwrap().unwrap(),
+            b"ping"
+        );
         t.close_send();
         client.join().unwrap();
         // After the peer exits, the detached read half sees EOF.
         assert!(frame::read_from(&mut reader, 1024).unwrap().is_none());
         t.kill();
-        t.reap();
-        assert_eq!(t.kind(), "tcp");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shard worker: the engine-driving side of the `dangoron-shard`
 //! process.
 //!
-//! A worker is a frame loop over any byte link (stdio pipes when spawned
-//! by the coordinator, a TCP socket when started with `--connect`): write
+//! A worker is a frame loop over any byte link (in the binary, the TCP
+//! socket it dialed with `--connect`): write
 //! one [`Hello`] handshake frame, then serve — a [`Message::Load`] frame
 //! stores the workload matrix for the rest of the link, an
 //! [`Assignment`] executes the shard (batch `prepare_shard` +
@@ -112,8 +112,7 @@ fn write_frame<W: Write>(out: &Mutex<W>, msg: &Message) -> io::Result<()> {
 
 /// Serves assignments from `input`, writing results to `output`, until a
 /// clean end-of-stream. This is the whole body of the `dangoron-shard`
-/// binary (for both the pipe and TCP transports), kept here so the loop
-/// is unit-testable over in-memory pipes.
+/// binary, kept here so the loop is unit-testable over in-memory pipes.
 ///
 /// The calling thread reads frames (so `Ping`s are answered and `Steal`s
 /// latched even mid-execution) and a scoped executor thread runs

@@ -1,7 +1,7 @@
-//! End-to-end tests of the process tier: a real coordinator driving real
-//! `dangoron-shard` worker processes over stdio pipes, verified bitwise
-//! against the single-process engine — including the worker-kill/replan
-//! path.
+//! End-to-end tests of the process tier: a real coordinator spawning real
+//! `dangoron-shard` worker processes, which dial it back over loopback
+//! TCP, verified bitwise against the single-process engine — including
+//! the worker-kill/replan path.
 
 use dangoron::{BoundMode, DangoronConfig};
 use dist::coord::{self, CoordinatorConfig};
@@ -53,6 +53,11 @@ fn process_tier_matches_single_process_for_every_shard_count() {
             "k={k}: merged matrices differ from the single-process engine"
         );
         assert_eq!(dist.stats, single.stats, "k={k}: shard stats do not sum");
+        // The spawned children form the initial quorum: all k register
+        // before dispatch, none counts as a late join.
+        assert_eq!(dist.coord.transport, "tcp", "k={k}");
+        assert_eq!(dist.coord.n_workers, k, "k={k}");
+        assert_eq!(dist.coord.late_joins, 0, "k={k}");
         assert_eq!(dist.coord.replans, 0, "k={k}");
         assert_eq!(dist.coord.worker_failures, 0, "k={k}");
         assert_eq!(dist.shards.len(), k.min(dist.coord.n_shards_planned.max(k)));
@@ -107,4 +112,46 @@ fn fewer_workers_than_shards_queue_and_complete() {
     assert_eq!(dist.shards.len(), 8);
     assert!(windows_bit_identical(&dist.matrices, &single.matrices));
     assert_eq!(dist.stats, single.stats);
+}
+
+/// Spawned children that never dial back leave the run without workers:
+/// `run` fails with `NoWorkers` once the handshake window closes, and
+/// reaps every child it started.
+#[cfg(unix)]
+#[test]
+fn children_that_never_connect_fail_the_run_and_are_reaped() {
+    let (data, query, cfg) = workload();
+    let ccfg = CoordinatorConfig {
+        handshake_timeout: Duration::from_secs(1),
+        ..CoordinatorConfig::new("/bin/true".into(), 2)
+    };
+    let t = std::time::Instant::now();
+    let err = coord::run(&ccfg, &cfg, &data, query).expect_err("a run without workers succeeded");
+    assert!(
+        matches!(err, coord::CoordError::NoWorkers { .. }),
+        "unexpected error: {err}"
+    );
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "NoWorkers took {:?}",
+        t.elapsed()
+    );
+    // No `true` child of this process is left, running or unreaped.
+    // (/proc is Linux's; elsewhere the timing check above stands alone.)
+    let me = std::process::id().to_string();
+    for entry in std::fs::read_dir("/proc").into_iter().flatten().flatten() {
+        let Ok(stat) = std::fs::read_to_string(entry.path().join("stat")) else {
+            continue;
+        };
+        // `pid (comm) state ppid ...`; comm may hold spaces, so split
+        // after its closing parenthesis.
+        let Some((head, rest)) = stat.rsplit_once(')') else {
+            continue;
+        };
+        let ppid = rest.split_whitespace().nth(1);
+        assert!(
+            !(head.ends_with("(true") && ppid == Some(me.as_str())),
+            "child left behind: {stat}"
+        );
+    }
 }

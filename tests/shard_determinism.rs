@@ -2,8 +2,8 @@
 //!
 //! Edges (values bit-for-bit), pruning-stat totals, and streaming drains
 //! must be identical whether the pair space runs as one piece or as any
-//! contiguous partition — 1/2/4/8 balanced shards, row-aligned shards,
-//! random cut points, and cuts placed directly adjacent to planned shard
+//! contiguous partition — 1/2/4/8 balanced shards, cuts at triangle row
+//! starts, random cut points, and cuts placed directly adjacent to planned shard
 //! boundaries (the off-by-one hot spot).
 
 use dangoron::{BoundMode, DangoronConfig, PruningStats};
@@ -126,25 +126,24 @@ fn streaming_drains_are_invariant_across_1_2_4_8_shards() {
 #[test]
 fn cuts_adjacent_to_planned_boundaries_are_safe() {
     // The likely off-by-one bug lives at shard boundaries: a pair rank
-    // leaking into (or out of) a neighbouring shard. Take every planned
-    // boundary b of the balanced and row-aligned 4-shard plans and re-run
-    // with cuts at {b−1, b, b+1}: every variant must reproduce the
-    // unsharded result, in batch and streaming modes.
+    // leaking into (or out of) a neighbouring shard. Take every boundary
+    // b of the balanced 4-shard plan, and every triangle row start (where
+    // the pair `(i, i + 1)` begins row i), and re-run with cuts at
+    // {b−1, b, b+1}: every variant must reproduce the unsharded result,
+    // in batch and streaming modes.
     let (data, query) = workload();
     let cfg = engine_cfg(BoundMode::PaperJump { slack: 0.0 });
     let stream = WorkerMode::StreamingReplay {
         initial_cols: 140,
         chunk_cols: 60,
     };
-    let mut boundaries = Vec::new();
-    for plan in [
-        ShardPlan::balanced(N_SERIES, 4),
-        ShardPlan::row_aligned(N_SERIES, 4),
-    ] {
-        for s in plan.shards().iter().skip(1) {
-            boundaries.push(s.ranks.start);
-        }
-    }
+    let mut boundaries: Vec<usize> = ShardPlan::balanced(N_SERIES, 4)
+        .shards()
+        .iter()
+        .skip(1)
+        .map(|s| s.ranks.start)
+        .chain((1..N_SERIES - 1).map(|i| triangular::rank(i, i + 1, N_SERIES)))
+        .collect();
     boundaries.sort_unstable();
     boundaries.dedup();
     assert!(!boundaries.is_empty());
