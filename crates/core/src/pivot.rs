@@ -27,10 +27,13 @@ pub struct PivotSet {
     pub pivots: Vec<usize>,
     n_series: usize,
     n_windows: usize,
-    /// `corr[p][w·N + s]` = corr(pivot p, series s) in window w, stored
-    /// window-major so new windows append at the end; `NaN` marks
-    /// undefined (zero-variance) windows, which never prune.
-    corr: Vec<Vec<f64>>,
+    /// `cols[p·N + s][w]` = corr(pivot p, series s) in window w: one
+    /// column of windows per (pivot, series) cell, so four consecutive
+    /// windows of one endpoint are contiguous for a pair-major walk
+    /// ([`PivotSet::interval4`]) and new windows push onto the column
+    /// ends. `NaN` marks undefined (zero-variance) windows, which never
+    /// prune.
+    cols: Vec<Vec<f64>>,
 }
 
 /// Picks pivot indices for a strategy.
@@ -81,12 +84,12 @@ impl PivotSet {
     /// An empty table (zero windows) — the starting point for sessions
     /// that grow it via [`PivotSet::append_windows`].
     pub fn empty(pivots: Vec<usize>, n_series: usize) -> Self {
-        let n_pivots = pivots.len();
+        let n_cells = pivots.len() * n_series;
         Self {
             pivots,
             n_series,
             n_windows: 0,
-            corr: vec![Vec::new(); n_pivots],
+            cols: vec![Vec::new(); n_cells],
         }
     }
 
@@ -117,8 +120,9 @@ impl PivotSet {
             ranges.push(layout.window_to_basic(ws, we)?);
         }
 
-        // One column of per-window correlations per (pivot, series) cell;
-        // cells are independent, so workers steal them.
+        // One column of per-window correlations per (pivot, series) cell —
+        // the table's own layout; cells are independent, so workers steal
+        // them.
         let cells: Vec<Result<Vec<f64>, TsError>> =
             exec::par_collect_chunks(pivots.len() * n, threads, 1, |range| {
                 range
@@ -147,19 +151,11 @@ impl PivotSet {
                     })
                     .collect()
             });
-
-        let mut corr = vec![vec![f64::NAN; n * n_windows]; pivots.len()];
-        for (cell, col) in cells.into_iter().enumerate() {
-            let (p, s) = (cell / n, cell % n);
-            for (w, v) in col?.into_iter().enumerate() {
-                corr[p][w * n + s] = v;
-            }
-        }
         Ok(Self {
+            cols: cells.into_iter().collect::<Result<_, _>>()?,
             pivots,
             n_series: n,
             n_windows,
-            corr,
         })
     }
 
@@ -179,16 +175,17 @@ impl PivotSet {
         step_bw: usize,
         corr_of: impl Fn(usize, usize, usize, usize) -> f64,
     ) {
-        let n = self.n_series;
-        for w in self.n_windows..total_windows {
-            let (b0, b1) = (w * step_bw, w * step_bw + ns);
-            for (p, &z) in self.pivots.iter().enumerate() {
-                self.corr[p].reserve(n);
-                for s in 0..n {
-                    let v = if s == z { 1.0 } else { corr_of(z, s, b0, b1) };
-                    self.corr[p].push(v);
+        let (n, new) = (self.n_series, self.n_windows..total_windows);
+        for (cell, col) in self.cols.iter_mut().enumerate() {
+            let (z, s) = (self.pivots[cell / n], cell % n);
+            col.extend(new.clone().map(|w| {
+                let b0 = w * step_bw;
+                if s == z {
+                    1.0
+                } else {
+                    corr_of(z, s, b0, b0 + ns)
                 }
-            }
+            }));
         }
         self.n_windows = self.n_windows.max(total_windows);
     }
@@ -200,7 +197,7 @@ impl PivotSet {
 
     /// Resident bytes of the correlation table.
     pub fn memory_bytes(&self) -> usize {
-        let cells: usize = self.corr.iter().map(Vec::capacity).sum();
+        let cells: usize = self.cols.iter().map(Vec::capacity).sum();
         cells * std::mem::size_of::<f64>()
     }
 
@@ -218,7 +215,7 @@ impl PivotSet {
         /// batches.
         const GATHER: usize = 32;
         debug_assert!(i < self.n_series && j < self.n_series && w < self.n_windows);
-        let base = w * self.n_series;
+        let n = self.n_series;
         let mut c_iz = [0.0f64; GATHER];
         let mut c_jz = [0.0f64; GATHER];
         let mut fill = 0usize;
@@ -233,16 +230,16 @@ impl PivotSet {
                 *best_hi = hi;
             }
         };
-        for (p, row) in self.corr.iter().enumerate() {
+        for (p, &z) in self.pivots.iter().enumerate() {
             // Using the pivot as one endpoint would be circular; the value
             // is exact in that case, and the walker evaluates it exactly
             // anyway, so skip. NaN marks zero-variance windows, which
             // carry no information.
-            if self.pivots[p] == i || self.pivots[p] == j {
+            if z == i || z == j {
                 continue;
             }
-            let iz = row[base + i];
-            let jz = row[base + j];
+            let iz = self.cols[p * n + i][w];
+            let jz = self.cols[p * n + j][w];
             if iz.is_nan() || jz.is_nan() {
                 continue;
             }
@@ -260,6 +257,31 @@ impl PivotSet {
         (best_lo, best_hi)
     }
 
+    /// [`PivotSet::interval`] of the four windows `w .. w + 4` at once,
+    /// lane `l` holding window `w + l`: each usable pivot's two four-window
+    /// runs go through one [`kernel::triangle_fold4`], which skips NaN
+    /// lanes. Every lane equals `interval` of its window — intersection is
+    /// exact in any order (a tie between `±0` may keep either sign, which
+    /// no comparison can tell apart). Lanes past the table's last window
+    /// repeat that window, so a final partial block needs no special case.
+    pub fn interval4(&self, i: usize, j: usize, w: usize) -> ([f64; 4], [f64; 4]) {
+        debug_assert!(i < self.n_series && j < self.n_series && w < self.n_windows);
+        let (n, last) = (self.n_series, self.n_windows - 1);
+        let (mut lo, mut hi) = ([-1.0f64; 4], [1.0f64; 4]);
+        for (p, &z) in self.pivots.iter().enumerate() {
+            // The pivot-endpoint skip of `interval`.
+            if z == i || z == j {
+                continue;
+            }
+            let run = |s: usize| -> [f64; 4] {
+                let col = &self.cols[p * n + s];
+                std::array::from_fn(|l| col[(w + l).min(last)])
+            };
+            kernel::triangle_fold4(&run(i), &run(j), &mut lo, &mut hi);
+        }
+        (lo, hi)
+    }
+
     /// Rule-aware pair-level prefilter over windows `[w0, w1)`: true when
     /// none of those windows can produce an edge under `rule` at `beta` —
     /// the walk over that window range can be skipped wholesale.
@@ -275,11 +297,18 @@ impl PivotSet {
         debug_assert!(w1 <= self.n_windows);
         (w0..w1).all(|w| {
             let (lo, hi) = self.interval(i, j, w);
-            match rule {
-                EdgeRule::Positive => hi < beta,
-                EdgeRule::Absolute => hi < beta && lo > -beta,
-            }
+            settles(rule, beta, lo, hi)
         })
+    }
+}
+
+/// True when the interval `[lo, hi]` on a correlation excludes every
+/// value `rule` keeps at `beta` — the triangle settles the window.
+#[inline]
+pub(crate) fn settles(rule: EdgeRule, beta: f64, lo: f64, hi: f64) -> bool {
+    match rule {
+        EdgeRule::Positive => hi < beta,
+        EdgeRule::Absolute => hi < beta && lo > -beta,
     }
 }
 
@@ -317,6 +346,14 @@ mod tests {
         pivots: Vec<usize>,
     ) -> PivotSet {
         PivotSet::build(x, store, layout, query, pivots, None, 1).unwrap()
+    }
+
+    /// The table's bits, column by column.
+    fn bits(pv: &PivotSet) -> Vec<Vec<u64>> {
+        pv.cols
+            .iter()
+            .map(|col| col.iter().map(|v| v.to_bits()).collect())
+            .collect()
     }
 
     #[test]
@@ -369,7 +406,7 @@ mod tests {
             for w in 0..query.n_windows() {
                 let (ws, we) = query.window_range(w);
                 let direct = tsdata::stats::pearson(&x.row(0)[ws..we], &x.row(s)[ws..we]).unwrap();
-                let stored = pv.corr[0][w * pv.n_series + s];
+                let stored = pv.cols[s][w];
                 assert!((direct - stored).abs() < 1e-9, "s={s} w={w}");
             }
         }
@@ -382,24 +419,13 @@ mod tests {
         for threads in [2, 8] {
             let par =
                 PivotSet::build(&x, &store, &layout, &query, vec![0, 4], None, threads).unwrap();
-            for (a, b) in seq.corr.iter().zip(&par.corr) {
-                assert_eq!(
-                    a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "threads={threads}"
-                );
-            }
+            assert_eq!(bits(&seq), bits(&par), "threads={threads}");
         }
         // Building from precomputed pair sketches gives the same table.
         let pairs = sketch::pair::build_all(&layout, &x, 1).unwrap();
         let reused =
             PivotSet::build(&x, &store, &layout, &query, vec![0, 4], Some(&pairs), 2).unwrap();
-        for (a, b) in seq.corr.iter().zip(&reused.corr) {
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
+        assert_eq!(bits(&seq), bits(&reused));
     }
 
     #[test]
@@ -421,16 +447,86 @@ mod tests {
             });
         }
         assert_eq!(grown.n_windows(), batch.n_windows());
-        for (a, b) in grown.corr.iter().zip(&batch.corr) {
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
+        assert_eq!(bits(&grown), bits(&batch));
         // Idempotent when nothing new completes.
-        let before = grown.corr.clone();
+        let before = bits(&grown);
         grown.append_windows(query.n_windows(), ns, step_bw, |_, _, _, _| f64::NAN);
-        assert_eq!(before, grown.corr);
+        assert_eq!(before, bits(&grown));
+    }
+
+    #[test]
+    fn batch_memory_is_exactly_the_table() {
+        // n_pivots · N · n_windows f64s, no slack: the batch build keeps
+        // each cell's exactly sized column.
+        let (x, store, layout, query) = setup(9);
+        for pivots in [vec![0], vec![0, 4, 7]] {
+            let k = pivots.len();
+            let pv = build(&x, &store, &layout, &query, pivots);
+            assert_eq!(pv.memory_bytes(), k * 9 * query.n_windows() * 8);
+        }
+    }
+
+    #[test]
+    fn interval4_lanes_equal_interval() {
+        // Every four-window run, pivots inside and outside the pair, NaN
+        // pivot windows (series 2 is constant) in the lanes, and runs
+        // overhanging the table's end, whose lanes repeat its last window.
+        let mut rows: Vec<Vec<f64>> = (0..6)
+            .map(|s| {
+                (0..240)
+                    .map(|t| ((t * (s + 2)) as f64 * 0.11).sin() + 0.01 * (s * t) as f64)
+                    .collect()
+            })
+            .collect();
+        rows[2] = vec![3.5; 240];
+        rows[4][60..120].fill(-1.0);
+        let x = TimeSeriesMatrix::from_rows(rows).unwrap();
+        let (_, _, layout, query) = setup(6);
+        let store = SketchStore::build(&x, layout).unwrap();
+        let pv = build(&x, &store, &layout, &query, vec![0, 2, 4]);
+        assert!(
+            pv.cols[4].iter().any(|v| v.is_nan()),
+            "want NaN pivot lanes"
+        );
+        for i in 0..6 {
+            for j in (i + 1)..6 {
+                for w in 0..pv.n_windows() {
+                    let (lo, hi) = pv.interval4(i, j, w);
+                    for l in 0..4 {
+                        let lane_w = (w + l).min(pv.n_windows() - 1);
+                        let (slo, shi) = pv.interval(i, j, lane_w);
+                        assert!(lo[l] == slo && hi[l] == shi, "({i},{j}) run {w} lane {l}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bracket_settles_only_when_the_rule_keeps_none_of_it() {
+        // Brackets below, across and above ±β, touching β exactly, and
+        // wholly negative ones the absolute rule must keep.
+        let beta = 0.5;
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            for (lo, hi) in [
+                (-1.0, -0.7),
+                (-0.9, 0.2),
+                (-0.5, 0.3),
+                (-0.3, 0.4),
+                (0.1, 0.5),
+                (0.6, 1.0),
+                (-1.0, 1.0),
+            ] {
+                let any_kept = (0..=200)
+                    .map(|k| lo + (hi - lo) * k as f64 / 200.0)
+                    .any(|c| rule.keeps(c, beta));
+                assert_eq!(
+                    settles(rule, beta, lo, hi),
+                    !any_kept,
+                    "{rule:?} [{lo}, {hi}]"
+                );
+            }
+        }
     }
 
     #[test]

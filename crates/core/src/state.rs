@@ -299,18 +299,18 @@ impl<'a> PairState<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bounds::DepartureCost;
     use sketch::output::EdgeRule;
 
-    const WIDTH: usize = 10;
+    pub(crate) const WIDTH: usize = 10;
 
     /// Seven series over `len` columns. Series 2 is constant throughout,
     /// series 4 is constant in basic windows 1 and 5, and series 5 is
     /// constant (at another level) in basic window 1 too — so some `c_b`
     /// are undefined on one side and some on both.
-    fn matrix(len: usize) -> TimeSeriesMatrix {
+    pub(crate) fn matrix(len: usize) -> TimeSeriesMatrix {
         let rows = (0..7)
             .map(|s| {
                 (0..len)

@@ -8,10 +8,17 @@
 //! search for the largest `k` whose bound stays below `β`, skip those `k`
 //! windows (Fig. 2's green blocks), land on the next (red block) and
 //! re-evaluate exactly.
+//!
+//! In [`BoundMode::Exhaustive`] no window depends on the one before it, so
+//! the walk settles windows in blocks of four: one [`PivotSet::interval4`]
+//! brackets the block, a block the triangle settles whole costs nothing
+//! more, and otherwise one [`tsdata::stats::pearson_from_sums4`] evaluates
+//! the four windows from the prefix rows. PaperJump walks one window at a
+//! time, because each landing depends on the last exact value.
 
 use crate::bounds::{max_jump, max_jump_absolute, PairCosts};
 use crate::config::BoundMode;
-use crate::pivot::PivotSet;
+use crate::pivot::{settles, PivotSet};
 use crate::stats::PruningStats;
 use sketch::output::EdgeRule;
 use sketch::{combine, PairSketch, SketchStore, SlidingQuery};
@@ -84,9 +91,12 @@ pub fn pair_costs(
     )
 }
 
+/// Windows per block of the exhaustive walk — one lane each.
+const LANES: usize = 4;
+
 /// Walks all windows of one pair, calling `emit(window, value)` for every
-/// window whose correlation passes `rule` at `beta`. Counters are recorded
-/// into `stats`.
+/// window whose correlation passes `rule` at `beta`, in ascending window
+/// order. Counters are recorded into `stats`.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_pair(
     store: &SketchStore,
@@ -105,6 +115,12 @@ pub fn walk_pair(
     stats.n_pairs += 1;
     stats.total_cells += geo.n_windows as u64;
 
+    let slack = match mode {
+        BoundMode::Exhaustive => {
+            return walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
+        }
+        BoundMode::PaperJump { slack } => slack,
+    };
     let mut w = 0usize;
     while w < geo.n_windows {
         // Horizontal pruning: a sound interval excluding every edge value
@@ -112,11 +128,7 @@ pub fn walk_pair(
         let mut bracket: Option<(f64, f64)> = None; // (lo, hi) on c_ij
         if let Some(pv) = pivots {
             let (lo, hi) = pv.interval(i, j, geo.global_window(w));
-            let settled = match rule {
-                EdgeRule::Positive => hi < beta,
-                EdgeRule::Absolute => hi < beta && lo > -beta,
-            };
-            if settled {
+            if settles(rule, beta, lo, hi) {
                 stats.pruned_by_triangle += 1;
                 bracket = Some((lo, hi));
             }
@@ -145,43 +157,108 @@ pub fn walk_pair(
         let (corr_lo, corr_hi) = bracket.unwrap();
 
         // Below threshold (exactly, or via a sound bracket): jump.
-        match mode {
-            BoundMode::Exhaustive => w += 1,
-            BoundMode::PaperJump { slack } => {
-                let dep = dep.expect("PaperJump mode requires departure costs");
-                let k_max = geo.n_windows - 1 - w;
-                let k = match rule {
-                    EdgeRule::Positive => max_jump(
-                        corr_hi,
-                        beta,
-                        slack,
-                        geo.ns,
-                        geo.step_bw,
-                        geo.first_bw(w),
-                        k_max,
-                        &dep.upper,
-                    ),
-                    EdgeRule::Absolute => max_jump_absolute(
-                        corr_hi,
-                        corr_lo,
-                        beta,
-                        slack,
-                        geo.ns,
-                        geo.step_bw,
-                        geo.first_bw(w),
-                        k_max,
-                        &dep.upper,
-                        dep.lower
-                            .as_ref()
-                            .expect("absolute rule requires the lower-bound cost"),
-                    ),
-                };
-                if k == 0 {
-                    w += 1;
-                } else {
-                    stats.record_jump(k);
-                    w += k + 1;
-                }
+        let dep = dep.expect("PaperJump mode requires departure costs");
+        let k_max = geo.n_windows - 1 - w;
+        let k = match rule {
+            EdgeRule::Positive => max_jump(
+                corr_hi,
+                beta,
+                slack,
+                geo.ns,
+                geo.step_bw,
+                geo.first_bw(w),
+                k_max,
+                &dep.upper,
+            ),
+            EdgeRule::Absolute => max_jump_absolute(
+                corr_hi,
+                corr_lo,
+                beta,
+                slack,
+                geo.ns,
+                geo.step_bw,
+                geo.first_bw(w),
+                k_max,
+                &dep.upper,
+                dep.lower
+                    .as_ref()
+                    .expect("absolute rule requires the lower-bound cost"),
+            ),
+        };
+        if k == 0 {
+            w += 1;
+        } else {
+            stats.record_jump(k);
+            w += k + 1;
+        }
+    }
+}
+
+/// The exhaustive walk: the same per-window outcome and counters as the
+/// PaperJump loop with every jump refused, four windows per block. Each
+/// lane's bracket equals [`PivotSet::interval`], and its sums are the ones
+/// [`combine::window_correlation`] forms, fed through the same IEEE
+/// operations, so every lane is bit-identical to the per-window walk. The
+/// last block's lanes past `n_windows` re-read the last window and are
+/// ignored, so every window takes this one path. Settled windows count as
+/// `pruned_by_triangle`; the rest are evaluated exactly and emitted in
+/// ascending order when `rule` keeps them.
+#[allow(clippy::too_many_arguments)]
+fn walk_exhaustive(
+    store: &SketchStore,
+    pair: &PairSketch,
+    i: usize,
+    j: usize,
+    geo: WalkGeometry,
+    beta: f64,
+    rule: EdgeRule,
+    pivots: Option<&PivotSet>,
+    stats: &mut PruningStats,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let (sum_i, sq_i) = store.prefix_rows(i);
+    let (sum_j, sq_j) = store.prefix_rows(j);
+    let cross = pair.cross_prefix();
+    let n = (geo.ns * store.layout().width) as f64;
+    for w in (0..geo.n_windows).step_by(LANES) {
+        let settled: [bool; LANES] = match pivots {
+            Some(pv) => {
+                let (lo, hi) = pv.interval4(i, j, geo.global_window(w));
+                std::array::from_fn(|l| settles(rule, beta, lo[l], hi[l]))
+            }
+            None => [false; LANES],
+        };
+        let lanes = LANES.min(geo.n_windows - w);
+        if settled[..lanes].iter().all(|&s| s) {
+            stats.pruned_by_triangle += lanes as u64;
+            continue;
+        }
+        // The sums `window_correlation` forms, four windows at a time;
+        // lanes past `n_windows` re-read the last window.
+        let span = |prefix: &[f64]| -> [f64; LANES] {
+            std::array::from_fn(|l| {
+                let (b0, b1) = geo.bw_range(w + l.min(lanes - 1));
+                prefix[b1] - prefix[b0]
+            })
+        };
+        let c = tsdata::stats::pearson_from_sums4(
+            n,
+            &span(sum_i),
+            &span(sum_j),
+            &span(sq_i),
+            &span(sq_j),
+            &span(cross),
+        );
+        for l in 0..lanes {
+            if settled[l] {
+                stats.pruned_by_triangle += 1;
+                continue;
+            }
+            stats.evaluated += 1;
+            // A zero-variance window is undefined (NaN): no edge.
+            if rule.keeps(c[l], beta) {
+                stats.edges += 1;
+                emit(w + l, c[l]);
             }
         }
     }
@@ -238,8 +315,9 @@ mod tests {
             let mut store = SketchStore::build(&head, layout).unwrap();
             let mut pair = PairSketch::build(&layout, head.row(0), head.row(1)).unwrap();
             let mut costs = pair_costs(&store, &pair, 0, 1, rule);
-            store.append(&f.x).unwrap();
-            pair.append(store.layout(), f.x.row(0), f.x.row(1)).unwrap();
+            store.append_tail(&f.x, 0).unwrap();
+            pair.append_tail(store.layout(), f.x.row(0), f.x.row(1), 0)
+                .unwrap();
             let (from, nb) = (costs.upper.n_basic(), store.layout().count);
             costs.extend((from..nb).map(|b| pair.basic_correlation(&store, 0, 1, b)));
             // `Debug` prints each f64 in its shortest round-trip form.
@@ -466,6 +544,129 @@ mod tests {
                 full.iter().filter(|(w, _)| *w >= skip).cloned().collect();
             assert_eq!(got, expected, "skip={skip}");
         }
+    }
+
+    /// The per-window walk the four-window blocks must reproduce: one
+    /// `PivotSet::interval` and one `combine::window_correlation` per
+    /// window. Edges as `(window, bits)`.
+    #[allow(clippy::too_many_arguments)]
+    fn per_window_oracle(
+        store: &SketchStore,
+        pair: &PairSketch,
+        i: usize,
+        j: usize,
+        geo: WalkGeometry,
+        beta: f64,
+        rule: EdgeRule,
+        pivots: Option<&PivotSet>,
+    ) -> (Vec<(usize, u64)>, PruningStats) {
+        let mut stats = PruningStats {
+            n_pairs: 1,
+            total_cells: geo.n_windows as u64,
+            ..PruningStats::default()
+        };
+        let mut edges = Vec::new();
+        for w in 0..geo.n_windows {
+            if let Some(pv) = pivots {
+                let (lo, hi) = pv.interval(i, j, geo.global_window(w));
+                if settles(rule, beta, lo, hi) {
+                    stats.pruned_by_triangle += 1;
+                    continue;
+                }
+            }
+            stats.evaluated += 1;
+            let (b0, b1) = geo.bw_range(w);
+            if let Ok(c) = combine::window_correlation(store, pair, i, j, b0, b1) {
+                if rule.keeps(c, beta) {
+                    stats.edges += 1;
+                    edges.push((w, c.to_bits()));
+                }
+            }
+        }
+        (edges, stats)
+    }
+
+    #[test]
+    fn exhaustive_lanes_equal_the_per_window_walk() {
+        // The state-test fixture: series 2 is constant throughout and
+        // series 4/5 are constant in some basic windows, so with one basic
+        // window per query window (`ns = 1`) zero-variance windows sit
+        // inside blocks next to defined ones, and pivots 2 and 4 carry NaN
+        // lanes. The basic-window counts, steps and drain offsets give
+        // every `n_windows % 4` class, so the last block is partial in
+        // three of them.
+        use crate::state::tests::{matrix, WIDTH};
+        let mut seen = PruningStats::default();
+        let mut mods = [false; 4];
+        for nb in [23usize, 24, 25, 26] {
+            let x = matrix(nb * WIDTH);
+            let layout = BasicWindowLayout::cover(0, nb * WIDTH, WIDTH).unwrap();
+            let store = SketchStore::build(&x, layout).unwrap();
+            let pairs = sketch::pair::build_all(&layout, &x, 1).unwrap();
+            for (ns, step_bw) in [(1usize, 1usize), (3, 1), (3, 2), (4, 2)] {
+                let query = SlidingQuery {
+                    start: 0,
+                    end: nb * WIDTH,
+                    window: ns * WIDTH,
+                    step: step_bw * WIDTH,
+                    threshold: 0.5,
+                };
+                let tables: Vec<Option<PivotSet>> = [vec![1, 4], vec![2, 5, 6]]
+                    .into_iter()
+                    .map(|p| {
+                        Some(PivotSet::build(&x, &store, &layout, &query, p, None, 1).unwrap())
+                    })
+                    .chain([None])
+                    .collect();
+                for skip in [0usize, 1, 3] {
+                    let geo = WalkGeometry {
+                        n_windows: query.n_windows() - skip,
+                        ns,
+                        step_bw,
+                        offset_bw: skip * step_bw,
+                    };
+                    mods[geo.n_windows % 4] = true;
+                    for (rank, pair) in pairs.iter().enumerate() {
+                        let (i, j) = sketch::triangular::unrank(rank, x.n_series());
+                        for pivots in tables.iter().map(Option::as_ref) {
+                            for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+                                for beta in [0.3, 0.6, 0.9] {
+                                    let mut got = Vec::new();
+                                    let mut stats = PruningStats::default();
+                                    walk_pair(
+                                        &store,
+                                        pair,
+                                        i,
+                                        j,
+                                        geo,
+                                        beta,
+                                        rule,
+                                        BoundMode::Exhaustive,
+                                        None,
+                                        pivots,
+                                        &mut stats,
+                                        |w, v| got.push((w, v.to_bits())),
+                                    );
+                                    let (want, want_stats) = per_window_oracle(
+                                        &store, pair, i, j, geo, beta, rule, pivots,
+                                    );
+                                    let what = format!(
+                                        "nb={nb} ns={ns} step={step_bw} skip={skip} \
+                                         ({i},{j}) {rule:?} beta={beta} pivots={}",
+                                        pivots.is_some()
+                                    );
+                                    assert_eq!(got, want, "{what}");
+                                    assert_eq!(stats, want_stats, "{what}");
+                                    seen.merge(&stats);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(mods, [true; 4], "every n_windows % 4 class walked");
+        assert!(seen.pruned_by_triangle > 0 && seen.evaluated > 0 && seen.edges > 0);
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! to the instruction set; the crate's property tests assert the identity
 //! on random lengths, including all remainder classes `len % 4 ∈ {1,2,3}`.
 //!
+//! One op is a *window-lane* op rather than a reduction:
+//! [`triangle_fold4`] folds one pivot into four windows' triangle
+//! intervals, lane `l` carrying window `l`. Nothing crosses lanes, so it
+//! has no reduction order to match and is a plain inlined scalar function
+//! with no backend twins — the same bits on every build.
+//!
 //! ```
 //! let x: Vec<f64> = (0..1027).map(|t| (t as f64 * 0.37).sin()).collect();
 //! let y: Vec<f64> = (0..1027).map(|t| (t as f64 * 0.91).cos()).collect();
@@ -39,6 +45,8 @@
 //! ```
 
 pub mod scalar;
+
+pub use scalar::triangle_fold4;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;

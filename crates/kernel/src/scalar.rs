@@ -224,18 +224,37 @@ pub fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
     let blocks = c_iz.len() / LANES;
     let mut lo = [-1.0f64; LANES];
     let mut hi = [1.0f64; LANES];
-    for k in 0..blocks {
-        let izs = &c_iz[k * LANES..(k + 1) * LANES];
-        let jzs = &c_jz[k * LANES..(k + 1) * LANES];
-        for l in 0..LANES {
-            let (clo, chi) = tri_lo_hi(izs[l], jzs[l]);
-            if clo > lo[l] {
-                lo[l] = clo;
-            }
-            if chi < hi[l] {
-                hi[l] = chi;
-            }
-        }
+    let lanes = |c: &[f64]| -> [f64; LANES] { c.try_into().expect("a four-element block") };
+    for (izs, jzs) in c_iz.chunks_exact(LANES).zip(c_jz.chunks_exact(LANES)) {
+        triangle_fold4(&lanes(izs), &lanes(jzs), &mut lo, &mut hi);
     }
     tri_finish(lo, hi, &c_iz[blocks * LANES..], &c_jz[blocks * LANES..])
+}
+
+/// Intersect each lane `l` of the running interval `(lo, hi)` with the
+/// triangle bound of `(c_iz[l], c_jz[l])` — the per-block step of
+/// [`triangle_interval`], which the SIMD backends perform in one register.
+///
+/// Used directly as a *window-lane* op: lane `l` carries window `l` of a
+/// block of four, so one call folds one pivot into four windows'
+/// intervals. A NaN operand (an undefined pivot window) comes out of the
+/// clamp selects as `(−1, 1)`, which never tightens a lane, so NaN lanes
+/// are skipped. Nothing crosses lanes, so there is no reduction order to
+/// match and no backend twin: callers get the same bits on every build.
+#[inline]
+pub fn triangle_fold4(
+    c_iz: &[f64; LANES],
+    c_jz: &[f64; LANES],
+    lo: &mut [f64; LANES],
+    hi: &mut [f64; LANES],
+) {
+    for l in 0..LANES {
+        let (clo, chi) = tri_lo_hi(c_iz[l], c_jz[l]);
+        if clo > lo[l] {
+            lo[l] = clo;
+        }
+        if chi < hi[l] {
+            hi[l] = chi;
+        }
+    }
 }

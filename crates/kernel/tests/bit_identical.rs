@@ -87,6 +87,49 @@ proptest! {
     }
 }
 
+/// A pivot correlation lane: in `[-1, 1]`, at a clamp edge, or NaN (an
+/// undefined pivot window).
+fn pivot_lane(rng: &mut rand::rngs::StdRng) -> f64 {
+    match rng.gen_range(0..8) {
+        0 => f64::NAN,
+        1 => 1.0,
+        2 => -1.0,
+        3 => 0.0,
+        _ => rng.gen::<f64>() * 2.0 - 1.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Folding a run of pivots into four window lanes: each lane equals
+    /// the dispatched `triangle_interval` (SIMD where available) over that
+    /// window's non-NaN pivots, so NaN lanes are skipped and the fold
+    /// agrees with every backend. `==`, not bits: intersection order may
+    /// keep either sign of a `±0` tie, which no comparison can tell apart.
+    #[test]
+    fn triangle_fold4_lanes_equal_triangle_interval(seed in 0u64..10_000, pivots in 1usize..9) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (mut lo, mut hi) = ([-1.0f64; 4], [1.0f64; 4]);
+        let mut per_lane: [(Vec<f64>, Vec<f64>); 4] = Default::default();
+        for _ in 0..pivots {
+            let ciz: [f64; 4] = std::array::from_fn(|_| pivot_lane(&mut rng));
+            let cjz: [f64; 4] = std::array::from_fn(|_| pivot_lane(&mut rng));
+            kernel::triangle_fold4(&ciz, &cjz, &mut lo, &mut hi);
+            for l in 0..4 {
+                if !ciz[l].is_nan() && !cjz[l].is_nan() {
+                    per_lane[l].0.push(ciz[l]);
+                    per_lane[l].1.push(cjz[l]);
+                }
+            }
+        }
+        for (l, (iz, jz)) in per_lane.iter().enumerate() {
+            let (wlo, whi) = kernel::triangle_interval(iz, jz);
+            prop_assert!(lo[l] == wlo && hi[l] == whi, "lane {}", l);
+        }
+    }
+}
+
 /// Chunked interval intersection (how `PivotSet::interval` feeds the
 /// kernel) equals one whole-batch call: min/max intersection is exactly
 /// associative, so chunk boundaries cannot change bits.

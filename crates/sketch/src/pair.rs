@@ -69,22 +69,12 @@ impl PairSketch {
     }
 
     /// Extends the sketch to cover `layout` (the *grown* layout after a
-    /// [`SketchStore::append`]) by reading only the new columns. Returns
-    /// the number of basic windows added.
-    pub fn append(
-        &mut self,
-        layout: &BasicWindowLayout,
-        x: &[f64],
-        y: &[f64],
-    ) -> Result<usize, TsError> {
-        self.append_tail(layout, x, y, 0)
-    }
-
-    /// [`PairSketch::append`] from *tail* slices: `x_tail`/`y_tail` hold
-    /// only the columns from global index `tail_start` onward, so callers
-    /// that evict absorbed raw history can still extend the sketch. Every
-    /// new basic window of `layout` must lie within the tail
-    /// (`tail_start ≤` the first new window's start column).
+    /// [`SketchStore::append_tail`]) by reading only the new columns, and
+    /// returns the number of basic windows added. `x_tail`/`y_tail` hold
+    /// the columns from global index `tail_start` onward (`0` for whole
+    /// rows), so callers that evict absorbed raw history can still extend
+    /// the sketch. Every new basic window of `layout` must lie within the
+    /// tail (`tail_start ≤` the first new window's start column).
     pub fn append_tail(
         &mut self,
         layout: &BasicWindowLayout,
@@ -132,6 +122,13 @@ impl PairSketch {
             self.cross_prefix.push(acc);
         }
         Ok(layout.count - old_count)
+    }
+
+    /// The `(count+1)`-long prefix of per-basic-window `Σ x·y`:
+    /// [`PairSketch::cross_sum`] over `[b0, b1)` is `prefix[b1] − prefix[b0]`.
+    #[inline]
+    pub fn cross_prefix(&self) -> &[f64] {
+        &self.cross_prefix
     }
 
     /// `Σ x·y` over basic windows `[b0, b1)` — O(1).
@@ -382,11 +379,11 @@ mod tests {
         let small = BasicWindowLayout::cover(0, 15, 5).unwrap();
         let mut p = PairSketch::build(&small, &x[..15], &y[..15]).unwrap();
         let grown = BasicWindowLayout::cover(0, 30, 5).unwrap();
-        assert_eq!(p.append(&grown, &x, &y).unwrap(), 3);
+        assert_eq!(p.append_tail(&grown, &x, &y, 0).unwrap(), 3);
         let fresh = PairSketch::build(&grown, &x, &y).unwrap();
         assert_eq!(p, fresh);
         // Idempotent when nothing new is complete.
-        assert_eq!(p.append(&grown, &x, &y).unwrap(), 0);
+        assert_eq!(p.append_tail(&grown, &x, &y, 0).unwrap(), 0);
     }
 
     #[test]
@@ -411,10 +408,10 @@ mod tests {
         let small = BasicWindowLayout::cover(0, 15, 5).unwrap();
         let mut p = PairSketch::build(&small, &x[..15], &y[..15]).unwrap();
         let grown = BasicWindowLayout::cover(0, 30, 5).unwrap();
-        assert!(p.append(&grown, &x[..20], &y).is_err()); // length mismatch
-        assert!(p.append(&grown, &x[..20], &y[..20]).is_err()); // too short
+        assert!(p.append_tail(&grown, &x[..20], &y, 0).is_err()); // length mismatch
+        assert!(p.append_tail(&grown, &x[..20], &y[..20], 0).is_err()); // too short
         let shrunk = BasicWindowLayout::cover(0, 10, 5).unwrap();
-        assert!(p.append(&shrunk, &x, &y).is_err());
+        assert!(p.append_tail(&shrunk, &x, &y, 0).is_err());
     }
 
     #[test]

@@ -143,6 +143,16 @@ impl SketchStore {
         }
     }
 
+    /// Series `i`'s `(count+1)`-long prefix rows of `Σx` and `Σx²`: entry
+    /// `b` pools basic windows `[0, b)`, so [`SketchStore::window_stats`]
+    /// over `[b0, b1)` is `row[b1] − row[b0]` in each.
+    #[inline]
+    pub fn prefix_rows(&self, i: usize) -> (&[f64], &[f64]) {
+        let stride = self.layout.count + 1;
+        let span = i * stride..(i + 1) * stride;
+        (&self.sum_prefix[span.clone()], &self.sum_sq_prefix[span])
+    }
+
     /// Stats of the single basic window `b` of series `i`.
     #[inline]
     pub fn basic_stats(&self, i: usize, b: usize) -> WindowStats {
@@ -170,20 +180,15 @@ impl SketchStore {
     }
 
     /// Extends the store with the basic windows that have become complete
-    /// now that `x` (the same matrix, grown at the right edge) is longer.
+    /// now that the matrix has grown at the right edge. `tail` holds only
+    /// the columns from global index `tail_start` onward (`0` for the
+    /// whole grown matrix; earlier raw history may have been evicted once
+    /// absorbed into the prefix arrays). The layout keeps global indices,
+    /// so results are bit-identical to a fresh full-history build.
     ///
     /// Returns the number of basic windows added. Costs O(N·Δ) for the
     /// new columns plus a prefix-array copy — the real-time-update path:
     /// history is never rescanned.
-    pub fn append(&mut self, x: &TimeSeriesMatrix) -> Result<usize, TsError> {
-        self.append_tail(x, 0)
-    }
-
-    /// [`SketchStore::append`] from a *tail* matrix: `tail` holds only the
-    /// columns from global index `tail_start` onward (earlier raw history
-    /// may have been evicted once absorbed into the prefix arrays). The
-    /// layout keeps global indices, so results are bit-identical to a
-    /// fresh full-history build.
     pub fn append_tail(
         &mut self,
         tail: &TimeSeriesMatrix,
@@ -418,16 +423,16 @@ mod tests {
         grown
             .append_columns(&full.slice_columns(12, 20).unwrap())
             .unwrap();
-        assert_eq!(store.append(&grown).unwrap(), 2);
+        assert_eq!(store.append_tail(&grown, 0).unwrap(), 2);
         grown
             .append_columns(&full.slice_columns(20, 24).unwrap())
             .unwrap();
-        assert_eq!(store.append(&grown).unwrap(), 1);
+        assert_eq!(store.append_tail(&grown, 0).unwrap(), 1);
 
         let fresh = SketchStore::build(&full, BasicWindowLayout::cover(0, 24, 4).unwrap()).unwrap();
         assert_eq!(store, fresh);
         // No new complete window ⇒ no-op.
-        assert_eq!(store.append(&grown).unwrap(), 0);
+        assert_eq!(store.append_tail(&grown, 0).unwrap(), 0);
     }
 
     #[test]
@@ -442,7 +447,7 @@ mod tests {
         grown
             .append_columns(&full.slice_columns(12, 24).unwrap())
             .unwrap();
-        assert_eq!(a.append(&grown).unwrap(), 3);
+        assert_eq!(a.append_tail(&grown, 0).unwrap(), 3);
         // Tail-only append of the same columns is bit-identical.
         let tail = full.slice_columns(12, 24).unwrap();
         assert_eq!(b.append_tail(&tail, 12).unwrap(), 3);
@@ -459,10 +464,10 @@ mod tests {
         let mut store = SketchStore::build(&x, layout).unwrap();
         // Different series count.
         let other = TimeSeriesMatrix::from_rows(vec![vec![0.0; 30]]).unwrap();
-        assert!(store.append(&other).is_err());
+        assert!(store.append_tail(&other, 0).is_err());
         // Shrunk matrix.
         let short = x.slice_columns(0, 8).unwrap();
-        assert!(store.append(&short).is_err());
+        assert!(store.append_tail(&short, 0).is_err());
     }
 
     #[test]

@@ -102,6 +102,32 @@ pub fn pearson_from_sums(
     Ok(((sxy - sx * sy / n) / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0))
 }
 
+/// [`pearson_from_sums`] of four windows at once (lane `l` = window `l`),
+/// with the same IEEE operations in the same order per lane; a lane whose
+/// variance is not positive (a constant or NaN window) comes back NaN in
+/// place of the error. Nothing crosses lanes, so the loop is branch-free
+/// and the compiler may vectorize it without changing a bit.
+#[inline]
+pub fn pearson_from_sums4(
+    n: f64,
+    sx: &[f64; 4],
+    sy: &[f64; 4],
+    sxx: &[f64; 4],
+    syy: &[f64; 4],
+    sxy: &[f64; 4],
+) -> [f64; 4] {
+    std::array::from_fn(|l| {
+        let vx = sxx[l] - sx[l] * sx[l] / n;
+        let vy = syy[l] - sy[l] * sy[l] / n;
+        let r = ((sxy[l] - sx[l] * sy[l] / n) / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0);
+        if vx > 0.0 && vy > 0.0 {
+            r
+        } else {
+            f64::NAN
+        }
+    })
+}
+
 /// Replace `xs` by its z-normalisation `(x − mean) / std` in place.
 ///
 /// Returns the `(mean, std)` that were removed. Errors on zero variance.
@@ -262,6 +288,58 @@ mod tests {
         let via_sums = pearson_from_sums(n, sx, sy, sxx, syy, sxy).unwrap();
         let direct = pearson(&x, &y).unwrap();
         assert!((via_sums - direct).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pearson_from_sums4_lanes_equal_pearson_from_sums() {
+        // Random windows, perfectly (anti-)correlated ones whose ratio
+        // rounds past ±1 and clamps, a constant side (zero variance), a
+        // negative-variance side, a NaN sum and a ratio far past ±1, mixed
+        // across the four lanes.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut kinds = [0usize; 6];
+        for _ in 0..500 {
+            let n = rng.gen_range(2usize..40);
+            let lane = |rng: &mut rand::rngs::StdRng, kinds: &mut [usize; 6]| {
+                let x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
+                let y: Vec<f64> = match rng.gen_range(0..3) {
+                    0 => x.clone(),
+                    1 => x.iter().map(|v| -3.0 * v + 0.1).collect(),
+                    _ => (0..n).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect(),
+                };
+                let m = kernel::cross_moments(&x, &y);
+                let mut s = [m.sum_x, m.sum_y, m.sum_xx, m.sum_yy, m.sum_xy];
+                let kind = rng.gen_range(0..8usize).min(5);
+                kinds[kind] += 1;
+                match kind {
+                    0 => {
+                        let c = rng.gen::<f64>() * 4.0 - 2.0;
+                        (s[0], s[2]) = (n as f64 * c, n as f64 * c * c);
+                    }
+                    1 => s[3] = 0.0,
+                    2 => s[2] = -s[2],
+                    3 => s[rng.gen_range(0..5usize)] = f64::NAN,
+                    4 => s[4] = s[4].signum() * 1e12,
+                    _ => {}
+                }
+                s
+            };
+            let lanes: [[f64; 5]; 4] = std::array::from_fn(|_| lane(&mut rng, &mut kinds));
+            let col = |k: usize| -> [f64; 4] { std::array::from_fn(|l| lanes[l][k]) };
+            let nf = n as f64;
+            let got = pearson_from_sums4(nf, &col(0), &col(1), &col(2), &col(3), &col(4));
+            for (l, s) in lanes.iter().enumerate() {
+                match pearson_from_sums(nf, s[0], s[1], s[2], s[3], s[4]) {
+                    Ok(want) => assert_eq!(got[l].to_bits(), want.to_bits(), "lane {l}"),
+                    Err(_) => assert!(got[l].is_nan(), "lane {l}: {}", got[l]),
+                }
+            }
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "every lane kind drawn: {kinds:?}"
+        );
     }
 
     #[test]
