@@ -61,9 +61,9 @@ impl<'a> PairState<'a> {
     ///
     /// `on_demand` is `Some(x)` when pair sketches are to be built per
     /// pair during the walk; `None` materialises them with
-    /// [`pair::build_with`] (tiled over the whole triangle, rank chunks
-    /// for a shard). In jump mode each pair's cost prefixes are built in
-    /// the same pass, right after its sketch.
+    /// [`pair::build_with`] (strips of up to four pairs, in rank order).
+    /// In jump mode each pair's cost prefixes are built in the same pass,
+    /// right after its sketch.
     pub(crate) fn build(
         x: &TimeSeriesMatrix,
         layout: BasicWindowLayout,
@@ -90,7 +90,7 @@ impl<'a> PairState<'a> {
             });
         }
         let (pairs, costs) = if matches!(config.bound, BoundMode::PaperJump { .. }) {
-            // Each pair's cost prefix is built in the sketch tile, from a
+            // Each pair's cost prefix is built right after its sketch, from a
             // moment table that computes every series' (mean, σ) once.
             let moments = store.basic_moments(0..layout.count);
             let rule = config.edge_rule;

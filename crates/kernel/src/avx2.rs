@@ -46,6 +46,65 @@ pub(crate) unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
     scalar::finish_fma(lanes_of(acc), &x[blocks * LANES..], &y[blocks * LANES..])
 }
 
+/// See [`scalar::dot4_windows`]. Each window keeps one accumulator per
+/// row, so the four FMA chains are independent, and the remainder block
+/// updates only lanes `0 .. width % 4` (masked loads, then a blend that
+/// keeps the other lanes' accumulators). The four canonical combines run
+/// in registers: `hadd` forms `l0 + l1` and `l2 + l3` of two rows at a
+/// time, a 128-bit permute lines the pairs up by row, and one add finishes
+/// `(l0 + l1) + (l2 + l3)` for all four rows. (`hadd` adds `l1 + l0`;
+/// IEEE addition commutes, so that cannot change a bit.)
+// SAFETY: caller must guarantee avx2+fma. All five slices are asserted to
+// hold `out.len() * width` elements; full loads read `base + k*4 ..
+// base + k*4 + 4` with `k < width/4`, and the masked remainder loads touch
+// only lanes `< width % 4` past `base + (width/4)*4` (masked-off lanes are
+// not accessed), so every read stays inside its window. Each store writes
+// exactly the four f64 of one exclusively borrowed `out[b]`.
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn dot4_windows(
+    x: &[f64],
+    ys: [&[f64]; LANES],
+    width: usize,
+    out: &mut [[f64; LANES]],
+) {
+    let len = out.len() * width;
+    assert!(
+        x.len() == len && ys.iter().all(|y| y.len() == len),
+        "dot4_windows: length mismatch"
+    );
+    let blocks = width / LANES;
+    let rem = width % LANES;
+    let lane_on = |l: usize| if l < rem { -1i64 } else { 0 };
+    let rem_mask = _mm256_setr_epi64x(lane_on(0), lane_on(1), lane_on(2), lane_on(3));
+    for (b, o) in out.iter_mut().enumerate() {
+        let base = b * width;
+        let px = x.as_ptr().add(base);
+        let py = ys.map(|y| y.as_ptr().add(base));
+        let mut acc = [_mm256_setzero_pd(); LANES];
+        for k in 0..blocks {
+            let a = _mm256_loadu_pd(px.add(k * LANES));
+            for (acc, p) in acc.iter_mut().zip(py) {
+                *acc = _mm256_fmadd_pd(a, _mm256_loadu_pd(p.add(k * LANES)), *acc);
+            }
+        }
+        if rem > 0 {
+            let at = blocks * LANES;
+            let a = _mm256_maskload_pd(px.add(at), rem_mask);
+            for (acc, p) in acc.iter_mut().zip(py) {
+                let fused = _mm256_fmadd_pd(a, _mm256_maskload_pd(p.add(at), rem_mask), *acc);
+                *acc = select(*acc, fused, _mm256_castsi256_pd(rem_mask));
+            }
+        }
+        let h01 = _mm256_hadd_pd(acc[0], acc[1]);
+        let h23 = _mm256_hadd_pd(acc[2], acc[3]);
+        let sum = _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(h01, h23),
+            _mm256_permute2f128_pd::<0x31>(h01, h23),
+        );
+        _mm256_storeu_pd(o.as_mut_ptr(), sum);
+    }
+}
+
 /// See [`scalar::sum`].
 // SAFETY: caller must guarantee avx2+fma. Unaligned loads read lanes
 // `k*4 .. k*4+4` with `k < x.len()/4` — always in bounds.

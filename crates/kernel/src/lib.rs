@@ -28,6 +28,12 @@
 //! to the instruction set; the crate's property tests assert the identity
 //! on random lengths, including all remainder classes `len % 4 ∈ {1,2,3}`.
 //!
+//! [`dot4_windows`] is the pair-sketch builder's batched [`dot`]: the
+//! per-basic-window dots of one row against four rows in one call, each
+//! lane bit-identical to [`dot`] of its window. It has the AVX2+FMA twin
+//! and the scalar twin only; on aarch64 the scalar twin's `mul_add` is
+//! already a native fused operation.
+//!
 //! One op is a *window-lane* op rather than a reduction:
 //! [`triangle_fold4`] folds one pivot into four windows' triangle
 //! intervals, lane `l` carrying window `l`. Nothing crosses lanes, so it
@@ -78,9 +84,9 @@ static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 /// Force (or stop forcing) the scalar backend at runtime.
 ///
 /// Because every backend is bit-identical, flipping this mid-run can never
-/// change a result — only its speed. Used by the E12 microbenchmark and
-/// the `kernels` section of the perf record to measure the SIMD speedup
-/// end-to-end, and by tests asserting backend invariance.
+/// change a result — only its speed. Used by the E12 microbenchmark to
+/// measure the SIMD speedup end-to-end, and by tests asserting backend
+/// invariance.
 pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
@@ -161,6 +167,29 @@ macro_rules! dispatch {
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     dispatch!(dot(x, y))
+}
+
+/// Per-basic-window dot products of one row against four rows in one
+/// call: lane `q` of `out[b]` is [`dot`] of window `b` (`width` elements
+/// from `b·width`) of `x` and `ys[q]`, bit for bit — the pair-sketch
+/// builder's kernel, four pairs per call.
+///
+/// AVX2+FMA where available, the canonical scalar twin otherwise. There is
+/// no NEON twin: on aarch64 the scalar twin's `mul_add` is already a
+/// native fused operation.
+///
+/// # Panics
+/// Panics unless `x` and every `ys[q]` hold exactly `out.len() · width`
+/// elements.
+#[inline]
+pub fn dot4_windows(x: &[f64], ys: [&[f64]; 4], width: usize, out: &mut [[f64; 4]]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_active() {
+        // SAFETY: avx2_active() confirmed avx2+fma (statically or via CPU
+        // detection).
+        return unsafe { avx2::dot4_windows(x, ys, width, out) };
+    }
+    scalar::dot4_windows(x, ys, width, out)
 }
 
 /// `Σ x` in the canonical striped order. Bit-identical to the first

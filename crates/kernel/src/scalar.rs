@@ -56,6 +56,27 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     finish_fma(acc, &x[blocks * LANES..], &y[blocks * LANES..])
 }
 
+/// Per-basic-window dot products of one row against four: for every
+/// window `b < out.len()`, lane `q` of `out[b]` is [`dot`] of the `width`
+/// elements of `x` and `ys[q]` from `b·width` on. The AVX2 twin runs the
+/// four rows' striped reductions side by side in one call; each lane is
+/// still exactly one canonical [`dot`].
+///
+/// # Panics
+/// Panics unless `x` and every `ys[q]` hold exactly `out.len() · width`
+/// elements.
+pub fn dot4_windows(x: &[f64], ys: [&[f64]; LANES], width: usize, out: &mut [[f64; LANES]]) {
+    let len = out.len() * width;
+    assert!(
+        x.len() == len && ys.iter().all(|y| y.len() == len),
+        "dot4_windows: length mismatch"
+    );
+    for (b, o) in out.iter_mut().enumerate() {
+        let span = b * width..(b + 1) * width;
+        *o = ys.map(|y| dot(&x[span.clone()], &y[span.clone()]));
+    }
+}
+
 /// `Σ x` in the canonical striped order (one lane-wise `+` per element).
 /// Bit-identical to the first component of [`sum_and_sum_squares`].
 pub fn sum(x: &[f64]) -> f64 {

@@ -8,6 +8,11 @@
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+/// Held by every test that flips [`kernel::force_scalar`], a process-wide
+/// switch, so one test's flip cannot land inside another's assertions.
+static BACKEND_SWITCH: Mutex<()> = Mutex::new(());
 
 /// Random slice whose length hits every remainder class: `base4 * 4 + rem`.
 fn inputs(seed: u64, base4: usize, rem: usize) -> (Vec<f64>, Vec<f64>) {
@@ -162,10 +167,95 @@ fn triangle_interval_chunking_is_exact() {
 /// guarantee that forcing scalar flips the dispatcher.
 #[test]
 fn backend_reporting_is_consistent() {
+    let _switch = BACKEND_SWITCH.lock().unwrap();
     let b = kernel::active_backend();
     assert!(["avx2+fma", "neon", "scalar"].contains(&b), "{b}");
     kernel::force_scalar(true);
     assert_eq!(kernel::active_backend(), "scalar");
     kernel::force_scalar(false);
     assert_eq!(kernel::active_backend(), b);
+}
+
+/// An element for the windowed-dot test: mostly finite, sometimes one of
+/// the IEEE special values, or `±1e-300`, whose products underflow to a
+/// signed zero.
+fn special_or_finite(rng: &mut rand::rngs::StdRng) -> f64 {
+    match rng.gen_range(0..128) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3..=10 => -0.0,
+        11..=14 => 0.0,
+        15..=18 => 1e-300,
+        19..=22 => -1e-300,
+        _ => rng.gen::<f64>() * 200.0 - 100.0,
+    }
+}
+
+/// Bitwise equality, except that any two NaNs agree: Rust leaves the
+/// payload and sign of a NaN result unspecified, so two correct backends
+/// (or one compiler reordering a commutative add) may differ there.
+fn same(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Every lane of `dot4_windows` equals `dot` (dispatched) and
+/// `scalar::dot` of its window, bit for bit: widths 1–33 cover every
+/// `width % 4`, 0–5 windows, rows with NaN, ±inf, ±0.0 and ±1e-300
+/// elements, with the dispatcher forced to scalar and free. The scalar
+/// twin is held to the same equalities.
+#[test]
+fn dot4_windows_lanes_equal_dot() {
+    let _switch = BACKEND_SWITCH.lock().unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    for forced in [false, true] {
+        kernel::force_scalar(forced);
+        for width in 1..=33 {
+            for windows in 0..=5 {
+                let len = width * windows;
+                // Random rows, then rows whose every product underflows to
+                // −0.0: the dot is −0.0 only if no lane's accumulator is
+                // ever touched by a `+0.0` (the remainder lanes past
+                // `width % 4` must be left alone, not fed `0·0`).
+                let random: Vec<Vec<f64>> = (0..5)
+                    .map(|_| (0..len).map(|_| special_or_finite(&mut rng)).collect())
+                    .collect();
+                let tiny: Vec<Vec<f64>> = (0..5)
+                    .map(|r| vec![if r == 0 { 1e-300 } else { -1e-300 }; len])
+                    .collect();
+                for rows in [random, tiny] {
+                    let ys = [&rows[1][..], &rows[2][..], &rows[3][..], &rows[4][..]];
+                    let mut out = vec![[f64::NAN; 4]; windows];
+                    let mut scalar_out = vec![[f64::NAN; 4]; windows];
+                    kernel::dot4_windows(&rows[0], ys, width, &mut out);
+                    kernel::scalar::dot4_windows(&rows[0], ys, width, &mut scalar_out);
+                    for b in 0..windows {
+                        let span = b * width..(b + 1) * width;
+                        for (q, y) in ys.iter().enumerate() {
+                            let d = kernel::dot(&rows[0][span.clone()], &y[span.clone()]);
+                            let sd = kernel::scalar::dot(&rows[0][span.clone()], &y[span.clone()]);
+                            for (got, which) in
+                                [(out[b][q], "dispatched"), (scalar_out[b][q], "scalar")]
+                            {
+                                assert!(
+                                    same(got, d) && same(got, sd),
+                                    "{which} forced={forced} width={width} window={b} lane={q}: \
+                                 {got:e} vs dot {d:e} / scalar::dot {sd:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    kernel::force_scalar(false);
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn dot4_windows_rejects_short_rows() {
+    let x = [1.0; 8];
+    let short = [1.0; 7];
+    kernel::dot4_windows(&x, [&x, &x, &short, &x], 4, &mut [[0.0; 4]; 2]);
 }

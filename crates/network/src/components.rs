@@ -7,7 +7,6 @@ use crate::graph::CsrGraph;
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    n_sets: usize,
 }
 
 impl UnionFind {
@@ -16,7 +15,6 @@ impl UnionFind {
         Self {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            n_sets: n,
         }
     }
 
@@ -41,13 +39,7 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.n_sets -= 1;
         true
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn n_sets(&self) -> usize {
-        self.n_sets
     }
 }
 
@@ -113,13 +105,18 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.n_sets(), 5);
+        assert_ne!(uf.find(3), uf.find(4)); // singletons
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2)); // already together
-        assert_eq!(uf.n_sets(), 3);
+        assert!(uf.union(3, 4));
+        assert!(!uf.union(4, 3));
         assert_eq!(uf.find(0), uf.find(2));
+        assert_eq!(uf.find(3), uf.find(4));
         assert_ne!(uf.find(0), uf.find(3));
+        // Two sets remain: one more union merges them, and then none can.
+        assert!(uf.union(2, 4));
+        assert!((0..5).all(|v| !uf.union(0, v)));
     }
 
     #[test]

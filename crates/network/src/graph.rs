@@ -2,14 +2,13 @@
 
 use sketch::ThresholdedMatrix;
 
-/// An undirected weighted graph in CSR form.
+/// An undirected graph in CSR form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     n: usize,
-    /// `offsets[v] .. offsets[v+1]` indexes `neighbors`/`weights` of `v`.
+    /// `offsets[v] .. offsets[v+1]` indexes `neighbors` of `v`.
     offsets: Vec<usize>,
     neighbors: Vec<u32>,
-    weights: Vec<f64>,
 }
 
 impl CsrGraph {
@@ -28,38 +27,22 @@ impl CsrGraph {
         }
         let total = *offsets.last().unwrap();
         let mut neighbors = vec![0u32; total];
-        let mut weights = vec![0.0; total];
         let mut cursor = offsets[..n].to_vec();
-        for e in m.edges() {
-            let (i, j) = (e.i as usize, e.j as usize);
-            neighbors[cursor[i]] = e.j;
-            weights[cursor[i]] = e.value;
+        for (i, j) in m.edge_pairs() {
+            neighbors[cursor[i]] = j as u32;
             cursor[i] += 1;
-            neighbors[cursor[j]] = e.i;
-            weights[cursor[j]] = e.value;
+            neighbors[cursor[j]] = i as u32;
             cursor[j] += 1;
         }
         // Sort each adjacency list for binary-search contains().
-        let mut g = Self {
+        for v in 0..n {
+            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        Self {
             n,
             offsets,
             neighbors,
-            weights,
-        };
-        for v in 0..n {
-            let (s, e) = (g.offsets[v], g.offsets[v + 1]);
-            let mut pairs: Vec<(u32, f64)> = g.neighbors[s..e]
-                .iter()
-                .copied()
-                .zip(g.weights[s..e].iter().copied())
-                .collect();
-            pairs.sort_by_key(|&(nb, _)| nb);
-            for (k, (nb, w)) in pairs.into_iter().enumerate() {
-                g.neighbors[s + k] = nb;
-                g.weights[s + k] = w;
-            }
         }
-        g
     }
 
     /// Number of nodes.
@@ -80,11 +63,6 @@ impl CsrGraph {
     /// Sorted neighbor list of `v`.
     pub fn neighbors(&self, v: usize) -> &[u32] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// Weights aligned with [`CsrGraph::neighbors`].
-    pub fn weights(&self, v: usize) -> &[f64] {
-        &self.weights[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Whether the edge `(u, v)` exists (binary search).
@@ -130,15 +108,6 @@ mod tests {
         assert!(g.has_edge(2, 1));
         assert!(!g.has_edge(0, 3));
         assert!(!g.has_edge(2, 2));
-    }
-
-    #[test]
-    fn weights_are_preserved_both_directions() {
-        let g = sample();
-        assert_eq!(g.weights(0), &[0.9, 0.8]);
-        assert_eq!(g.weights(1), &[0.9, 0.7]);
-        assert_eq!(g.weights(3), &[0.6]);
-        assert_eq!(g.weights(4), &[0.6]);
     }
 
     #[test]

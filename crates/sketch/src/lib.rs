@@ -15,9 +15,9 @@
 //! * [`store`] — per-series prefix-summed basic-window statistics, with
 //!   compact binary (de)serialisation, and the transient per-window
 //!   moment table [`store::BasicMoments`];
-//! * [`pair`] — per-pair cross-product sketches, plus the cache-blocked
-//!   builder [`pair::build_with`], which can finish each pair (e.g. its
-//!   Eq. 2 costs) while the sketch is in cache;
+//! * [`pair`] — per-pair cross-product sketches, plus the strip builder
+//!   [`pair::build_with`] (four pairs per kernel call), which can finish
+//!   each pair (e.g. its Eq. 2 costs) while the sketch is in cache;
 //! * [`combine`] — O(1) window correlation from the sketches (Eq. 1);
 //! * [`output`] — [`output::ThresholdedMatrix`], the sparse `C_k` the
 //!   problem definition asks for;
@@ -25,7 +25,7 @@
 //!
 //! Every dense accumulation in the prefix builders runs on the `kernel`
 //! crate's 4-lane SIMD primitives ([`kernel::dot`],
-//! [`kernel::sum_and_sum_squares`]) whose scalar fallback is bit-identical
+//! [`kernel::dot4_windows`], [`kernel::sum_and_sum_squares`]) whose scalar fallback is bit-identical
 //! by contract, so sketches — and everything derived from them — do not
 //! depend on the instruction set, the thread count, or batch-vs-streaming
 //! construction order.

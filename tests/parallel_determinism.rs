@@ -394,7 +394,7 @@ fn tsubasa_baseline_is_thread_count_invariant() {
 #[test]
 fn prepare_is_thread_count_invariant() {
     // The prepared state (sketch store + pair sketches) drives every
-    // downstream number; the parallel tiled build must be bit-identical.
+    // downstream number; the parallel strip-wise build must be bit-identical.
     let x = generators::clustered_matrix(12, 360, 3, 0.5, 31).unwrap();
     let q = SlidingQuery {
         start: 0,
