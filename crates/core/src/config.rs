@@ -46,7 +46,13 @@ pub enum PairStorage {
 /// Pivot selection for horizontal (triangle-inequality) pruning.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PivotStrategy {
-    /// Evenly spaced series indices — the default; cheap and diverse.
+    /// Evenly spaced series indices `p·N/k` — the default, and cheap.
+    /// Not diverse when the series index has a period that divides the
+    /// stride `N/k`: then every pivot lands in the same residue class.
+    /// With `tsdata::generators::clustered_matrix` (series `i` in cluster
+    /// `i mod 4`) at `N = 256`, any `k ∈ {2, 4, 8}` puts every pivot in
+    /// cluster 0. ROADMAP's spread-selection item plans a max-min
+    /// replacement.
     Evenly,
     /// Pseudorandom choice from the given seed.
     Random {

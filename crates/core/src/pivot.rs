@@ -260,11 +260,28 @@ impl PivotSet {
     /// [`PivotSet::interval`] of the four windows `w .. w + 4` at once,
     /// lane `l` holding window `w + l`: each usable pivot's two four-window
     /// runs go through one [`kernel::triangle_fold4`], which skips NaN
-    /// lanes. Every lane equals `interval` of its window — intersection is
-    /// exact in any order (a tie between `±0` may keep either sign, which
-    /// no comparison can tell apart). Lanes past the table's last window
-    /// repeat that window, so a final partial block needs no special case.
-    pub fn interval4(&self, i: usize, j: usize, w: usize) -> ([f64; 4], [f64; 4]) {
+    /// lanes. Lanes past the table's last window repeat that window, so a
+    /// final partial block needs no special case.
+    ///
+    /// The fold stops before the next pivot once every lane settles
+    /// under `rule` at `beta`: more pivots can only tighten an interval,
+    /// so they could not unsettle a lane. Each lane therefore settles
+    /// exactly when `interval` of its window does, and when some lane
+    /// does not, every pivot was folded and every lane equals `interval`
+    /// — intersection is exact in any order (a tie between `±0` may keep
+    /// either sign, which no comparison can tell apart).
+    ///
+    /// `inline(always)` puts it, and the fold, inside each instance of
+    /// the exhaustive walk, including its `avx2,fma` one.
+    #[inline(always)]
+    pub fn interval4(
+        &self,
+        i: usize,
+        j: usize,
+        w: usize,
+        rule: EdgeRule,
+        beta: f64,
+    ) -> ([f64; 4], [f64; 4]) {
         debug_assert!(i < self.n_series && j < self.n_series && w < self.n_windows);
         let (n, last) = (self.n_series, self.n_windows - 1);
         let (mut lo, mut hi) = ([-1.0f64; 4], [1.0f64; 4]);
@@ -272,6 +289,9 @@ impl PivotSet {
             // The pivot-endpoint skip of `interval`.
             if z == i || z == j {
                 continue;
+            }
+            if (0..4).all(|l| settles(rule, beta, lo[l], hi[l])) {
+                break;
             }
             let run = |s: usize| -> [f64; 4] {
                 let col = &self.cols[p * n + s];
@@ -466,11 +486,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interval4_lanes_equal_interval() {
-        // Every four-window run, pivots inside and outside the pair, NaN
-        // pivot windows (series 2 is constant) in the lanes, and runs
-        // overhanging the table's end, whose lanes repeat its last window.
+    /// Six series with NaN pivot windows: series 2 is constant, series 4
+    /// is constant in some windows. Pivots 0, 2 and 4 sit inside and
+    /// outside the pairs.
+    fn nan_lane_table() -> PivotSet {
         let mut rows: Vec<Vec<f64>> = (0..6)
             .map(|s| {
                 (0..240)
@@ -488,10 +507,19 @@ mod tests {
             pv.cols[4].iter().any(|v| v.is_nan()),
             "want NaN pivot lanes"
         );
+        pv
+    }
+
+    #[test]
+    fn interval4_lanes_equal_interval() {
+        // Every four-window run, with runs overhanging the table's end,
+        // whose lanes repeat its last window. β = −∞ settles nothing, so
+        // every pivot is folded.
+        let pv = nan_lane_table();
         for i in 0..6 {
             for j in (i + 1)..6 {
                 for w in 0..pv.n_windows() {
-                    let (lo, hi) = pv.interval4(i, j, w);
+                    let (lo, hi) = pv.interval4(i, j, w, EdgeRule::Positive, f64::NEG_INFINITY);
                     for l in 0..4 {
                         let lane_w = (w + l).min(pv.n_windows() - 1);
                         let (slo, shi) = pv.interval(i, j, lane_w);
@@ -500,6 +528,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn settle_aware_interval4_settles_the_lanes_the_full_fold_settles() {
+        // Against the full fold over every pivot (`interval` per window):
+        // the same lanes settle under both rules at every β, and a run in
+        // which some lane does not settle gives every lane the full fold's
+        // (lo, hi). The β range makes whole runs settle on their first
+        // usable pivot, some lanes of a run settle, and none settle; the
+        // clustered table's four pivots each tighten different lanes.
+        let (x, store, layout, query) = setup(8);
+        let clustered = build(&x, &store, &layout, &query, vec![0, 1, 4, 5]);
+        let mut stopped_early = 0;
+        for pv in [nan_lane_table(), clustered] {
+            let n = pv.n_series;
+            for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+                for beta in [0.2, 0.5, 0.8, 0.95, 1.0, 1.5] {
+                    for i in 0..n {
+                        for j in (i + 1)..n {
+                            for w in 0..pv.n_windows() {
+                                let (lo, hi) = pv.interval4(i, j, w, rule, beta);
+                                let full: [(f64, f64); 4] = std::array::from_fn(|l| {
+                                    pv.interval(i, j, (w + l).min(pv.n_windows() - 1))
+                                });
+                                let what = format!("{rule:?} beta={beta} ({i},{j}) run {w}");
+                                let settled: [bool; 4] =
+                                    std::array::from_fn(|l| settles(rule, beta, lo[l], hi[l]));
+                                for (l, &(flo, fhi)) in full.iter().enumerate() {
+                                    assert_eq!(
+                                        settled[l],
+                                        settles(rule, beta, flo, fhi),
+                                        "{what} lane {l}"
+                                    );
+                                }
+                                if settled.contains(&false) {
+                                    for (l, &(flo, fhi)) in full.iter().enumerate() {
+                                        assert!(lo[l] == flo && hi[l] == fhi, "{what} lane {l}");
+                                    }
+                                } else if (0..4).any(|l| (lo[l], hi[l]) != full[l]) {
+                                    stopped_early += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(stopped_early > 0, "no run stopped before its last pivot");
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl StreamingDangoron {
         self.state.ranks()
     }
 
-    /// Number of windows fully contained in the current history.
-    pub fn available_windows(&self) -> usize {
-        self.batch_query().n_windows()
-    }
-
     /// Raw columns currently buffered — only the (partial basic window)
     /// tail the sketches have not absorbed yet, so this stays below
     /// `basic_window` no matter how much data has streamed through.
@@ -646,7 +641,10 @@ mod tests {
         }
         let s = session.stats();
         let n_pairs = 8 * 7 / 2;
-        let total_windows = session.available_windows();
+        // The 400 columns hold (400 − 80) / 20 + 1 windows, each drained
+        // once.
+        let total_windows = (400 - 80) / 20 + 1;
+        assert_eq!(collected.len(), total_windows);
         // Cumulative accounting: every (pair, new-window) cell of every
         // drain is recorded exactly once.
         assert_eq!(s.total_cells, (n_pairs * total_windows) as u64);
@@ -794,7 +792,6 @@ mod tests {
         let initial = full.slice_columns(0, 30).unwrap();
         let mut session =
             StreamingDangoron::new(initial, 80, 20, 0.7, config(BoundMode::Exhaustive)).unwrap();
-        assert_eq!(session.available_windows(), 0);
         assert!(session.drain_completed().unwrap().is_empty());
         // 30 + 40 = 70 < 80: still nothing.
         let out = session

@@ -13,8 +13,10 @@
 //! the walk settles windows in blocks of four: one [`PivotSet::interval4`]
 //! brackets the block, a block the triangle settles whole costs nothing
 //! more, and otherwise one [`tsdata::stats::pearson_from_sums4`] evaluates
-//! the four windows from the prefix rows. PaperJump walks one window at a
-//! time, because each landing depends on the last exact value.
+//! the four windows from the prefix rows. On a CPU with AVX2 and FMA the
+//! exhaustive walk runs compiled for both, chosen once per pair. PaperJump
+//! walks one window at a time, because each landing depends on the last
+//! exact value.
 
 use crate::bounds::{max_jump, max_jump_absolute, PairCosts};
 use crate::config::BoundMode;
@@ -117,7 +119,16 @@ pub fn walk_pair(
 
     let slack = match mode {
         BoundMode::Exhaustive => {
-            return walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
+            #[cfg(target_arch = "x86_64")]
+            if kernel::avx2_active() {
+                // SAFETY: `avx2_active` confirmed that this CPU has AVX2
+                // and FMA (statically or by detection), the only
+                // requirement `walk_exhaustive_fma` adds.
+                return unsafe {
+                    walk_exhaustive_fma(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
+                };
+            }
+            return walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit);
         }
         BoundMode::PaperJump { slack } => slack,
     };
@@ -194,15 +205,42 @@ pub fn walk_pair(
     }
 }
 
+/// [`walk_exhaustive`] compiled for AVX2+FMA, chosen once per pair when
+/// [`kernel::avx2_active`] holds. The walk, [`PivotSet::interval4`],
+/// [`kernel::triangle_fold4`] and [`tsdata::stats::pearson_from_sums4`]
+/// inline into it, so each `mul_add` is one fused instruction instead of a
+/// call to the `fma` routine, and the four lanes can share vector
+/// registers. Fused multiply-add, `/` and `sqrt` are exactly rounded in
+/// either form, so every lane keeps its bits. Calling it is sound only on
+/// a CPU with AVX2 and FMA, which `avx2_active` confirms.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+fn walk_exhaustive_fma(
+    store: &SketchStore,
+    pair: &PairSketch,
+    i: usize,
+    j: usize,
+    geo: WalkGeometry,
+    beta: f64,
+    rule: EdgeRule,
+    pivots: Option<&PivotSet>,
+    stats: &mut PruningStats,
+    emit: impl FnMut(usize, f64),
+) {
+    walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
+}
+
 /// The exhaustive walk: the same per-window outcome and counters as the
 /// PaperJump loop with every jump refused, four windows per block. Each
-/// lane's bracket equals [`PivotSet::interval`], and its sums are the ones
-/// [`combine::window_correlation`] forms, fed through the same IEEE
-/// operations, so every lane is bit-identical to the per-window walk. The
-/// last block's lanes past `n_windows` re-read the last window and are
-/// ignored, so every window takes this one path. Settled windows count as
-/// `pruned_by_triangle`; the rest are evaluated exactly and emitted in
-/// ascending order when `rule` keeps them.
+/// lane settles exactly when [`PivotSet::interval`] settles it, and its
+/// sums are the ones [`combine::window_correlation`] forms, fed through
+/// the same IEEE operations, so every lane is bit-identical to the
+/// per-window walk. The last block's lanes past `n_windows` re-read the
+/// last window and are ignored, so every window takes this one path.
+/// Settled windows count as `pruned_by_triangle`; the rest are evaluated
+/// exactly and emitted in ascending order when `rule` keeps them.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn walk_exhaustive(
     store: &SketchStore,
@@ -223,7 +261,7 @@ fn walk_exhaustive(
     for w in (0..geo.n_windows).step_by(LANES) {
         let settled: [bool; LANES] = match pivots {
             Some(pv) => {
-                let (lo, hi) = pv.interval4(i, j, geo.global_window(w));
+                let (lo, hi) = pv.interval4(i, j, geo.global_window(w), rule, beta);
                 std::array::from_fn(|l| settles(rule, beta, lo[l], hi[l]))
             }
             None => [false; LANES],
@@ -594,8 +632,29 @@ mod tests {
         // inside blocks next to defined ones, and pivots 2 and 4 carry NaN
         // lanes. The basic-window counts, steps and drain offsets give
         // every `n_windows % 4` class, so the last block is partial in
-        // three of them.
+        // three of them. The whole sweep runs twice, with the kernel
+        // dispatcher free (the `avx2,fma` walk on such a CPU) and forced
+        // to scalar (the plain walk), and both runs must agree.
+        let runs: Vec<Walks> = [false, true]
+            .into_iter()
+            .map(|forced| {
+                kernel::force_scalar(forced);
+                let run = lanes_against_the_per_window_walk();
+                kernel::force_scalar(false);
+                run
+            })
+            .collect();
+        assert!(runs[0] == runs[1], "the two backends' walks differ");
+    }
+
+    /// Each walk's edges as `(window, bits)`, with its counters.
+    type Walks = Vec<(Vec<(usize, u64)>, PruningStats)>;
+
+    /// Every walk of the sweep in [`exhaustive_lanes_equal_the_per_window_walk`],
+    /// each checked against [`per_window_oracle`].
+    fn lanes_against_the_per_window_walk() -> Walks {
         use crate::state::tests::{matrix, WIDTH};
+        let mut runs = Vec::new();
         let mut seen = PruningStats::default();
         let mut mods = [false; 4];
         for nb in [23usize, 24, 25, 26] {
@@ -658,6 +717,7 @@ mod tests {
                                     assert_eq!(got, want, "{what}");
                                     assert_eq!(stats, want_stats, "{what}");
                                     seen.merge(&stats);
+                                    runs.push((got, stats));
                                 }
                             }
                         }
@@ -667,6 +727,7 @@ mod tests {
         }
         assert_eq!(mods, [true; 4], "every n_windows % 4 class walked");
         assert!(seen.pruned_by_triangle > 0 && seen.evaluated > 0 && seen.edges > 0);
+        runs
     }
 
     #[test]

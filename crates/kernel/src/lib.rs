@@ -37,8 +37,14 @@
 //! One op is a *window-lane* op rather than a reduction:
 //! [`triangle_fold4`] folds one pivot into four windows' triangle
 //! intervals, lane `l` carrying window `l`. Nothing crosses lanes, so it
-//! has no reduction order to match and is a plain inlined scalar function
-//! with no backend twins — the same bits on every build.
+//! has no reduction order to match and no backend twin: it is an inlined
+//! scalar function, and its caller picks the instruction set. The
+//! exhaustive walk checks `avx2_active` once per pair and runs an
+//! `avx2,fma` instance of itself into which the fold inlines, so each
+//! `mul_add` is one fused instruction rather than an out-of-line call to
+//! the `fma` routine, which a portable x86-64 build would make. A fused
+//! multiply-add is exactly rounded in either form, so both instances
+//! give the same bits.
 //!
 //! ```
 //! let x: Vec<f64> = (0..1027).map(|t| (t as f64 * 0.37).sin()).collect();
@@ -91,9 +97,16 @@ pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
 
+/// True when the dispatcher routes to the AVX2+FMA backend: the CPU has
+/// both features and [`force_scalar`] is off.
+///
+/// A caller whose hot loop inlines lane-wise kernels such as
+/// [`triangle_fold4`] checks this once per loop and runs its own
+/// `#[target_feature(enable = "avx2,fma")]` instance when it holds, under
+/// the same override as every dispatched kernel.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn avx2_active() -> bool {
+pub fn avx2_active() -> bool {
     if FORCE_SCALAR.load(Ordering::Relaxed) {
         return false;
     }

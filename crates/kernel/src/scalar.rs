@@ -187,7 +187,7 @@ pub fn fma_accumulate(acc: &mut [f64], x: &[f64], scale: f64) {
 /// `c_xy` from the pivot correlations `(c_xz, c_yz)`, with every operation
 /// expressed as the exact sequence the SIMD backends use (fused negated
 /// multiply-add, compare-select clamps).
-#[inline]
+#[inline(always)]
 pub(crate) fn tri_lo_hi(c_iz: f64, c_jz: f64) -> (f64, f64) {
     let prod = c_iz * c_jz;
     let u = (-c_iz).mul_add(c_iz, 1.0);
@@ -261,8 +261,12 @@ pub fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
 /// intervals. A NaN operand (an undefined pivot window) comes out of the
 /// clamp selects as `(−1, 1)`, which never tightens a lane, so NaN lanes
 /// are skipped. Nothing crosses lanes, so there is no reduction order to
-/// match and no backend twin: callers get the same bits on every build.
-#[inline]
+/// match and no backend twin: a caller compiled for `avx2,fma` (see
+/// `avx2_active`) inlines it with fused instructions, and every instance
+/// gives the same bits. It and `tri_lo_hi` are `inline(always)` so that
+/// no copy is left out of line in a build without FMA, calling the `fma`
+/// routine.
+#[inline(always)]
 pub fn triangle_fold4(
     c_iz: &[f64; LANES],
     c_jz: &[f64; LANES],

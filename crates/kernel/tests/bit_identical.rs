@@ -252,6 +252,93 @@ fn dot4_windows_lanes_equal_dot() {
     kernel::force_scalar(false);
 }
 
+/// [`kernel::triangle_fold4`] the way the exhaustive walk runs it:
+/// inlined into an `avx2,fma` instance when the dispatcher selects
+/// AVX2+FMA, where each `mul_add` is one fused instruction, and plain
+/// otherwise.
+fn walk_fold(c_iz: &[f64; 4], c_jz: &[f64; 4], lo: &mut [f64; 4], hi: &mut [f64; 4]) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel::avx2_active() {
+        // SAFETY: `avx2_active` confirmed that this CPU has AVX2 and FMA.
+        return unsafe { fma_fold(c_iz, c_jz, lo, hi) };
+    }
+    kernel::triangle_fold4(c_iz, c_jz, lo, hi)
+}
+
+/// Sound to call only on a CPU with AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn fma_fold(c_iz: &[f64; 4], c_jz: &[f64; 4], lo: &mut [f64; 4], hi: &mut [f64; 4]) {
+    kernel::triangle_fold4(c_iz, c_jz, lo, hi)
+}
+
+/// A pivot correlation at an edge of the fold: NaN, a signed zero,
+/// exactly ±1, one ulp past ±1 (where `1 − c²` rounds below zero and
+/// clamps), a subnormal, or a random value in `[-1, 1]`.
+fn fold_lane(rng: &mut rand::rngs::StdRng) -> f64 {
+    let past_one = 1.0 + f64::EPSILON;
+    match rng.gen_range(0..16) {
+        0 => f64::NAN,
+        1 => 0.0,
+        2 => -0.0,
+        3 => 1.0,
+        4 => -1.0,
+        5 => past_one,
+        6 => -past_one,
+        7 => 5e-324,
+        8 => -f64::MIN_POSITIVE / 3.0,
+        _ => rng.gen::<f64>() * 2.0 - 1.0,
+    }
+}
+
+/// Every lane of the walk's fold keeps the bits of
+/// `scalar::triangle_fold4`, with the dispatcher free and forced to
+/// scalar: runs of up to eight pivots built from [`fold_lane`], folded
+/// into running intervals that start open, tight (a few ulps wide or a
+/// single point) or anywhere inside `[-1, 1]`.
+#[test]
+fn walk_fold_lanes_equal_scalar_triangle_fold4() {
+    let _switch = BACKEND_SWITCH.lock().unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    for forced in [false, true] {
+        kernel::force_scalar(forced);
+        for case in 0..4000 {
+            let mut lo = [0.0f64; 4];
+            let mut hi = [0.0f64; 4];
+            for l in 0..4 {
+                let c = rng.gen::<f64>() * 2.0 - 1.0;
+                (lo[l], hi[l]) = match rng.gen_range(0..4) {
+                    0 => (-1.0, 1.0),
+                    1 => (c, c),
+                    2 => (c, c + 4.0 * f64::EPSILON),
+                    _ => (c.min(0.0), c.max(0.0)),
+                };
+            }
+            let (mut slo, mut shi) = (lo, hi);
+            for p in 0..rng.gen_range(1..=8) {
+                let c_iz: [f64; 4] = std::array::from_fn(|_| fold_lane(&mut rng));
+                let c_jz: [f64; 4] = std::array::from_fn(|_| fold_lane(&mut rng));
+                walk_fold(&c_iz, &c_jz, &mut lo, &mut hi);
+                kernel::scalar::triangle_fold4(&c_iz, &c_jz, &mut slo, &mut shi);
+                for l in 0..4 {
+                    assert!(
+                        lo[l].to_bits() == slo[l].to_bits() && hi[l].to_bits() == shi[l].to_bits(),
+                        "forced={forced} case {case} pivot {p} lane {l}: \
+                         ({:e}, {:e}) vs scalar ({:e}, {:e}) from ({:e}, {:e})",
+                        lo[l],
+                        hi[l],
+                        slo[l],
+                        shi[l],
+                        c_iz[l],
+                        c_jz[l]
+                    );
+                }
+            }
+        }
+    }
+    kernel::force_scalar(false);
+}
+
 #[test]
 #[should_panic(expected = "length mismatch")]
 fn dot4_windows_rejects_short_rows() {

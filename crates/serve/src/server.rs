@@ -124,11 +124,6 @@ impl Registry {
         Some(slot)
     }
 
-    /// Resident session count.
-    pub fn n_sessions(&self) -> usize {
-        lock(&self.slots).len()
-    }
-
     /// Every resident slot (for the link-teardown subscriber sweep).
     pub fn all_slots(&self) -> Vec<Arc<Slot>> {
         lock(&self.slots).values().cloned().collect()
@@ -534,7 +529,7 @@ mod tests {
             .unwrap();
         assert_eq!(opened.covered_cols, 80);
         assert!(opened.memory_bytes > 0);
-        assert_eq!(registry.n_sessions(), 1);
+        assert_eq!(registry.all_slots().len(), 1);
 
         let ack = client
             .append("t", &full.slice_columns(80, 200).unwrap())
@@ -601,7 +596,7 @@ mod tests {
         // Touch "b" so "a" is the LRU victim.
         client.query("b", 60, 20, 0.7).unwrap();
         client.open("c", &data, 60, 20, 0.7, &cfg()).unwrap();
-        assert_eq!(registry.n_sessions(), 2, "the LRU session was evicted");
+        assert_eq!(registry.all_slots().len(), 2, "the LRU session was evicted");
         assert!(registry.get("a").is_none());
         assert!(registry.get("b").is_some());
         // A budget smaller than one session: open is refused outright.

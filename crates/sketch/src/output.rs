@@ -266,19 +266,6 @@ impl ThresholdedMatrix {
         self.entries.len() as f64 / (self.n * (self.n - 1) / 2) as f64
     }
 
-    /// Dense symmetric materialisation (for tests and small demos).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut m = vec![vec![0.0; self.n]; self.n];
-        for (d, row) in m.iter_mut().enumerate() {
-            row[d] = 1.0;
-        }
-        for e in &self.entries {
-            m[e.i as usize][e.j as usize] = e.value;
-            m[e.j as usize][e.i as usize] = e.value;
-        }
-        m
-    }
-
     /// Iterate over `(i, j)` index pairs of retained edges.
     pub fn edge_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.entries.iter().map(|e| (e.i as usize, e.j as usize))
@@ -341,11 +328,12 @@ mod tests {
         let mut m = ThresholdedMatrix::new(3, 0.5);
         m.push(0, 1, 0.9);
         assert!((m.density() - 1.0 / 3.0).abs() < 1e-12);
-        let d = m.to_dense();
-        assert_eq!(d[0][1], 0.9);
-        assert_eq!(d[1][0], 0.9);
-        assert_eq!(d[2][2], 1.0);
-        assert_eq!(d[0][2], 0.0);
+        // Point lookups see the matrix as dense and symmetric.
+        m.finalize();
+        assert_eq!(m.get(0, 1), 0.9);
+        assert_eq!(m.get(1, 0), 0.9);
+        assert_eq!(m.get(2, 2), 1.0);
+        assert_eq!(m.get(0, 2), 0.0);
     }
 
     #[test]
