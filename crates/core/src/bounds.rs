@@ -30,6 +30,8 @@
 //! This bound is unconditional (a theorem, not a heuristic).
 
 use sketch::output::EdgeRule;
+use sketch::pair::StripFinish;
+use sketch::BasicMoments;
 
 /// Prefix sums of `(1 − c_b)` (or `(1 + c_b)` for the lower bound) over
 /// all basic windows of a pair, built by [`PairCosts::from_correlations`];
@@ -51,6 +53,21 @@ impl DepartureCost {
     /// The last prefix entry — where an extension resumes.
     fn total(&self) -> f64 {
         *self.prefix.last().expect("prefix is never empty")
+    }
+
+    /// Appends lane `q` of `lanes` (one departure cost per row) to
+    /// `prefixes[q]` as one [`kernel::prefix_sums4`] chain per lane, from
+    /// each prefix's total; a `None` lane is dropped.
+    fn extend_lanes(prefixes: [Option<&mut DepartureCost>; 4], lanes: &mut [[f64; 4]]) {
+        let start = prefixes
+            .each_ref()
+            .map(|p| p.as_ref().map_or(0.0, |p| p.total()));
+        kernel::prefix_sums4(start, lanes);
+        for (q, prefix) in prefixes.into_iter().enumerate() {
+            if let Some(prefix) = prefix {
+                prefix.prefix.extend(lanes.iter().map(|l| l[q]));
+            }
+        }
     }
 
     /// Number of basic windows covered.
@@ -165,13 +182,17 @@ impl PairCosts {
         cs: impl ExactSizeIterator<Item = Option<f64>>,
         rule: EdgeRule,
     ) -> Self {
-        let n_basic = cs.len();
-        let mut costs = Self {
-            upper: DepartureCost::with_capacity(n_basic),
-            lower: (rule == EdgeRule::Absolute).then(|| DepartureCost::with_capacity(n_basic)),
-        };
+        let mut costs = Self::with_capacity(cs.len(), rule);
         costs.extend(cs);
         costs
+    }
+
+    /// Prefixes of no basic window, with room for `n_basic` of them.
+    fn with_capacity(n_basic: usize, rule: EdgeRule) -> Self {
+        Self {
+            upper: DepartureCost::with_capacity(n_basic),
+            lower: (rule == EdgeRule::Absolute).then(|| DepartureCost::with_capacity(n_basic)),
+        }
     }
 
     /// Appends further basic windows' correlations to both prefixes. The
@@ -195,6 +216,57 @@ impl PairCosts {
     /// Resident bytes of both prefixes.
     pub fn memory_bytes(&self) -> usize {
         self.upper.memory_bytes() + self.lower.as_ref().map_or(0, DepartureCost::memory_bytes)
+    }
+}
+
+/// The Eq. 2 finisher of the pair-sketch pass: [`sketch::pair::build_with`]
+/// builds each pair's [`PairCosts`] right after its sketch, four pairs of
+/// a strip at a time. Lane `q` carries one pair: `1 − c_b` (and `1 + c_b`
+/// for [`EdgeRule::Absolute`]) chained by [`kernel::prefix_sums4`], the
+/// same adds in the same order as [`PairCosts::extend`], so every prefix
+/// equals [`PairCosts::from_correlations`] of the pair's `c_b` bit for bit.
+pub(crate) struct StripCosts {
+    /// Every series' `(mean, σ)` per basic window of the layout.
+    pub(crate) moments: BasicMoments,
+    /// Basic windows of the layout.
+    pub(crate) n_basic: usize,
+    pub(crate) rule: EdgeRule,
+}
+
+impl StripFinish for StripCosts {
+    type Out = PairCosts;
+
+    fn moments(&self) -> Option<&BasicMoments> {
+        Some(&self.moments)
+    }
+
+    fn empty(&self) -> PairCosts {
+        PairCosts::with_capacity(self.n_basic, self.rule)
+    }
+
+    fn fill(
+        &self,
+        cs: &[[Option<f64>; 4]],
+        lanes: &mut [[f64; 4]],
+        mut slots: [Option<&mut PairCosts>; 4],
+    ) {
+        // `None` is an undefined (constant-window) correlation, treated as
+        // 0, as in `PairCosts::extend`.
+        for (l, c) in lanes.iter_mut().zip(cs) {
+            *l = c.map(|c| 1.0 - c.unwrap_or(0.0));
+        }
+        DepartureCost::extend_lanes(
+            slots
+                .each_mut()
+                .map(|s| s.as_deref_mut().map(|c| &mut c.upper)),
+            lanes,
+        );
+        if self.rule == EdgeRule::Absolute {
+            for (l, c) in lanes.iter_mut().zip(cs) {
+                *l = c.map(|c| 1.0 + c.unwrap_or(0.0));
+            }
+            DepartureCost::extend_lanes(slots.map(|s| s.and_then(|c| c.lower.as_mut())), lanes);
+        }
     }
 }
 
@@ -295,6 +367,86 @@ mod tests {
                 }
             }
             assert_eq!(fresh.lower.is_some(), rule == EdgeRule::Absolute);
+        }
+    }
+
+    /// Bitwise equality of two prefixes, except that any two NaNs agree
+    /// (Rust leaves a NaN result's payload unspecified).
+    fn assert_same_prefix(got: &DepartureCost, want: &DepartureCost, what: &str) {
+        assert_eq!(got.prefix.len(), want.prefix.len(), "{what}: length");
+        for (b, (g, w)) in got.prefix.iter().zip(&want.prefix).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: entry {b}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn strip_lanes_equal_per_pair_cost_prefixes() {
+        // Every lane mask of a strip, both rules, 0–9 basic windows of
+        // undefined, NaN, ±inf-clamped, ±0.0 and random correlations, filled
+        // in one call and in two (the second resuming from each prefix's
+        // total): each kept lane equals `from_correlations` of its own
+        // column bit for bit, and a dropped lane is left alone.
+        let mut rng = StdRng::seed_from_u64(41);
+        let x = tsdata::TimeSeriesMatrix::from_rows(vec![vec![0.5; 12]]).unwrap();
+        let layout = sketch::BasicWindowLayout::cover(0, 12, 12).unwrap();
+        let store = sketch::SketchStore::build(&x, layout).unwrap();
+        let special = [
+            None,
+            Some(f64::NAN),
+            Some(1.0),
+            Some(-1.0),
+            Some(0.0),
+            Some(-0.0),
+        ];
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            for nb in 0..10 {
+                let finish = StripCosts {
+                    moments: store.basic_moments(0..1),
+                    n_basic: nb,
+                    rule,
+                };
+                let cs: Vec<[Option<f64>; 4]> = (0..nb)
+                    .map(|_| {
+                        std::array::from_fn(|_| match rng.gen_range(0..3) {
+                            0 => special[rng.gen_range(0..special.len())],
+                            _ => Some(rng.gen::<f64>() * 2.0 - 1.0),
+                        })
+                    })
+                    .collect();
+                for mask in 0..16u32 {
+                    for split in [nb, nb / 2] {
+                        let mut outs: [PairCosts; 4] = std::array::from_fn(|_| finish.empty());
+                        let untouched = outs[0].memory_bytes();
+                        for part in [&cs[..split], &cs[split..]] {
+                            let mut lanes = vec![[f64::NAN; 4]; part.len()];
+                            let mut slots: [Option<&mut PairCosts>; 4] = Default::default();
+                            for (q, out) in outs.iter_mut().enumerate() {
+                                if mask & (1 << q) != 0 {
+                                    slots[q] = Some(out);
+                                }
+                            }
+                            finish.fill(part, &mut lanes, slots);
+                        }
+                        for (q, got) in outs.iter().enumerate() {
+                            let what = format!("{rule:?} nb={nb} mask={mask:04b} lane {q}");
+                            let want = if mask & (1 << q) != 0 {
+                                PairCosts::from_correlations(cs.iter().map(|c| c[q]), rule)
+                            } else {
+                                finish.empty()
+                            };
+                            assert_same_prefix(&got.upper, &want.upper, &what);
+                            assert_eq!(got.lower.is_some(), want.lower.is_some(), "{what}");
+                            if let (Some(g), Some(w)) = (&got.lower, &want.lower) {
+                                assert_same_prefix(g, w, &what);
+                            }
+                            assert_eq!(got.memory_bytes(), untouched, "{what}: capacity");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 //! skipping a pair saves that O(L) build. With resident sketches the walk
 //! settles the same windows one by one with the triangle interval.
 
-use crate::bounds::PairCosts;
+use crate::bounds::{PairCosts, StripCosts};
 use crate::config::{BoundMode, DangoronConfig};
 use crate::engine::QueryResult;
 use crate::pivot::PivotSet;
@@ -61,9 +61,10 @@ impl<'a> PairState<'a> {
     ///
     /// `on_demand` is `Some(x)` when pair sketches are to be built per
     /// pair during the walk; `None` materialises them with
-    /// [`pair::build_with`] (strips of up to four pairs, in rank order).
-    /// In jump mode each pair's cost prefixes are built in the same pass,
-    /// right after its sketch.
+    /// [`pair::build_with`] (strips of four pairs in 16-row blocks, every
+    /// output created empty in rank order first). In jump mode each
+    /// strip's cost prefixes are built in the same pass, right after its
+    /// sketches, by the four-lane [`StripCosts`] finisher.
     pub(crate) fn build(
         x: &TimeSeriesMatrix,
         layout: BasicWindowLayout,
@@ -90,14 +91,14 @@ impl<'a> PairState<'a> {
             });
         }
         let (pairs, costs) = if matches!(config.bound, BoundMode::PaperJump { .. }) {
-            // Each pair's cost prefix is built right after its sketch, from a
-            // moment table that computes every series' (mean, σ) once.
-            let moments = store.basic_moments(0..layout.count);
-            let rule = config.edge_rule;
-            let (pairs, costs) =
-                pair::build_with(&layout, x, ranks.clone(), threads, |i, j, p| {
-                    PairCosts::from_correlations(p.basic_correlations(&moments, i, j), rule)
-                })?;
+            // Each strip's cost prefixes are built right after its sketches,
+            // from a moment table that computes every series' (mean, σ) once.
+            let finish = StripCosts {
+                moments: store.basic_moments(0..layout.count),
+                n_basic: layout.count,
+                rule: config.edge_rule,
+            };
+            let (pairs, costs) = pair::build_with(&layout, x, ranks.clone(), threads, &finish)?;
             (pairs, Some(costs))
         } else {
             (pair::build_range(&layout, x, ranks.clone(), threads)?, None)
@@ -348,13 +349,28 @@ pub(crate) mod tests {
         PairState::build(x, layout, ranks, cfg, None).unwrap()
     }
 
+    /// Bitwise equality, except that any two NaNs agree: Rust leaves the
+    /// payload of a NaN result unspecified, and a NaN cell makes NaN
+    /// cross sums and costs.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
     fn assert_prefix_bits(got: &DepartureCost, want: &DepartureCost, what: &str) {
         assert_eq!(got.n_basic(), want.n_basic(), "{what}: length");
         for b in 0..=want.n_basic() {
-            assert_eq!(
-                got.cost(0, b).to_bits(),
-                want.cost(0, b).to_bits(),
-                "{what}: prefix entry {b}"
+            let (g, w) = (got.cost(0, b), want.cost(0, b));
+            assert!(same(g, w), "{what}: prefix entry {b}: {g:e} vs {w:e}");
+        }
+    }
+
+    fn assert_sketch_bits(got: &PairSketch, want: &PairSketch, what: &str) {
+        let (g, w) = (got.cross_prefix(), want.cross_prefix());
+        assert_eq!(g.len(), w.len(), "{what}: length");
+        for (b, (g, w)) in g.iter().zip(w).enumerate() {
+            assert!(
+                same(*g, *w),
+                "{what}: cross prefix entry {b}: {g:e} vs {w:e}"
             );
         }
     }
@@ -375,9 +391,10 @@ pub(crate) mod tests {
         for (k, rank) in state.ranks().enumerate() {
             let (i, j) = triangular::unrank(rank, n);
             let sketch = PairSketch::build(store.layout(), x.row(i), x.row(j)).unwrap();
-            assert_eq!(state.resident()[k], sketch, "sketch of rank {rank}");
+            let what = format!("{rule:?} rank {rank}");
+            assert_sketch_bits(&state.resident()[k], &sketch, &what);
             let want = pair_costs(store, &sketch, i, j, rule);
-            assert_costs_bits(&state.costs()[k], &want, &format!("{rule:?} rank {rank}"));
+            assert_costs_bits(&state.costs()[k], &want, &what);
         }
     }
 
@@ -396,6 +413,67 @@ pub(crate) mod tests {
         }
     }
 
+    /// Forty series over `len` columns — three 16-row blocks of the strip
+    /// builder — in basic windows of `width`. Series 2 is constant
+    /// throughout, series 4 in basic windows 1 and 5, and series 5 and
+    /// 21 in basic window 1 too; series 11 holds a NaN cell, series 23
+    /// a `+inf` cell and series 37 a `−inf` cell.
+    fn wide_matrix(len: usize, width: usize) -> TimeSeriesMatrix {
+        let rows = (0..40)
+            .map(|s| {
+                (0..len)
+                    .map(|t| match (s, t / width, t) {
+                        (11, _, 17) => f64::NAN,
+                        (23, _, 3) => f64::INFINITY,
+                        (37, _, 40) => f64::NEG_INFINITY,
+                        (2, _, _) => 3.25,
+                        (4, 1 | 5, _) => -1.5,
+                        (5 | 21, 1, _) => 0.75,
+                        _ => {
+                            ((t * (s % 9 + 2)) as f64 * 0.173 + s as f64).sin()
+                                + 0.01 * (s * t) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        TimeSeriesMatrix::from_rows(rows).unwrap()
+    }
+
+    #[test]
+    fn blocked_strips_match_per_pair_builds_across_blocks() {
+        // Intervals of the 780-pair triangle that start and end mid-row,
+        // inside a 16-row block and across its edges (rows 16 and 32),
+        // plus the whole triangle; threads 2 and 8 cut them further into
+        // stolen chunks. Widths 24 and 10 (the kernel's remainder lanes).
+        let n = 40;
+        let r = |i, j| triangular::rank(i, j, n);
+        let intervals = [
+            0..triangular::count(n),
+            r(3, 17)..r(3, 30),
+            r(3, 17)..r(21, 30),
+            r(14, 38)..r(17, 19),
+            r(15, 16)..r(33, 36),
+            r(31, 32)..r(38, 39) + 1,
+        ];
+        for width in [24, 10] {
+            let x = wide_matrix(12 * width + 7, width);
+            let layout = BasicWindowLayout::cover(0, x.len(), width).unwrap();
+            for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+                for threads in [1, 2, 8] {
+                    let cfg = DangoronConfig {
+                        basic_window: width,
+                        ..config(rule, threads)
+                    };
+                    for ranks in intervals.clone() {
+                        let state = PairState::build(&x, layout, ranks, &cfg, None).unwrap();
+                        assert_matches_per_pair_build(&state, &x, rule);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn fresh_cost_prefixes_are_sized_exactly() {
         let x = matrix(245);
@@ -405,6 +483,13 @@ pub(crate) mod tests {
             0..triangular::count(x.n_series()),
             &config(EdgeRule::Absolute, 2),
         );
+        for sketch in state.resident() {
+            assert_eq!(sketch.count(), n_basic);
+            assert_eq!(
+                sketch.memory_bytes(),
+                (n_basic + 1) * std::mem::size_of::<f64>()
+            );
+        }
         for costs in state.costs() {
             let lower = costs
                 .lower

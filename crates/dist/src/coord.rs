@@ -1082,6 +1082,7 @@ pub fn run_with_listener(
                                     continue;
                                 };
                                 stats.merge(&res.stats);
+                                metrics.record_pruning(&res.stats);
                                 summaries.push(ShardSummary {
                                     ranks: res.ranks.clone(),
                                     attempt: o.shard.attempt,

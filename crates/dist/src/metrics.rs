@@ -1,7 +1,8 @@
 //! Coordinator telemetry: the single source of truth for run accounting.
 //!
 //! Every counter the coordinator keeps — assignments, replans, steals,
-//! heartbeats, stale frames, payload bytes — lives in an [`obs::Registry`]
+//! heartbeats, stale frames, payload bytes, and the pruning counters of
+//! the shard results it accepts — lives in an [`obs::Registry`]
 //! and is updated wait-free as the event happens. The end-of-run
 //! [`CoordStats`] report is a *snapshot* of
 //! these metrics ([`CoordMetrics::snapshot`]), so the stderr summary, the
@@ -16,6 +17,7 @@
 //! counters across them.
 
 use crate::coord::CoordStats;
+use dangoron::PruningStats;
 use obs::{Counter, Gauge, Registry};
 use std::sync::Arc;
 
@@ -51,6 +53,16 @@ pub struct CoordMetrics {
     pub load_bytes: Counter,
     /// `dangoron_coord_stale_frames_total`.
     pub stale_frames: Counter,
+    /// `dangoron_coord_cells_total`.
+    pub cells: Counter,
+    /// `dangoron_coord_evaluated_total`.
+    pub evaluated: Counter,
+    /// `dangoron_coord_skipped_by_jump_total`.
+    pub skipped_by_jump: Counter,
+    /// `dangoron_coord_pruned_by_triangle_total`.
+    pub pruned_by_triangle: Counter,
+    /// `dangoron_coord_pairs_skipped_total`.
+    pub pairs_skipped: Counter,
 }
 
 impl CoordMetrics {
@@ -115,7 +127,38 @@ impl CoordMetrics {
                 "dangoron_coord_stale_frames_total",
                 "Stale frames discarded (replies that arrived after a re-plan)",
             ),
+            cells: registry.counter(
+                "dangoron_coord_cells_total",
+                "(pair, window) cells of the accepted shard results",
+            ),
+            evaluated: registry.counter(
+                "dangoron_coord_evaluated_total",
+                "Cells whose exact correlation the accepted shards computed",
+            ),
+            skipped_by_jump: registry.counter(
+                "dangoron_coord_skipped_by_jump_total",
+                "Cells the accepted shards skipped with the Eq. 2 jump",
+            ),
+            pruned_by_triangle: registry.counter(
+                "dangoron_coord_pruned_by_triangle_total",
+                "Cells the accepted shards settled with the triangle bound",
+            ),
+            pairs_skipped: registry.counter(
+                "dangoron_coord_pairs_skipped_total",
+                "Pairs the accepted shards skipped wholesale with the pair prefilter",
+            ),
         }
+    }
+
+    /// Adds one accepted shard result's pruning counters — the same
+    /// [`PruningStats`] the coordinator merges into its result, so the
+    /// end-of-run totals equal the merged stats.
+    pub fn record_pruning(&self, stats: &PruningStats) {
+        self.cells.add(stats.total_cells);
+        self.evaluated.add(stats.evaluated);
+        self.skipped_by_jump.add(stats.skipped_by_jump);
+        self.pruned_by_triangle.add(stats.pruned_by_triangle);
+        self.pairs_skipped.add(stats.pairs_skipped_entirely);
     }
 
     /// The end-of-run [`CoordStats`] report, read back from the registry
@@ -167,5 +210,28 @@ mod tests {
         // registration — the single-source-of-truth property).
         let m2 = CoordMetrics::new(&registry);
         assert_eq!(m2.assignments.get(), 5);
+    }
+
+    #[test]
+    fn record_pruning_adds_each_counter() {
+        let m = CoordMetrics::new(&Arc::new(Registry::new()));
+        let stats = PruningStats {
+            total_cells: 100,
+            evaluated: 40,
+            skipped_by_jump: 30,
+            pruned_by_triangle: 20,
+            pairs_skipped_entirely: 2,
+            ..Default::default()
+        };
+        m.record_pruning(&stats);
+        m.record_pruning(&stats);
+        let got = [
+            m.cells.get(),
+            m.evaluated.get(),
+            m.skipped_by_jump.get(),
+            m.pruned_by_triangle.get(),
+            m.pairs_skipped.get(),
+        ];
+        assert_eq!(got, [200, 80, 60, 40, 4]);
     }
 }

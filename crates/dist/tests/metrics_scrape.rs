@@ -241,6 +241,32 @@ fn chaos_storm_scraped_from_four_threads_stays_bit_identical() {
         Some(scraped.coord.assignments as f64),
         "registry and CoordStats disagree on assignments"
     );
+    // The pruning counters count each accepted shard result once, so
+    // through the replans and stale frames of the storm they end equal to
+    // the merged stats.
+    for (family, want) in [
+        ("dangoron_coord_cells_total", scraped.stats.total_cells),
+        ("dangoron_coord_evaluated_total", scraped.stats.evaluated),
+        (
+            "dangoron_coord_skipped_by_jump_total",
+            scraped.stats.skipped_by_jump,
+        ),
+        (
+            "dangoron_coord_pruned_by_triangle_total",
+            scraped.stats.pruned_by_triangle,
+        ),
+        (
+            "dangoron_coord_pairs_skipped_total",
+            scraped.stats.pairs_skipped_entirely,
+        ),
+    ] {
+        assert_eq!(
+            counters.get(family).copied(),
+            Some(want as f64),
+            "registry and the merged PruningStats disagree on {family}"
+        );
+    }
+    assert!(scraped.stats.total_cells > 0 && scraped.stats.skipped_by_jump > 0);
 }
 
 #[test]

@@ -34,11 +34,14 @@
 //! and the scalar twin only; on aarch64 the scalar twin's `mul_add` is
 //! already a native fused operation.
 //!
-//! One op is a *window-lane* op rather than a reduction:
-//! [`triangle_fold4`] folds one pivot into four windows' triangle
-//! intervals, lane `l` carrying window `l`. Nothing crosses lanes, so it
-//! has no reduction order to match and no backend twin: it is an inlined
-//! scalar function, and its caller picks the instruction set. The
+//! Two ops are *lane* ops rather than reductions. [`triangle_fold4`]
+//! folds one pivot into four windows' triangle intervals, lane `l`
+//! carrying window `l`; [`prefix_sums4`] extends four prefix chains at
+//! once, lane `q` carrying one pair's chain (the pair-sketch builder runs
+//! its cross-sum prefixes and the Eq. 2 cost prefixes four pairs at a
+//! time through it). Nothing crosses lanes, so they have no reduction
+//! order to match and no backend twin: they are inlined scalar
+//! functions, and their caller picks the instruction set. The
 //! exhaustive walk checks `avx2_active` once per pair and runs an
 //! `avx2,fma` instance of itself into which the fold inlines, so each
 //! `mul_add` is one fused instruction rather than an out-of-line call to
@@ -58,7 +61,7 @@
 
 pub mod scalar;
 
-pub use scalar::triangle_fold4;
+pub use scalar::{prefix_sums4, triangle_fold4};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;

@@ -77,6 +77,28 @@ pub fn dot4_windows(x: &[f64], ys: [&[f64]; LANES], width: usize, out: &mut [[f6
     }
 }
 
+/// Turns every lane `q` of `lanes` into its running sum from `start[q]`,
+/// in place — `lanes[b][q] ← start[q] + lanes[0][q] + … + lanes[b][q]`,
+/// one `+` per row — and returns the last row (`start` when `lanes` is
+/// empty).
+///
+/// A *window-lane* op like [`triangle_fold4`]: lane `q` carries one
+/// pair's prefix chain, so one pass extends four prefixes. Each lane is
+/// exactly the sequential `acc += v` chain of a one-pair prefix build,
+/// so it matches that build bit for bit; nothing crosses lanes, so there
+/// is no reduction order to match and no backend twin.
+#[inline]
+pub fn prefix_sums4(start: [f64; LANES], lanes: &mut [[f64; LANES]]) -> [f64; LANES] {
+    let mut acc = start;
+    for row in lanes {
+        for q in 0..LANES {
+            acc[q] += row[q];
+        }
+        *row = acc;
+    }
+    acc
+}
+
 /// `Σ x` in the canonical striped order (one lane-wise `+` per element).
 /// Bit-identical to the first component of [`sum_and_sum_squares`].
 pub fn sum(x: &[f64]) -> f64 {

@@ -252,6 +252,52 @@ fn dot4_windows_lanes_equal_dot() {
     kernel::force_scalar(false);
 }
 
+/// Every lane of `prefix_sums4` is the one-pair chain `acc += v` from its
+/// start, bit for bit: 0–40 rows of finite, special (NaN, ±inf, ±0.0,
+/// ±1e-300) and cancelling values, from zero and nonzero starts, with the
+/// dispatcher forced to scalar and free (the op is inlined into its
+/// caller, so the switch must not reach it). The returned row is the last
+/// prefix, or the start when there are no rows.
+#[test]
+fn prefix_sums4_lanes_equal_sequential_chains() {
+    let _switch = BACKEND_SWITCH.lock().unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    for forced in [false, true] {
+        kernel::force_scalar(forced);
+        for rows in 0..=40 {
+            let lanes: Vec<[f64; 4]> = (0..rows)
+                .map(|b| {
+                    std::array::from_fn(|q| match (b + q) % 3 {
+                        0 => special_or_finite(&mut rng),
+                        1 => 1e16 * if b % 2 == 0 { 1.0 } else { -1.0 },
+                        _ => rng.gen::<f64>() * 2.0 - 1.0,
+                    })
+                })
+                .collect();
+            for start in [[0.0; 4], [-0.0, 1.5, -3.0e300, f64::NAN]] {
+                let mut got = lanes.clone();
+                let last = kernel::prefix_sums4(start, &mut got);
+                for q in 0..4 {
+                    let mut acc = start[q];
+                    for (b, row) in lanes.iter().enumerate() {
+                        acc += row[q];
+                        assert!(
+                            same(got[b][q], acc),
+                            "forced={forced} rows={rows} row={b} lane={q}: {:e} vs {acc:e}",
+                            got[b][q]
+                        );
+                    }
+                    assert!(
+                        same(last[q], acc),
+                        "forced={forced} rows={rows} lane={q}: last"
+                    );
+                }
+            }
+        }
+    }
+    kernel::force_scalar(false);
+}
+
 /// [`kernel::triangle_fold4`] the way the exhaustive walk runs it:
 /// inlined into an `avx2,fma` instance when the dispatcher selects
 /// AVX2+FMA, where each `mul_add` is one fused instruction, and plain

@@ -16,17 +16,20 @@
 //!   compact binary (de)serialisation, and the transient per-window
 //!   moment table [`store::BasicMoments`];
 //! * [`pair`] — per-pair cross-product sketches, plus the strip builder
-//!   [`pair::build_with`] (four pairs per kernel call), which can finish
-//!   each pair (e.g. its Eq. 2 costs) while the sketch is in cache;
+//!   [`pair::build_with`] (four pairs per kernel call, in 16-row blocks
+//!   so each strip's rows stay in cache), which hands each strip's
+//!   basic-window correlations to a [`pair::StripFinish`] that builds a
+//!   per-pair output four lanes at a time (the engine's Eq. 2 costs; this
+//!   crate knows nothing of Eq. 2);
 //! * [`combine`] — O(1) window correlation from the sketches (Eq. 1);
 //! * [`output`] — [`output::ThresholdedMatrix`], the sparse `C_k` the
 //!   problem definition asks for;
 //! * [`triangular`] — the shared `(i, j) ↔ rank` pair ordering.
 //!
 //! Every dense accumulation in the prefix builders runs on the `kernel`
-//! crate's 4-lane SIMD primitives ([`kernel::dot`],
-//! [`kernel::dot4_windows`], [`kernel::sum_and_sum_squares`]) whose scalar fallback is bit-identical
-//! by contract, so sketches — and everything derived from them — do not
+//! crate's 4-lane primitives ([`kernel::dot`], [`kernel::dot4_windows`],
+//! [`kernel::prefix_sums4`], [`kernel::sum_and_sum_squares`]) whose
+//! scalar fallback is bit-identical by contract, so sketches — and everything derived from them — do not
 //! depend on the instruction set, the thread count, or batch-vs-streaming
 //! construction order.
 //!

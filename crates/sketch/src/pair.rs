@@ -50,10 +50,12 @@ impl PairSketch {
     }
 
     /// Appends one prefix entry per basic-window cross sum in `dots`: a
-    /// sequential add onto the last entry, the one prefix chain every
-    /// builder shares. Each cross sum is one canonical [`kernel::dot`]
-    /// (or a lane of [`kernel::dot4_windows`], which equals it bit for
-    /// bit), so built, strip-built and appended sketches are identical.
+    /// sequential add onto the last entry, the prefix chain every builder
+    /// shares (the strips of [`build_with`] run it as one lane of
+    /// [`kernel::prefix_sums4`]). Each cross sum is one canonical
+    /// [`kernel::dot`] (or a lane of [`kernel::dot4_windows`], which
+    /// equals it bit for bit), so built, strip-built and appended
+    /// sketches are identical.
     fn extend(&mut self, dots: impl Iterator<Item = f64>) {
         let mut acc = *self.cross_prefix.last().expect("a prefix starts at 0");
         for d in dots {
@@ -179,16 +181,21 @@ impl PairSketch {
 
 /// The correlation of one basic window of `n` points from its cross sum
 /// and both series' `(mean, σ)`; `None` when either σ is zero. The one
-/// `c_b` expression behind [`PairSketch::basic_correlation`] and
-/// [`PairSketch::basic_correlations`].
+/// `c_b` expression behind [`PairSketch::basic_correlation`],
+/// [`PairSketch::basic_correlations`] and the strips of [`build_with`].
+/// It divides before it checks, with no branch, so that a strip's four
+/// lanes compile to packed divisions; the quotient of a zero `σ` is
+/// dropped.
 #[inline]
 fn correlation(cross: f64, n: f64, (mx, sx): (f64, f64), (my, sy): (f64, f64)) -> Option<f64> {
     let cov = cross / n - mx * my;
     let denom = sx * sy;
+    let c = (cov / denom).clamp(-1.0, 1.0);
     if denom <= 0.0 {
-        return None;
+        None
+    } else {
+        Some(c)
     }
-    Some((cov / denom).clamp(-1.0, 1.0))
 }
 
 /// Builds the pair sketch of **every** `i < j` pair of `x`, in
@@ -213,35 +220,75 @@ pub fn build_range(
     ranks: Range<usize>,
     threads: usize,
 ) -> Result<Vec<PairSketch>, TsError> {
-    build_with(layout, x, ranks, threads, |_, _, _| ()).map(|(sketches, _)| sketches)
+    build_with(layout, x, ranks, threads, &()).map(|(sketches, _)| sketches)
 }
 
-/// Builds the pair sketches of the rank interval `ranks`, in rank order,
-/// and calls `finish(i, j, &sketch)` on each right after building it,
-/// while the sketch is still in cache. Returns the sketches and the
-/// finisher's results, both indexed by `rank − ranks.start`.
+/// A per-pair output that [`build_with`] builds in the same pass as the
+/// pair sketches, from each strip's basic-window correlations, four pairs
+/// at a time.
+pub trait StripFinish: Sync {
+    /// The output kept per pair.
+    type Out: Send;
+    /// The moments the strip correlations are computed from, covering
+    /// every basic window of the layout; `None` builds sketches only, and
+    /// [`StripFinish::fill`] is never called.
+    fn moments(&self) -> Option<&BasicMoments>;
+    /// A pair's output before its first basic window, allocated at its
+    /// final size.
+    fn empty(&self) -> Self::Out;
+    /// Fills the outputs of one strip of pairs `(i, j0 + q)`: `cs[b][q]`
+    /// is lane `q`'s `c_b`, bit for bit [`PairSketch::basic_correlation`],
+    /// and `slots[q]` its output, `None` for a lane the strip drops.
+    /// `lanes` is a work buffer of `cs.len()` rows.
+    fn fill(
+        &self,
+        cs: &[[Option<f64>; 4]],
+        lanes: &mut [[f64; 4]],
+        slots: [Option<&mut Self::Out>; 4],
+    );
+}
+
+/// Nothing to finish: sketches only.
+impl StripFinish for () {
+    type Out = ();
+    fn moments(&self) -> Option<&BasicMoments> {
+        None
+    }
+    fn empty(&self) {}
+    fn fill(&self, _: &[[Option<f64>; 4]], _: &mut [[f64; 4]], _: [Option<&mut ()>; 4]) {}
+}
+
+/// Rows of `x` per block of [`build_with`]: each strip's four `y` rows
+/// stay in cache while every row of the block is dotted against them.
+const BLOCK_ROWS: usize = 16;
+
+/// Builds the pair sketches of the rank interval `ranks`, and `finish`'s
+/// output for each pair in the same pass. Returns both, indexed by
+/// `rank − ranks.start`.
 ///
-/// Workers steal chunks of ranks. A chunk is walked in rank order in
-/// strips `(i, j..j+m)`, `m ≤ 4`, cut at row ends and at the chunk's end:
-/// one [`kernel::dot4_windows`] call yields every basic-window cross sum
-/// of the strip's pairs, so the `x` row is read once per four pairs. The
-/// whole triangle and a shard's interval take the same path, with no
-/// cache blocking: the input (8.8 MB for 256 series of 4,320 points)
-/// fits a server's last-level cache, and the pair sketches it yields
-/// outgrow memory long before the input outgrows that cache. Each lane equals the per-pair [`kernel::dot`] bit for bit and goes
-/// through the same prefix add as [`PairSketch::build`], so the output is
-/// identical for any thread count and any interval.
-pub fn build_with<T, F>(
+/// Workers steal chunks of ranks. A chunk first creates every pair's
+/// sketch and output, empty and at its final size, in rank order, so
+/// allocation order and capacities do not depend on the walk. It then
+/// walks its rows in blocks of 16 and each block in strips
+/// `(i, j0..j0+4)`: one [`kernel::dot4_windows`] call per row of the
+/// block yields every basic-window cross sum of a strip's pairs, so the
+/// strip's four `y` rows are fetched once per block and then read from
+/// cache, not fetched again for every row. Lanes whose pair lies outside the chunk (`j ≤ i`
+/// near the diagonal, or past a cut mid-row) are computed and dropped.
+/// Each strip's four cross-sum prefixes run in one [`kernel::prefix_sums4`]
+/// pass, and with [`StripFinish::moments`] its four `c_b` per basic
+/// window come from the prefix differences, the way
+/// [`PairSketch::basic_correlation`] reads them. Each lane equals the
+/// per-pair [`kernel::dot`] bit for bit and goes through the same prefix
+/// add as [`PairSketch::build`], so the output is identical for any
+/// thread count and any interval.
+pub fn build_with<S: StripFinish>(
     layout: &BasicWindowLayout,
     x: &TimeSeriesMatrix,
     ranks: Range<usize>,
     threads: usize,
-    finish: F,
-) -> Result<(Vec<PairSketch>, Vec<T>), TsError>
-where
-    T: Send,
-    F: Fn(usize, usize, &PairSketch) -> T + Sync,
-{
+    finish: &S,
+) -> Result<(Vec<PairSketch>, Vec<S::Out>), TsError> {
     let n = x.n_series();
     if layout.end() > x.len() {
         return Err(TsError::OutOfRange {
@@ -256,29 +303,71 @@ where
             available: n_pairs,
         });
     }
+    let moments = finish.moments();
+    if let Some(m) = moments {
+        assert!(
+            m.windows == (0..layout.count),
+            "strip moments must cover every basic window"
+        );
+    }
     let span = layout.origin..layout.end();
     let row = |s: usize| &x.row(s)[span.clone()];
     let built = exec::par_collect_chunks(ranks.len(), threads, 8, |chunk| {
-        let mut out = Vec::with_capacity(chunk.len());
+        let mut out: Vec<_> = chunk
+            .clone()
+            .map(|_| (PairSketch::empty(layout.count), finish.empty()))
+            .collect();
+        if chunk.is_empty() {
+            return out;
+        }
+        let first = ranks.start + chunk.start;
+        let (i0, j_first) = triangular::unrank(first, n);
+        let (i1, j_last) = triangular::unrank(ranks.start + chunk.end - 1, n);
+        // The chunk's pairs of row `i`: columns `lo..hi`, from slot `at`.
+        let row_pairs = |i: usize| {
+            let lo = if i == i0 { j_first } else { i + 1 };
+            let hi = if i == i1 { j_last + 1 } else { n };
+            (lo, hi, triangular::rank(i, lo, n) - first)
+        };
         let mut dots = vec![[0.0; 4]; layout.count];
-        let (mut i, mut j) = triangular::unrank(ranks.start + chunk.start, n);
-        let mut left = chunk.len();
-        while left > 0 {
-            let m = left.min(n - j).min(4);
-            // Lanes past `m` repeat the strip's last row and are dropped.
-            let ys = std::array::from_fn(|q| row(j + q.min(m - 1)));
-            kernel::dot4_windows(row(i), ys, layout.width, &mut dots);
-            for q in 0..m {
-                let mut sketch = PairSketch::empty(layout.count);
-                sketch.extend(dots.iter().map(|d| d[q]));
-                let done = finish(i, j + q, &sketch);
-                out.push((sketch, done));
-            }
-            left -= m;
-            j += m;
-            if j == n {
-                i += 1;
-                j = i + 1;
+        let mut cs = vec![[None; 4]; layout.count];
+        for block in (i0..=i1).step_by(BLOCK_ROWS) {
+            let rows = block..(block + BLOCK_ROWS).min(i1 + 1);
+            let j_start = rows.clone().map(|i| row_pairs(i).0).min().unwrap_or(n);
+            let j_end = rows.clone().map(|i| row_pairs(i).1).max().unwrap_or(n);
+            for j0 in (j_start..j_end).step_by(4) {
+                // Lanes past the last series repeat it and are dropped.
+                let ys = std::array::from_fn(|q| row((j0 + q).min(n - 1)));
+                for i in rows.clone() {
+                    let (lo, hi, at) = row_pairs(i);
+                    let lanes = lo.max(j0) - j0..hi.clamp(j0, j0 + 4) - j0;
+                    if lanes.is_empty() {
+                        continue;
+                    }
+                    kernel::dot4_windows(row(i), ys, layout.width, &mut dots);
+                    kernel::prefix_sums4([0.0; 4], &mut dots);
+                    if let Some(m) = moments {
+                        let mx = m.series(i);
+                        let my: [&[(f64, f64)]; 4] =
+                            std::array::from_fn(|q| m.series((j0 + q).min(n - 1)));
+                        let mut prev = [0.0; 4];
+                        for (b, (acc, c)) in dots.iter().zip(cs.iter_mut()).enumerate() {
+                            *c = std::array::from_fn(|q| {
+                                correlation(acc[q] - prev[q], m.n, mx[b], my[q][b])
+                            });
+                            prev = *acc;
+                        }
+                    }
+                    let slot0 = at + j0 + lanes.start - lo;
+                    let mut slots: [Option<&mut S::Out>; 4] = Default::default();
+                    for (q, (sketch, done)) in lanes.zip(&mut out[slot0..]) {
+                        sketch.cross_prefix.extend(dots.iter().map(|d| d[q]));
+                        slots[q] = Some(done);
+                    }
+                    if moments.is_some() {
+                        finish.fill(&cs, &mut dots, slots);
+                    }
+                }
             }
         }
         out
