@@ -75,20 +75,21 @@ impl Tsubasa {
 
     /// Pure query phase: per pair, per window, O(n_s) sketch combination.
     ///
-    /// Uses the same work-stealing executor and per-window assembly as the
-    /// Dangoron engine, so parallel speedup comparisons measure the
-    /// algorithms, not the schedulers.
+    /// Uses the same work-stealing executor and per-window collector
+    /// ([`ThresholdedMatrix::from_window_lists`]) as the Dangoron engine,
+    /// so parallel speedup comparisons measure the algorithms, not the
+    /// schedulers.
     pub fn run(&self, prep: &TsubasaPrepared) -> Vec<ThresholdedMatrix> {
         let q = &prep.query;
         let n_windows = q.n_windows();
         let n = prep.n;
 
         let chunks = exec::par_map_chunks(triangular::count(n), self.threads, 8, |range| {
-            let mut buf = Vec::new();
+            let mut windows: Vec<Vec<Edge>> = vec![Vec::new(); n_windows];
             for p in range {
                 let (i, j) = triangular::unrank(p, n);
                 let pair = &prep.pairs[p];
-                for w in 0..n_windows {
+                for (w, list) in windows.iter_mut().enumerate() {
                     let (ws, we) = q.window_range(w);
                     let (b0, b1) = prep
                         .layout
@@ -97,21 +98,14 @@ impl Tsubasa {
                     if let Some(r) = combine_tsubasa(&prep.store, pair, i, j, b0, b1) {
                         if r >= q.threshold {
                             let (i, j) = (i as u32, j as u32);
-                            buf.push((w as u32, Edge { i, j, value: r }));
+                            list.push(Edge { i, j, value: r });
                         }
                     }
                 }
             }
-            buf
+            windows
         });
-        let segments: Vec<&[(u32, Edge)]> = chunks.iter().map(Vec::as_slice).collect();
-        ThresholdedMatrix::assemble_segments(
-            n,
-            q.threshold,
-            EdgeRule::Positive,
-            n_windows,
-            &segments,
-        )
+        ThresholdedMatrix::from_window_lists(n, q.threshold, EdgeRule::Positive, n_windows, chunks)
     }
 }
 

@@ -136,10 +136,10 @@ impl Dangoron {
     ///
     /// Pairs are handed to workers by a work-stealing chunk scheduler
     /// (pruning makes per-pair cost wildly non-uniform, so static chunks
-    /// strand cores); every stolen chunk fills its own `(window, Edge)`
-    /// buffer — no mutex anywhere on the query path. One O(E) scatter over
-    /// the chunks, read back in rank order, builds the per-window
-    /// matrices, identical for every thread count.
+    /// strand cores); every stolen chunk pushes its edges onto its own
+    /// per-window lists — no mutex anywhere on the query path. The chunks,
+    /// read back in rank order, concatenate window by window into the
+    /// per-window matrices, identical for every thread count.
     ///
     /// ```
     /// use dangoron::{Dangoron, DangoronConfig};
@@ -167,8 +167,8 @@ impl Dangoron {
     /// `[ranks.start, ranks.end)` — the distributed tier's worker query.
     ///
     /// `ranks` must lie inside the interval the preparation covers
-    /// ([`Prepared::pair_range`]). Assembling the edge buffers of a
-    /// partition of the triangle in rank order reproduces the unsharded
+    /// ([`Prepared::pair_range`]). Assembling the edges of a partition of
+    /// the triangle in rank order reproduces the unsharded
     /// [`Dangoron::run`] output bit-for-bit (the per-pair walk is
     /// independent, and rank order is each window's `(i, j)` order), and
     /// the per-shard [`PruningStats`] sum to the unsharded counters.

@@ -22,7 +22,7 @@ use crate::config::{BoundMode, DangoronConfig};
 use crate::engine::QueryResult;
 use crate::pivot::PivotSet;
 use crate::stats::PruningStats;
-use crate::walker::{pair_costs, walk_pair, WalkGeometry};
+use crate::walker::{walk_pair, WalkGeometry};
 use sketch::output::Edge;
 use sketch::{pair, triangular, BasicWindowLayout, PairSketch, SketchStore, ThresholdedMatrix};
 use std::ops::Range;
@@ -206,10 +206,14 @@ impl<'a> PairState<'a> {
     /// per-window matrices — the one pair walk behind batch runs,
     /// streaming drains and shared queries.
     ///
-    /// Every stolen chunk fills its own edge buffer, and
-    /// [`exec::par_map_chunks`] hands the buffers back in rank order —
-    /// `(i, j)` order — so each window reaches the O(E) scatter already
-    /// sorted and the output is identical for every thread count.
+    /// Every stolen chunk pushes each edge straight onto its own list for
+    /// that window. A chunk walks ascending ranks and [`walk_pair`] emits
+    /// a pair's windows in ascending order, so every list is
+    /// `(i, j)`-sorted; [`exec::par_map_chunks`] hands the chunks back in
+    /// rank order, and [`ThresholdedMatrix::from_window_lists`]
+    /// concatenates each window's lists in that order, so the output is
+    /// identical for every thread count. On-demand jump walks build each
+    /// pair's Eq. 2 costs from one moment table per walk.
     /// `pivots`, when given, must cover the geometry's global windows.
     ///
     /// # Panics
@@ -231,10 +235,14 @@ impl<'a> PairState<'a> {
             self.ranks.end,
         );
         let (n, rule, bound) = (self.store.n_series(), config.edge_rule, config.bound);
-        let jumps = matches!(bound, BoundMode::PaperJump { .. });
         let (w0, w1) = (geo.global_window(0), geo.global_window(geo.n_windows));
+        // Jump walks without resident costs build each pair's costs here;
+        // every pair shares the series' per-basic-window (mean, σ).
+        let moments = (matches!(bound, BoundMode::PaperJump { .. }) && self.costs.is_none())
+            .then(|| self.store.basic_moments(0..self.store.layout().count));
         let chunks = exec::par_map_chunks(ranks.len(), config.threads, WALK_GRAIN, |local| {
-            let (mut buf, mut stats) = (Vec::new(), PruningStats::default());
+            let mut windows: Vec<Vec<Edge>> = vec![Vec::new(); geo.n_windows];
+            let mut stats = PruningStats::default();
             for rank in ranks.start + local.start..ranks.start + local.end {
                 let (i, j) = triangular::unrank(rank, n);
                 let k = rank - self.ranks.start;
@@ -257,13 +265,14 @@ impl<'a> PairState<'a> {
                     }
                 };
                 let built_costs;
-                let costs = match &self.costs {
-                    Some(all) => Some(&all[k]),
-                    None if jumps => {
-                        built_costs = pair_costs(&self.store, pair, i, j, rule);
+                let costs = match (&self.costs, &moments) {
+                    (Some(all), _) => Some(&all[k]),
+                    (None, Some(m)) => {
+                        built_costs =
+                            PairCosts::from_correlations(pair.basic_correlations(m, i, j), rule);
                         Some(&built_costs)
                     }
-                    None => None,
+                    (None, None) => None,
                 };
                 let (ei, ej) = (i as u32, j as u32);
                 walk_pair(
@@ -279,22 +288,25 @@ impl<'a> PairState<'a> {
                     pivots,
                     &mut stats,
                     |w, value| {
-                        let edge = Edge {
+                        windows[w].push(Edge {
                             i: ei,
                             j: ej,
                             value,
-                        };
-                        buf.push((w as u32, edge));
+                        })
                     },
                 );
             }
-            (buf, stats)
+            (windows, stats)
         });
         let mut stats = PruningStats::default();
-        chunks.iter().for_each(|(_, s)| stats.merge(s));
-        let segments: Vec<&[(u32, Edge)]> = chunks.iter().map(|(buf, _)| buf.as_slice()).collect();
-        let matrices =
-            ThresholdedMatrix::assemble_segments(n, beta, rule, geo.n_windows, &segments);
+        let lists = chunks
+            .into_iter()
+            .map(|(windows, s)| {
+                stats.merge(&s);
+                windows
+            })
+            .collect();
+        let matrices = ThresholdedMatrix::from_window_lists(n, beta, rule, geo.n_windows, lists);
         QueryResult { matrices, stats }
     }
 }
@@ -303,7 +315,9 @@ impl<'a> PairState<'a> {
 pub(crate) mod tests {
     use super::*;
     use crate::bounds::DepartureCost;
+    use crate::walker::pair_costs;
     use sketch::output::EdgeRule;
+    use sketch::SlidingQuery;
 
     pub(crate) const WIDTH: usize = 10;
 
@@ -529,6 +543,225 @@ pub(crate) mod tests {
                     assert_matches_per_pair_build(&state, &x, rule);
                     for (got, want) in state.costs().iter().zip(fresh.costs()) {
                         assert_costs_bits(got, want, &format!("{rule:?} chunking {c}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The walk fixture: `wide_matrix` over 30 basic windows of 10, in
+    /// windows of 4 basic windows sliding by 1 (27 windows), at β 0.5.
+    fn walk_query() -> (TimeSeriesMatrix, SlidingQuery) {
+        let x = wide_matrix(300, WIDTH);
+        let query = SlidingQuery {
+            start: 0,
+            end: x.len(),
+            window: 4 * WIDTH,
+            step: WIDTH,
+            threshold: 0.5,
+        };
+        (x, query)
+    }
+
+    /// The geometry of a drain whose first window is global window `first`.
+    fn drain_geometry(query: &SlidingQuery, first: usize) -> WalkGeometry {
+        let whole = WalkGeometry::for_query(query, WIDTH);
+        WalkGeometry {
+            n_windows: whole.n_windows - first,
+            offset_bw: first * whole.step_bw,
+            ..whole
+        }
+    }
+
+    /// The per-pair reference walk: every pair of `ranks` gets a fresh
+    /// sketch from raw rows and, in jump mode, its costs from
+    /// [`pair_costs`]; [`walk_pair`] tags each edge with its window and
+    /// [`ThresholdedMatrix::assemble_windows`] sorts them out. `prefilter`
+    /// skips pairs wholesale as an on-demand state does.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_walk(
+        store: &SketchStore,
+        x: &TimeSeriesMatrix,
+        cfg: &DangoronConfig,
+        ranks: Range<usize>,
+        geo: WalkGeometry,
+        beta: f64,
+        pivots: Option<&PivotSet>,
+        prefilter: bool,
+    ) -> QueryResult {
+        let (n, rule) = (x.n_series(), cfg.edge_rule);
+        let (w0, w1) = (geo.global_window(0), geo.global_window(geo.n_windows));
+        let (mut flat, mut stats) = (Vec::new(), PruningStats::default());
+        for rank in ranks {
+            let (i, j) = triangular::unrank(rank, n);
+            if prefilter
+                && pivots.is_some_and(|pv| pv.pair_never_edges_in(i, j, beta, rule, w0, w1))
+            {
+                stats.n_pairs += 1;
+                stats.total_cells += geo.n_windows as u64;
+                stats.pairs_skipped_entirely += 1;
+                continue;
+            }
+            let pair = PairSketch::build(store.layout(), x.row(i), x.row(j)).unwrap();
+            let costs = matches!(cfg.bound, BoundMode::PaperJump { .. })
+                .then(|| pair_costs(store, &pair, i, j, rule));
+            let (ei, ej) = (i as u32, j as u32);
+            walk_pair(
+                store,
+                &pair,
+                i,
+                j,
+                geo,
+                beta,
+                rule,
+                cfg.bound,
+                costs.as_ref(),
+                pivots,
+                &mut stats,
+                |w, value| {
+                    flat.push((
+                        w as u32,
+                        Edge {
+                            i: ei,
+                            j: ej,
+                            value,
+                        },
+                    ))
+                },
+            );
+        }
+        let matrices = ThresholdedMatrix::assemble_windows(n, beta, rule, geo.n_windows, flat);
+        QueryResult { matrices, stats }
+    }
+
+    /// Every edge of `result` as `(window, i, j, value bits)`.
+    fn edge_bits(result: &QueryResult) -> Vec<(u32, u32, u32, u64)> {
+        ThresholdedMatrix::flatten_windows(&result.matrices)
+            .into_iter()
+            .map(|(w, e)| (w, e.i, e.j, e.value.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn chunked_walks_equal_a_per_pair_reference() {
+        let (x, query) = walk_query();
+        let (n, beta) = (x.n_series(), query.threshold);
+        let layout = BasicWindowLayout::for_query(&query, WIDTH).unwrap();
+        let r = |i, j| triangular::rank(i, j, n);
+        let intervals = [0..triangular::count(n), r(3, 17)..r(33, 36)];
+        let bounds = [BoundMode::Exhaustive, BoundMode::PaperJump { slack: 0.0 }];
+        for (bound, rule) in bounds
+            .into_iter()
+            .flat_map(|b| [EdgeRule::Positive, EdgeRule::Absolute].map(|r| (b, r)))
+        {
+            let cfg = DangoronConfig {
+                bound,
+                ..config(rule, 2)
+            };
+            for on_demand in [None, Some(&x)] {
+                let state =
+                    PairState::build(&x, layout, 0..triangular::count(n), &cfg, on_demand).unwrap();
+                let table =
+                    PivotSet::build(&x, state.store(), &layout, &query, vec![0, 13, 27], None, 2)
+                        .unwrap();
+                for pivots in [None, Some(&table)] {
+                    for first in [0, 1, 3] {
+                        let geo = drain_geometry(&query, first);
+                        for ranks in intervals.clone() {
+                            let want = reference_walk(
+                                state.store(),
+                                &x,
+                                &cfg,
+                                ranks.clone(),
+                                geo,
+                                beta,
+                                pivots,
+                                on_demand.is_some(),
+                            );
+                            assert!(want.total_edges() > 0);
+                            for threads in [1, 2, 8] {
+                                if threads > 1 {
+                                    // Every claim sizes itself from the
+                                    // counter it advances, so the walk
+                                    // cuts `ranks` into these chunks too.
+                                    let chunks = exec::par_map_chunks(
+                                        ranks.len(),
+                                        threads,
+                                        WALK_GRAIN,
+                                        |r| r,
+                                    );
+                                    assert!(chunks.len() >= 20, "{} chunks", chunks.len());
+                                }
+                                let cfg = DangoronConfig {
+                                    threads,
+                                    ..cfg.clone()
+                                };
+                                let got = state.walk(&cfg, ranks.clone(), geo, beta, pivots);
+                                let what = format!(
+                                    "{bound:?} {rule:?} on-demand {} pivots {} first {first} ranks {ranks:?} threads {threads}",
+                                    on_demand.is_some(),
+                                    pivots.is_some()
+                                );
+                                assert_eq!(got.matrices.len(), geo.n_windows, "{what}");
+                                assert_eq!(edge_bits(&got), edge_bits(&want), "{what}");
+                                assert_eq!(got.stats, want.stats, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn on_demand_jump_walks_equal_resident_ones() {
+        // The on-demand walk builds each pair's Eq. 2 costs from a moment
+        // table; the resident state holds the fused prepare's costs. Both
+        // read the same `c_b` expression, so edges and counters agree bit
+        // for bit. With pivots, the on-demand walk also skips pairs
+        // wholesale, which moves those pairs' cells out of the triangle
+        // and jump counters (compared cell by cell in
+        // `chunked_walks_equal_a_per_pair_reference`).
+        let (x, query) = walk_query();
+        let (n, beta) = (x.n_series(), query.threshold);
+        let layout = BasicWindowLayout::for_query(&query, WIDTH).unwrap();
+        let geo = WalkGeometry::for_query(&query, WIDTH);
+        let all = 0..triangular::count(n);
+        for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+            let cfg = config(rule, 1);
+            let resident = PairState::build(&x, layout, all.clone(), &cfg, None).unwrap();
+            let on_demand = PairState::build(&x, layout, all.clone(), &cfg, Some(&x)).unwrap();
+            assert!(on_demand.costs().is_empty());
+            let table = PivotSet::build(
+                &x,
+                resident.store(),
+                &layout,
+                &query,
+                vec![0, 13, 27],
+                None,
+                1,
+            )
+            .unwrap();
+            for pivots in [None, Some(&table)] {
+                for threads in [1, 2, 8] {
+                    let cfg = DangoronConfig {
+                        threads,
+                        ..cfg.clone()
+                    };
+                    let want = resident.walk(&cfg, all.clone(), geo, beta, pivots);
+                    let got = on_demand.walk(&cfg, all.clone(), geo, beta, pivots);
+                    let what = format!("{rule:?} pivots {} threads {threads}", pivots.is_some());
+                    assert!(want.stats.jumps > 0, "{what}");
+                    assert_eq!(edge_bits(&got), edge_bits(&want), "{what}");
+                    if pivots.is_none() {
+                        assert_eq!(got.stats, want.stats, "{what}");
+                    } else {
+                        let (g, w) = (&got.stats, &want.stats);
+                        assert_eq!(
+                            (g.n_pairs, g.total_cells, g.edges),
+                            (w.n_pairs, w.total_cells, w.edges),
+                            "{what}"
+                        );
                     }
                 }
             }

@@ -4,10 +4,10 @@
 //! The merge exploits a structural fact: [`sketch::triangular`] rank order
 //! **is** lexicographic `(i, j)` order, so for disjoint contiguous rank
 //! shards the edges of one window, taken shard-by-shard in rank order, are
-//! already globally sorted by `(i, j)`. The merge is therefore the
-//! engine's own O(E) per-window scatter,
-//! [`ThresholdedMatrix::assemble_segments`], over the shard buffers in
-//! rank order — no tolerance, and bit-identical output to the
+//! already globally sorted by `(i, j)`, just as the engine's own chunks
+//! are. The merge is therefore one O(E) per-window scatter,
+//! [`ThresholdedMatrix::assemble_segments`], over the window-tagged shard
+//! buffers in rank order — no tolerance, and bit-identical output to the
 //! single-process engine for any shard count (including re-planned,
 //! finer-than-planned partitions).
 

@@ -158,8 +158,8 @@ where
 /// which chunk, and how many chunks there are, depends on scheduling; the
 /// concatenation of the chunks' items is always `0..n_items`.
 ///
-/// The query engines' collector: a chunk's result is the edge buffer of
-/// its pairs, so the buffers come back in pair-rank order.
+/// The query engines' collector: a chunk's result is the per-window edge
+/// lists of its pairs, so the lists come back in pair-rank order.
 pub fn par_map_chunks<R, F>(n_items: usize, threads: usize, min_grain: usize, f: F) -> Vec<R>
 where
     R: Send,

@@ -23,8 +23,9 @@ pub enum Stage {
     Walk,
     /// Streaming window drain (`core::streaming`).
     Drain,
-    /// Assembly of window-tagged edges into the per-window matrices
-    /// (`sketch::output`), once per query, drain or shard merge.
+    /// Assembly of the per-window matrices from the walk's chunk lists or
+    /// window-tagged edges (`sketch::output`), once per query, drain or
+    /// shard merge.
     Merge,
 }
 

@@ -73,8 +73,8 @@ impl ThresholdedMatrix {
     }
 
     /// Builds a matrix directly from an already-sorted, already-filtered
-    /// edge list — the fast path for engines that assemble all windows
-    /// from window-tagged edge buffers instead of per-window pushes.
+    /// edge list — the fast path for engines that build whole per-window
+    /// lists instead of pushing edges one by one.
     ///
     /// Every entry must satisfy `i < j < n`, pass `rule` at `beta`, and
     /// the list must be sorted by `(i, j)` (all checked in debug builds).
@@ -137,13 +137,15 @@ impl ThresholdedMatrix {
     /// scatters them, segment by segment, into exactly-sized per-window
     /// lists.
     ///
-    /// This is the merge step shared by every engine. When the segments
-    /// hold ascending pair ranks — a worker's chunks or a shard's buffer,
-    /// taken in rank order — every window arrives sorted by `(i, j)`,
-    /// because rank order *is* `(i, j)` order, and the per-window sort
-    /// below is a linear run check. Segments in any other order give the
-    /// same output: `(window, i, j)` is unique per edge, so that sort
-    /// erases the order in which workers or shards produced them.
+    /// This is the merge of the shard tier, whose buffers arrive
+    /// window-tagged off the wire, and of [`Self::assemble_windows`]; the
+    /// engines' own walks build per-window lists directly and use
+    /// [`Self::from_window_lists`]. When the segments hold ascending pair
+    /// ranks — shard buffers taken in rank order — every window arrives
+    /// sorted by `(i, j)`, because rank order *is* `(i, j)` order, and the
+    /// per-window sort below is a linear run check. Segments in any other
+    /// order give the same output: `(window, i, j)` is unique per edge, so
+    /// that sort erases the order in which shards produced them.
     ///
     /// # Panics
     /// Panics when an edge is tagged with a window `≥ n_windows`.
@@ -170,6 +172,50 @@ impl ThresholdedMatrix {
             .into_iter()
             .map(|mut edges| {
                 edges.sort_unstable_by_key(|e| (e.i, e.j));
+                Self::from_sorted_edges(n, beta, rule, edges)
+            })
+            .collect()
+    }
+
+    /// Assembles one finalized matrix per window from per-chunk window
+    /// lists: `chunks[c][w]` holds chunk `c`'s edges of window `w`, and
+    /// each window's matrix is its lists concatenated in chunk order.
+    ///
+    /// The collector of the chunked pair walks. A chunk walks ascending
+    /// pair ranks, so each of its lists is `(i, j)`-sorted, and chunks in
+    /// rank order concatenate to sorted windows — [`Self::from_sorted_edges`]
+    /// checks that in debug builds. Each window keeps its first non-empty
+    /// list as storage, grown once to the window's total, so a single
+    /// chunk (one thread) hands its lists over without a copy.
+    ///
+    /// # Panics
+    /// Panics when a chunk does not hold exactly `n_windows` lists.
+    pub fn from_window_lists(
+        n: usize,
+        beta: f64,
+        rule: EdgeRule,
+        n_windows: usize,
+        mut chunks: Vec<Vec<Vec<Edge>>>,
+    ) -> Vec<ThresholdedMatrix> {
+        let _timer = obs::stages::span(obs::stages::Stage::Merge);
+        for chunk in &chunks {
+            assert_eq!(
+                chunk.len(),
+                n_windows,
+                "chunk holds {} window lists for {n_windows} windows",
+                chunk.len()
+            );
+        }
+        (0..n_windows)
+            .map(|w| {
+                let total: usize = chunks.iter().map(|c| c[w].len()).sum();
+                let mut lists = chunks
+                    .iter_mut()
+                    .map(|c| std::mem::take(&mut c[w]))
+                    .filter(|l| !l.is_empty());
+                let mut edges = lists.next().unwrap_or_default();
+                edges.reserve_exact(total - edges.len());
+                lists.for_each(|more| edges.extend_from_slice(&more));
                 Self::from_sorted_edges(n, beta, rule, edges)
             })
             .collect()
@@ -416,20 +462,9 @@ mod tests {
     #[test]
     fn assembly_is_independent_of_segment_order() {
         // Pairs walked in rank order, each emitting its windows ascending:
-        // the buffer a single worker produces. Window 1 and the trailing
-        // window 4 stay empty.
+        // the buffer a single worker produces.
         let (n, n_windows) = (7u32, 5);
-        let mut ordered = Vec::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                for w in [0u32, 2, 3] {
-                    if (i + 2 * j + w) % 3 != 0 {
-                        let value = 0.5 + f64::from(i * n + j + w) / 1000.0;
-                        ordered.push((w, Edge { i, j, value }));
-                    }
-                }
-            }
-        }
+        let ordered = ranked_edges();
         let mut shuffled = ordered.clone();
         let mut state = 0x2545_f491_4f6c_dd1du64;
         for k in (1..shuffled.len()).rev() {
@@ -497,6 +532,118 @@ mod tests {
             },
         )];
         let _ = ThresholdedMatrix::assemble_windows(3, 0.5, EdgeRule::Positive, 2, flat);
+    }
+
+    /// The window lists one walk chunk builds from its slice of a
+    /// window-tagged buffer.
+    fn lists(segment: &[(u32, Edge)], n_windows: usize) -> Vec<Vec<Edge>> {
+        let mut lists = vec![Vec::new(); n_windows];
+        for &(w, e) in segment {
+            lists[w as usize].push(e);
+        }
+        lists
+    }
+
+    /// Pairs of 7 series in rank order, each emitting windows 0, 2 and 3
+    /// of 5 (some skipped), so window 1 and the trailing window 4 stay
+    /// empty.
+    fn ranked_edges() -> Vec<(u32, Edge)> {
+        let n = 7u32;
+        let mut flat = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                for w in [0u32, 2, 3] {
+                    if (i + 2 * j + w) % 3 != 0 {
+                        let value = 0.5 + f64::from(i * n + j + w) / 1000.0;
+                        flat.push((w, Edge { i, j, value }));
+                    }
+                }
+            }
+        }
+        flat
+    }
+
+    #[test]
+    fn window_lists_equal_assembled_segments() {
+        let (n, n_windows) = (7, 5);
+        let flat = ranked_edges();
+        let want =
+            ThresholdedMatrix::assemble_segments(n, 0.5, EdgeRule::Positive, n_windows, &[&flat]);
+        assert_eq!(want[1].n_edges(), 0);
+        assert_eq!(want[4].n_edges(), 0);
+        let (a, rest) = flat.split_at(5);
+        let (b, c) = rest.split_at(rest.len() / 2);
+        let splits: Vec<Vec<&[(u32, Edge)]>> = vec![
+            vec![&flat],
+            vec![a, &[], b, c],
+            vec![&[], &flat, &[]],
+            flat.chunks(3).collect(),
+            flat.chunks(1).collect(),
+        ];
+        for segments in splits {
+            let chunks = segments.iter().map(|s| lists(s, n_windows)).collect();
+            let got =
+                ThresholdedMatrix::from_window_lists(n, 0.5, EdgeRule::Positive, n_windows, chunks);
+            assert_eq!(bits(&got), bits(&want), "{} chunks", segments.len());
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn window_lists_of_no_edges() {
+        let none = ThresholdedMatrix::from_window_lists(3, 0.5, EdgeRule::Positive, 0, Vec::new());
+        assert!(none.is_empty());
+        let windowless = vec![Vec::new(), Vec::new()];
+        let none = ThresholdedMatrix::from_window_lists(3, 0.5, EdgeRule::Positive, 0, windowless);
+        assert!(none.is_empty());
+        let empty = ThresholdedMatrix::from_window_lists(3, 0.5, EdgeRule::Absolute, 2, Vec::new());
+        assert_eq!(empty.len(), 2);
+        assert!(empty.iter().all(|m| m.n_edges() == 0));
+        assert!(empty.iter().all(|m| m.rule() == EdgeRule::Absolute));
+    }
+
+    #[test]
+    fn a_single_chunk_moves_its_lists() {
+        let (n, n_windows, flat) = (7, 5, ranked_edges());
+        let chunk = lists(&flat, n_windows);
+        let addresses: Vec<*const Edge> = chunk.iter().map(|l| l.as_ptr()).collect();
+        let got = ThresholdedMatrix::from_window_lists(
+            n,
+            0.5,
+            EdgeRule::Positive,
+            n_windows,
+            vec![chunk],
+        );
+        for (w, (m, &address)) in got.iter().zip(&addresses).enumerate() {
+            if m.n_edges() > 0 {
+                assert_eq!(m.edges().as_ptr(), address, "window {w} was copied");
+            }
+        }
+        // Across chunks, a window whose edges all sit in one later chunk
+        // is moved too.
+        let later = lists(&flat, n_windows);
+        let address = later[2].as_ptr();
+        let chunks = vec![lists(&[], n_windows), later];
+        let got =
+            ThresholdedMatrix::from_window_lists(n, 0.5, EdgeRule::Positive, n_windows, chunks);
+        assert_eq!(got[2].edges().as_ptr(), address);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk holds 2 window lists for 3 windows")]
+    fn window_lists_reject_a_short_chunk() {
+        let chunks = vec![vec![Vec::new(); 3], vec![Vec::new(); 2]];
+        let _ = ThresholdedMatrix::from_window_lists(3, 0.5, EdgeRule::Positive, 3, chunks);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly sorted")]
+    fn window_lists_out_of_rank_order_are_caught_in_debug() {
+        let flat = ranked_edges();
+        let (a, b) = flat.split_at(flat.len() / 2);
+        let chunks = vec![lists(b, 5), lists(a, 5)];
+        let _ = ThresholdedMatrix::from_window_lists(7, 0.5, EdgeRule::Positive, 5, chunks);
     }
 
     #[test]
