@@ -10,8 +10,9 @@
 //!   measured against.
 //! * **striped** — the canonical 4-lane scalar fallback
 //!   (`kernel::scalar`), i.e. what a build without SIMD support runs.
-//! * **simd** — the dispatched kernel (`kernel::*`), AVX2+FMA or NEON
-//!   where the host supports it, otherwise identical to *striped*.
+//! * **simd** — the dispatched kernel (`kernel::*`), AVX2+FMA where the
+//!   host supports it, otherwise identical to *striped* (aarch64 and every
+//!   other target run the scalar reference).
 //!
 //! The `prefix-build` row times the real [`sketch::PairSketch::build`]
 //! path end-to-end (per-basic-window kernel dots plus the prefix chain),

@@ -208,9 +208,34 @@ impl PivotSet {
     /// The per-pivot `(c_iz, c_jz)` pairs are gathered into stack buffers
     /// and intersected by [`kernel::triangle_interval`] four lanes at a
     /// time; chunked intersection is exact (min/max is associative), so
-    /// the result is bit-identical for any chunk boundary and any kernel
-    /// backend.
+    /// the result is bit-identical for any chunk boundary. On a CPU with
+    /// AVX2 and FMA the body runs compiled for both, chosen per call by
+    /// [`kernel::avx2_active`] like the exhaustive walk, and gives the
+    /// same bits.
     pub fn interval(&self, i: usize, j: usize, w: usize) -> (f64, f64) {
+        #[cfg(target_arch = "x86_64")]
+        if kernel::avx2_active() {
+            // SAFETY: `avx2_active` confirmed that this CPU has AVX2 and
+            // FMA (statically or by detection), the only requirement
+            // `interval_fma` adds.
+            return unsafe { self.interval_fma(i, j, w) };
+        }
+        self.interval_in(i, j, w)
+    }
+
+    /// [`PivotSet::interval_in`] compiled for AVX2+FMA, so the inlined
+    /// triangle fold uses fused vector instructions instead of calls to
+    /// the `fma` routine. Sound to call only on a CPU with AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn interval_fma(&self, i: usize, j: usize, w: usize) -> (f64, f64) {
+        self.interval_in(i, j, w)
+    }
+
+    /// The body of [`PivotSet::interval`], `inline(always)` into each of
+    /// its instances.
+    #[inline(always)]
+    fn interval_in(&self, i: usize, j: usize, w: usize) -> (f64, f64) {
         /// Gather-buffer capacity; pivot counts above this just flush in
         /// batches.
         const GATHER: usize = 32;
@@ -272,7 +297,8 @@ impl PivotSet {
     /// either sign, which no comparison can tell apart).
     ///
     /// `inline(always)` puts it, and the fold, inside each instance of
-    /// the exhaustive walk, including its `avx2,fma` one.
+    /// the exhaustive walk and of the wholesale prefilter, including their
+    /// `avx2,fma` ones.
     #[inline(always)]
     pub fn interval4(
         &self,
@@ -305,6 +331,12 @@ impl PivotSet {
     /// Rule-aware pair-level prefilter over windows `[w0, w1)`: true when
     /// none of those windows can produce an edge under `rule` at `beta` —
     /// the walk over that window range can be skipped wholesale.
+    ///
+    /// Brackets four windows per [`PivotSet::interval4`], the exhaustive
+    /// walk's settle-aware fold, so each window settles exactly when
+    /// [`PivotSet::interval`] settles it; lanes past `w1` are ignored. On
+    /// a CPU with AVX2 and FMA it runs compiled for both, chosen once per
+    /// call by [`kernel::avx2_active`].
     pub fn pair_never_edges_in(
         &self,
         i: usize,
@@ -314,11 +346,56 @@ impl PivotSet {
         w0: usize,
         w1: usize,
     ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if kernel::avx2_active() {
+            // SAFETY: `avx2_active` confirmed that this CPU has AVX2 and
+            // FMA (statically or by detection), the only requirement
+            // `never_edges_fma` adds.
+            return unsafe { self.never_edges_fma(i, j, beta, rule, w0, w1) };
+        }
+        self.never_edges(i, j, beta, rule, w0, w1)
+    }
+
+    /// [`PivotSet::never_edges`] compiled for AVX2+FMA. Sound to call only
+    /// on a CPU with AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn never_edges_fma(
+        &self,
+        i: usize,
+        j: usize,
+        beta: f64,
+        rule: EdgeRule,
+        w0: usize,
+        w1: usize,
+    ) -> bool {
+        self.never_edges(i, j, beta, rule, w0, w1)
+    }
+
+    /// The body of [`PivotSet::pair_never_edges_in`], `inline(always)`
+    /// into each of its instances.
+    #[inline(always)]
+    fn never_edges(
+        &self,
+        i: usize,
+        j: usize,
+        beta: f64,
+        rule: EdgeRule,
+        w0: usize,
+        w1: usize,
+    ) -> bool {
         debug_assert!(w1 <= self.n_windows);
-        (w0..w1).all(|w| {
-            let (lo, hi) = self.interval(i, j, w);
-            settles(rule, beta, lo, hi)
-        })
+        // A plain loop: an iterator adapter's fold would be left out of
+        // line, outside the `avx2,fma` instance.
+        let mut w = w0;
+        while w < w1 {
+            let (lo, hi) = self.interval4(i, j, w, rule, beta);
+            if !(0..4.min(w1 - w)).all(|l| settles(rule, beta, lo[l], hi[l])) {
+                return false;
+            }
+            w += 4;
+        }
+        true
     }
 }
 
@@ -641,6 +718,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn interval_and_prefilter_are_backend_invariant_on_nan_lanes() {
+        // `interval` keeps its bits with the kernel dispatcher free (the
+        // `avx2,fma` instance on such a CPU) and forced to scalar, and in
+        // both the prefilter's four-window brackets settle a range exactly
+        // when `interval` settles each of its windows: every `[w0, w1)` of
+        // the ten windows, so partial last blocks too, under both rules.
+        let pv = nan_lane_table();
+        let nw = pv.n_windows();
+        let pairs: Vec<(usize, usize)> = (0..6)
+            .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
+            .collect();
+        let mut outcomes = [0usize; 2];
+        let mut runs = Vec::new();
+        for forced in [false, true] {
+            kernel::force_scalar(forced);
+            let mut bits = Vec::new();
+            for &(i, j) in &pairs {
+                let brackets: Vec<(f64, f64)> = (0..nw).map(|w| pv.interval(i, j, w)).collect();
+                bits.extend(brackets.iter().flat_map(|b| [b.0.to_bits(), b.1.to_bits()]));
+                for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+                    for beta in [0.2, 0.5, 0.8, 0.95] {
+                        let settled: Vec<bool> = brackets
+                            .iter()
+                            .map(|&(lo, hi)| settles(rule, beta, lo, hi))
+                            .collect();
+                        for (w0, w1) in (0..=nw).flat_map(|w0| (w0..=nw).map(move |w1| (w0, w1))) {
+                            let never = pv.pair_never_edges_in(i, j, beta, rule, w0, w1);
+                            assert_eq!(
+                                never,
+                                settled[w0..w1].iter().all(|&s| s),
+                                "forced={forced} {rule:?} beta={beta} ({i},{j}) [{w0}, {w1})"
+                            );
+                            outcomes[never as usize] += 1;
+                        }
+                    }
+                }
+            }
+            kernel::force_scalar(false);
+            runs.push(bits);
+        }
+        assert!(runs[0] == runs[1], "interval differs between the backends");
+        assert!(outcomes.iter().all(|&n| n > 0), "one outcome never seen");
     }
 
     #[test]

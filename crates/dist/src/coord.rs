@@ -84,7 +84,8 @@
 //! mid-flight — or had them join, leave, rejoin and steal from each other
 //! under an injected [`FaultPlan`] — is bit-identical to the
 //! single-process engine. Every membership, steal and retry event is
-//! counted in [`CoordStats`] and surfaces in the BENCH `shards` section.
+//! counted in the end-of-run [`CoordStats`] and in the coordinator's
+//! `/metrics` families (`docs/metrics.md`).
 
 use crate::chaos::{ChaosTransport, FaultPlan};
 use crate::merge::{merge_shard_edges, ShardEdges};

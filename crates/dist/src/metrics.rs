@@ -6,8 +6,8 @@
 //! and is updated wait-free as the event happens. The end-of-run
 //! [`CoordStats`] report is a *snapshot* of
 //! these metrics ([`CoordMetrics::snapshot`]), so the stderr summary, the
-//! BENCH `shards` section, and a live `/metrics` scrape can never
-//! disagree: they all read the same atomics.
+//! [`CoordStats`] a caller gets back and a live `/metrics` scrape can
+//! never disagree: they all read the same atomics.
 //!
 //! Metric names are a stable contract documented in `docs/metrics.md`.
 //! The registry is expected to be fresh per run (the

@@ -226,50 +226,11 @@ pub(crate) unsafe fn fma_accumulate(acc: &mut [f64], x: &[f64], scale: f64) {
 }
 
 /// `b` where the lane of `cond` is all-ones, else `a` — the vector
-/// counterpart of the scalar `if cond { b } else { a }` selects in
-/// [`scalar::tri_lo_hi`].
+/// counterpart of a scalar `if cond { b } else { a }`.
 // SAFETY: register-only blend, no memory access; requires avx2, which
 // the caller guarantees.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn select(a: __m256d, b: __m256d, cond: __m256d) -> __m256d {
     _mm256_blendv_pd(a, b, cond)
-}
-
-/// See [`scalar::triangle_interval`].
-// SAFETY: caller must guarantee avx2+fma. Length equality is asserted,
-// then unaligned loads read lanes `k*4 .. k*4+4` with `k < len/4` from
-// both slices — always in bounds.
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
-    assert_eq!(c_iz.len(), c_jz.len(), "triangle_interval: length mismatch");
-    let blocks = c_iz.len() / LANES;
-    let zero = _mm256_setzero_pd();
-    let one = _mm256_set1_pd(1.0);
-    let neg_one = _mm256_set1_pd(-1.0);
-    let mut best_lo = neg_one;
-    let mut best_hi = one;
-    for k in 0..blocks {
-        let a = _mm256_loadu_pd(c_iz.as_ptr().add(k * LANES));
-        let b = _mm256_loadu_pd(c_jz.as_ptr().add(k * LANES));
-        // Mirrors scalar::tri_lo_hi operation for operation.
-        let prod = _mm256_mul_pd(a, b);
-        let u = _mm256_fnmadd_pd(a, a, one);
-        let u = select(zero, u, _mm256_cmp_pd::<_CMP_GT_OQ>(u, zero));
-        let v = _mm256_fnmadd_pd(b, b, one);
-        let v = select(zero, v, _mm256_cmp_pd::<_CMP_GT_OQ>(v, zero));
-        let rad = _mm256_sqrt_pd(_mm256_mul_pd(u, v));
-        let lo = _mm256_sub_pd(prod, rad);
-        let lo = select(neg_one, lo, _mm256_cmp_pd::<_CMP_GT_OQ>(lo, neg_one));
-        let hi = _mm256_add_pd(prod, rad);
-        let hi = select(one, hi, _mm256_cmp_pd::<_CMP_LT_OQ>(hi, one));
-        best_lo = select(best_lo, lo, _mm256_cmp_pd::<_CMP_GT_OQ>(lo, best_lo));
-        best_hi = select(best_hi, hi, _mm256_cmp_pd::<_CMP_LT_OQ>(hi, best_hi));
-    }
-    scalar::tri_finish(
-        lanes_of(best_lo),
-        lanes_of(best_hi),
-        &c_iz[blocks * LANES..],
-        &c_jz[blocks * LANES..],
-    )
 }

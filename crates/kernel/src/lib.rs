@@ -3,14 +3,13 @@
 //! Every dense inner product in this workspace — sketch prefix builders,
 //! the direct five-moment Pearson accumulation, pivot-table triangle
 //! bounds, the linear-algebra substrate — funnels through this crate. Each
-//! primitive exists in up to three backends:
+//! reduction exists in two backends:
 //!
 //! * [`scalar`] — the canonical **4-lane striped** reference (always
-//!   compiled, used where no SIMD backend applies);
+//!   compiled; every target without AVX2+FMA, aarch64 included, runs it);
 //! * an AVX2+FMA backend (x86-64), selected at compile time when the
 //!   binary is built with `-C target-feature=+avx2,+fma` and otherwise at
-//!   first use via CPU feature detection;
-//! * a NEON backend (aarch64, where NEON is architecturally mandatory).
+//!   first use via CPU feature detection.
 //!
 //! ## The determinism contract
 //!
@@ -18,10 +17,10 @@
 //! `4k + l` of the input updates lane accumulator `l` with exactly one
 //! IEEE-754 operation (`+` or fused `mul_add`), trailing `len % 4`
 //! elements update lanes `0 .. len % 4`, and the lanes combine as
-//! `(l0 + l1) + (l2 + l3)`. The SIMD backends perform the *same* lane-wise
+//! `(l0 + l1) + (l2 + l3)`. The AVX2 backend performs the *same* lane-wise
 //! operations in the *same* order — which is precisely what 4-wide FMA
 //! hardware does — and every IEEE operation (including fused multiply-add
-//! and square root) is exactly rounded, so **all backends produce
+//! and square root) is exactly rounded, so **both backends produce
 //! bit-identical results on every input**. This is what lets the engine
 //! guarantee bit-identical edges across scalar and SIMD builds, extending
 //! the thread-count determinism contract of `tests/parallel_determinism.rs`
@@ -30,22 +29,22 @@
 //!
 //! [`dot4_windows`] is the pair-sketch builder's batched [`dot`]: the
 //! per-basic-window dots of one row against four rows in one call, each
-//! lane bit-identical to [`dot`] of its window. It has the AVX2+FMA twin
-//! and the scalar twin only; on aarch64 the scalar twin's `mul_add` is
-//! already a native fused operation.
+//! lane bit-identical to [`dot`] of its window.
 //!
-//! Two ops are *lane* ops rather than reductions. [`triangle_fold4`]
-//! folds one pivot into four windows' triangle intervals, lane `l`
-//! carrying window `l`; [`prefix_sums4`] extends four prefix chains at
-//! once, lane `q` carrying one pair's chain (the pair-sketch builder runs
-//! its cross-sum prefixes and the Eq. 2 cost prefixes four pairs at a
-//! time through it). Nothing crosses lanes, so they have no reduction
-//! order to match and no backend twin: they are inlined scalar
-//! functions, and their caller picks the instruction set. The
-//! exhaustive walk checks `avx2_active` once per pair and runs an
-//! `avx2,fma` instance of itself into which the fold inlines, so each
-//! `mul_add` is one fused instruction rather than an out-of-line call to
-//! the `fma` routine, which a portable x86-64 build would make. A fused
+//! Three ops have no backend twin; their caller picks the instruction
+//! set. [`triangle_fold4`] folds one pivot into four windows' triangle
+//! intervals, lane `l` carrying window `l`; [`prefix_sums4`] extends four
+//! prefix chains at once, lane `q` carrying one pair's chain (the
+//! pair-sketch builder runs its cross-sum prefixes and the Eq. 2 cost
+//! prefixes four pairs at a time through it); [`triangle_interval`]
+//! intersects one window's pivot bounds four pivots per
+//! [`triangle_fold4`] and combines the lanes by compare-select, an
+//! order-free min/max. They are inlined scalar functions. The exhaustive
+//! walk and the pivot table's `interval` and wholesale prefilter check
+//! `avx2_active` once per call and run an `avx2,fma` instance of
+//! themselves into which the fold inlines, so each `mul_add` is one
+//! fused instruction rather than an out-of-line call to the `fma`
+//! routine, which a portable x86-64 build would make. A fused
 //! multiply-add is exactly rounded in either form, so both instances
 //! give the same bits.
 //!
@@ -61,12 +60,10 @@
 
 pub mod scalar;
 
-pub use scalar::{prefix_sums4, triangle_fold4};
+pub use scalar::{prefix_sums4, triangle_fold4, triangle_interval};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -135,29 +132,18 @@ pub fn avx2_active() -> bool {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[inline]
-fn neon_active() -> bool {
-    // NEON is mandatory on aarch64; only the override disables it.
-    !FORCE_SCALAR.load(Ordering::Relaxed)
-}
-
-/// Name of the backend the dispatcher currently selects — recorded by the
-/// perf harness so `BENCH_*.json` readers know what was measured.
+/// Name of the backend the dispatcher currently selects — printed by the
+/// E12 kernel experiment so its speedup table says what was measured.
 pub fn active_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if avx2_active() {
         return "avx2+fma";
     }
-    #[cfg(target_arch = "aarch64")]
-    if neon_active() {
-        return "neon";
-    }
     "scalar"
 }
 
-/// Dispatch one kernel call: SIMD backend when active, canonical scalar
-/// otherwise. The `unsafe` is justified by the matching `*_active()`
+/// Dispatch one kernel call: the AVX2+FMA backend when active, canonical
+/// scalar otherwise. The `unsafe` is justified by the `avx2_active()`
 /// feature check.
 macro_rules! dispatch {
     ($name:ident ( $($arg:expr),* )) => {{
@@ -166,11 +152,6 @@ macro_rules! dispatch {
             // SAFETY: avx2_active() confirmed avx2+fma (statically or via
             // CPU detection).
             return unsafe { avx2::$name($($arg),*) };
-        }
-        #[cfg(target_arch = "aarch64")]
-        if neon_active() {
-            // SAFETY: NEON is architecturally mandatory on aarch64.
-            return unsafe { neon::$name($($arg),*) };
         }
         scalar::$name($($arg),*)
     }};
@@ -190,9 +171,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// from `b·width`) of `x` and `ys[q]`, bit for bit — the pair-sketch
 /// builder's kernel, four pairs per call.
 ///
-/// AVX2+FMA where available, the canonical scalar twin otherwise. There is
-/// no NEON twin: on aarch64 the scalar twin's `mul_add` is already a
-/// native fused operation.
+/// AVX2+FMA where available, the canonical scalar twin otherwise.
 ///
 /// # Panics
 /// Panics unless `x` and every `ys[q]` hold exactly `out.len() · width`
@@ -244,17 +223,6 @@ pub fn cross_moments(x: &[f64], y: &[f64]) -> CrossMoments {
 #[inline]
 pub fn fma_accumulate(acc: &mut [f64], x: &[f64], scale: f64) {
     dispatch!(fma_accumulate(acc, x, scale))
-}
-
-/// Tightest triangle-inequality interval on `c_xy` across a batch of
-/// pivot correlation pairs `(c_iz[p], c_jz[p])`, clamped to `[-1, 1]`.
-/// Empty input returns `(-1, 1)`. Inputs must be finite.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-#[inline]
-pub fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
-    dispatch!(triangle_interval(c_iz, c_jz))
 }
 
 #[cfg(test)]
@@ -338,14 +306,11 @@ mod tests {
 
     #[test]
     fn triangle_interval_bounds_are_sound() {
-        // Against the direct per-pivot formula, and backend-identical.
+        // Against the direct per-pivot formula.
         for n in [0usize, 1, 2, 3, 4, 5, 9, 31] {
             let ciz: Vec<f64> = (0..n).map(|p| (p as f64 * 1.1).sin()).collect();
             let cjz: Vec<f64> = (0..n).map(|p| (p as f64 * 0.7).cos()).collect();
             let (lo, hi) = triangle_interval(&ciz, &cjz);
-            let (slo, shi) = scalar::triangle_interval(&ciz, &cjz);
-            assert_eq!(lo.to_bits(), slo.to_bits(), "n={n}");
-            assert_eq!(hi.to_bits(), shi.to_bits(), "n={n}");
             // Arbitrary (mutually inconsistent) pivot values can produce
             // an empty intersection, so only the clamps are asserted.
             assert!(lo >= -1.0 && hi <= 1.0, "n={n}");

@@ -1,5 +1,6 @@
-//! The canonical striped scalar kernels — the portable reference every
-//! SIMD backend must match **bit for bit**.
+//! The canonical striped scalar kernels — the portable reference the
+//! AVX2+FMA backend must match **bit for bit**, and what every target
+//! without AVX2+FMA runs.
 //!
 //! Each reduction walks the input in blocks of [`LANES`] elements and
 //! accumulates element `4k + l` into lane accumulator `l` with exactly one
@@ -7,7 +8,7 @@
 //! elements (`len % 4` of them) go into lanes `0 .. len % 4` with the same
 //! per-lane operation, and the four lanes are combined by the fixed
 //! reduction tree `(l0 + l1) + (l2 + l3)` (or a sequential compare-select
-//! fold over lanes `0, 1, 2, 3` for the interval kernels). A SIMD
+//! fold over lanes `0, 1, 2, 3` for the interval kernel). A SIMD
 //! backend that performs the same lane-wise operations in the same order —
 //! which 4-wide FMA hardware does naturally — produces identical bits,
 //! because every IEEE operation (including fused multiply-add and square
@@ -16,8 +17,7 @@
 use crate::CrossMoments;
 
 /// Stripe width of the canonical reduction order. Fixed at 4 (one AVX2
-/// `f64x4` register, two NEON `f64x2` registers) for every backend,
-/// including this scalar one.
+/// `f64x4` register) for both backends, including this scalar one.
 pub const LANES: usize = 4;
 
 /// The canonical 4-lane combine: `(l0 + l1) + (l2 + l3)`.
@@ -206,9 +206,9 @@ pub fn fma_accumulate(acc: &mut [f64], x: &[f64], scale: f64) {
 }
 
 /// One element of the triangle-interval kernel: the `[lo, hi]` bound on
-/// `c_xy` from the pivot correlations `(c_xz, c_yz)`, with every operation
-/// expressed as the exact sequence the SIMD backends use (fused negated
-/// multiply-add, compare-select clamps).
+/// `c_xy` from the pivot correlations `(c_xz, c_yz)`: a fused negated
+/// multiply-add per radicand and compare-select clamps, each of which an
+/// `avx2,fma` caller compiles to one vector instruction.
 #[inline(always)]
 pub(crate) fn tri_lo_hi(c_iz: f64, c_jz: f64) -> (f64, f64) {
     let prod = c_iz * c_jz;
@@ -225,9 +225,9 @@ pub(crate) fn tri_lo_hi(c_iz: f64, c_jz: f64) -> (f64, f64) {
 }
 
 /// Fold the remainder elements into the interval lanes and combine the
-/// lanes sequentially (`0, 1, 2, 3`) with compare-select, shared by every
-/// backend.
-#[inline]
+/// lanes sequentially (`0, 1, 2, 3`) with compare-select — the tail of
+/// [`triangle_interval`], `inline(always)` with it.
+#[inline(always)]
 pub(crate) fn tri_finish(
     mut lo: [f64; LANES],
     mut hi: [f64; LANES],
@@ -260,8 +260,15 @@ pub(crate) fn tri_finish(
 /// across all `p`, clamped to `[-1, 1]`. Empty input returns `(-1, 1)`
 /// (no information). Inputs must be finite (callers filter NaN pivots).
 ///
+/// Four pivots per [`triangle_fold4`], then `tri_finish`: a lane op with
+/// no backend twin, since compare-select min/max is exact in any order. A
+/// caller compiled for `avx2,fma` (see `avx2_active`) inlines it with
+/// fused instructions; it is `inline(always)` so that no copy is left out
+/// of line calling the `fma` routine.
+///
 /// # Panics
 /// Panics when the slices differ in length.
+#[inline(always)]
 pub fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
     assert_eq!(c_iz.len(), c_jz.len(), "triangle_interval: length mismatch");
     let blocks = c_iz.len() / LANES;
@@ -276,7 +283,7 @@ pub fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
 
 /// Intersect each lane `l` of the running interval `(lo, hi)` with the
 /// triangle bound of `(c_iz[l], c_jz[l])` — the per-block step of
-/// [`triangle_interval`], which the SIMD backends perform in one register.
+/// [`triangle_interval`], four pivots in one `avx2,fma` register.
 ///
 /// Used directly as a *window-lane* op: lane `l` carries window `l` of a
 /// block of four, so one call folds one pivot into four windows'

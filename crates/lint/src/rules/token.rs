@@ -334,9 +334,9 @@ fn pub_fns(toks: &[Token]) -> (FnSites, FnSites) {
     (safe, unsafe_)
 }
 
-/// R5 — backend parity: every public unsafe op in a SIMD backend module
-/// (`kernel/src/avx2.rs`, `kernel/src/neon.rs`) must have a same-named
-/// public fn in the canonical scalar backend (`kernel/src/scalar.rs`).
+/// R5 — backend parity: every public unsafe op in the SIMD backend module
+/// (`kernel/src/avx2.rs`) must have a same-named public fn in the
+/// canonical scalar backend (`kernel/src/scalar.rs`).
 /// Private helpers (`lanes_of`, `select`, …) are exempt by visibility.
 pub(crate) fn rule_r5(files: &[(String, Lexed)], out: &mut Vec<Finding>) {
     let scalar: Vec<String> = files
@@ -351,7 +351,7 @@ pub(crate) fn rule_r5(files: &[(String, Lexed)], out: &mut Vec<Finding>) {
         return; // no scalar backend in scope — nothing to compare against
     }
     for (rel, lexed) in files {
-        if !(rel.ends_with("kernel/src/avx2.rs") || rel.ends_with("kernel/src/neon.rs")) {
+        if !rel.ends_with("kernel/src/avx2.rs") {
             continue;
         }
         let (safe, unsafe_) = pub_fns(&lexed.tokens);

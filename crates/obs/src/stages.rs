@@ -13,15 +13,25 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The pipeline stages with wall-time histograms.
+///
+/// Stages nest, so their histograms do not sum to a run's wall time:
+/// [`Stage::Prepare`] contains the [`Stage::PivotBuild`] of a batch
+/// preparation, and [`Stage::Walk`] and [`Stage::Drain`] each contain the
+/// [`Stage::Merge`] that assembles their matrices. A shared query
+/// (`StreamingDangoron::query_shared`) opens no stage of its own and
+/// records only its `Merge`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Column normalisation + sketch preparation (`core::engine`).
+    /// A batch preparation, `Dangoron::prepare_shard` (`core::engine`):
+    /// sketch store, pair sketches and costs, and the pivot table, whose
+    /// build it contains.
     Prepare,
-    /// Pivot-table construction (`core::pivot`).
+    /// Pivot-table construction (`core::pivot`), inside a `Prepare`.
     PivotBuild,
-    /// The correlation walk over pivot cells (`core::engine`).
+    /// One batch walk, `Dangoron::run_range` (`core::engine`), including
+    /// its `Merge`.
     Walk,
-    /// Streaming window drain (`core::streaming`).
+    /// Streaming window drain (`core::streaming`), including its `Merge`.
     Drain,
     /// Assembly of the per-window matrices from the walk's chunk lists or
     /// window-tagged edges (`sketch::output`), once per query, drain or
@@ -43,7 +53,7 @@ impl Stage {
 
     fn help(self) -> &'static str {
         match self {
-            Stage::Prepare => "Wall time of prepare (normalise + sketch) calls, microseconds",
+            Stage::Prepare => "Wall time of prepare (sketch + pivot table) calls, microseconds",
             Stage::PivotBuild => "Wall time of pivot-table builds, microseconds",
             Stage::Walk => "Wall time of correlation walks, microseconds",
             Stage::Drain => "Wall time of streaming window drains, microseconds",

@@ -6,7 +6,7 @@
 //! rank order must erase that completely.
 //!
 //! Since the SIMD kernel layer, the contract extends to the instruction
-//! set: the dispatched kernels (AVX2+FMA / NEON) and the canonical
+//! set: the dispatched kernels (AVX2+FMA) and the canonical
 //! striped scalar fallback are bit-identical, so the engine's output is
 //! invariant in the kernel backend too
 //! ([`engine_output_is_kernel_backend_invariant`]); CI runs this file
