@@ -274,13 +274,11 @@ impl StripFinish for StripCosts {
 /// correlation strictly inside `(−(β−slack), β−slack)` — i.e. windows
 /// `i+1 … i+k` cannot produce an edge under [`EdgeRule::Absolute`].
 ///
-/// `corr_hi`/`corr_lo` bracket the current correlation (equal after an
-/// exact evaluation; a triangle interval after horizontal pruning). Both
-/// bounds are monotone in `k`, so their conjunction is binary-searchable.
+/// `corr` is the current window's exact correlation. Both bounds are
+/// monotone in `k`, so their conjunction is binary-searchable.
 #[allow(clippy::too_many_arguments)]
 pub fn max_jump_absolute(
-    corr_hi: f64,
-    corr_lo: f64,
+    corr: f64,
     beta: f64,
     slack: f64,
     ns: usize,
@@ -295,8 +293,8 @@ pub fn max_jump_absolute(
     }
     let margin = beta - slack;
     let inside = |k: usize| {
-        eq2_upper_bound(corr_hi, ns, step_bw, bw0, k, up) < margin
-            && eq2_lower_bound(corr_lo, ns, step_bw, bw0, k, low) > -margin
+        eq2_upper_bound(corr, ns, step_bw, bw0, k, up) < margin
+            && eq2_lower_bound(corr, ns, step_bw, bw0, k, low) > -margin
     };
     if !inside(1) {
         return 0;
@@ -319,6 +317,7 @@ pub fn max_jump_absolute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pivot::tests::triangle_reference;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -580,7 +579,7 @@ mod tests {
             let k_max = (nb - bw0).min(12);
             let corr = rng.gen::<f64>() * 2.0 - 1.0;
             let beta: f64 = rng.gen();
-            let fast = max_jump_absolute(corr, corr, beta, 0.0, ns, 1, bw0, k_max, &up, &low);
+            let fast = max_jump_absolute(corr, beta, 0.0, ns, 1, bw0, k_max, &up, &low);
             let mut slow = 0;
             for k in 1..=k_max {
                 let ub = eq2_upper_bound(corr, ns, 1, bw0, k, &up);
@@ -609,7 +608,7 @@ mod tests {
             let corr = rng.gen::<f64>() * 1.6 - 0.8;
             let beta = 0.85;
             let pos = max_jump(corr, beta, 0.0, 4, 1, 0, 20, &up);
-            let abs = max_jump_absolute(corr, corr, beta, 0.0, 4, 1, 0, 20, &up, &low);
+            let abs = max_jump_absolute(corr, beta, 0.0, 4, 1, 0, 20, &up, &low);
             assert!(abs <= pos, "abs {abs} > pos {pos}");
         }
     }
@@ -617,13 +616,13 @@ mod tests {
     #[test]
     fn triangle_bounds_known_values() {
         // Orthogonal pivot tells nothing: bounds are [−1, 1].
-        let (lo, hi) = kernel::triangle_interval(&[0.0], &[0.0]);
+        let (lo, hi) = triangle_reference([(0.0, 0.0)]);
         assert_eq!((lo, hi), (-1.0, 1.0));
         // Perfect pivot correlation pins the value.
-        let (lo, hi) = kernel::triangle_interval(&[1.0], &[0.6]);
+        let (lo, hi) = triangle_reference([(1.0, 0.6)]);
         assert!((lo - 0.6).abs() < 1e-12 && (hi - 0.6).abs() < 1e-12);
         // Symmetric case.
-        let (lo, hi) = kernel::triangle_interval(&[0.9], &[0.9]);
+        let (lo, hi) = triangle_reference([(0.9, 0.9)]);
         assert!((hi - (0.81 + 0.19)).abs() < 1e-12);
         assert!((lo - (0.81 - 0.19)).abs() < 1e-12);
     }
@@ -648,7 +647,7 @@ mod tests {
             let cxy = pearson(&x, &y).unwrap();
             let cxz = pearson(&x, &z).unwrap();
             let cyz = pearson(&y, &z).unwrap();
-            let (lo, hi) = kernel::triangle_interval(&[cxz], &[cyz]);
+            let (lo, hi) = triangle_reference([(cxz, cyz)]);
             prop_assert!(cxy >= lo - 1e-9 && cxy <= hi + 1e-9,
                 "c_xy={cxy} outside [{lo}, {hi}]");
         }
@@ -656,7 +655,7 @@ mod tests {
         /// Bounds are always ordered and inside [−1, 1].
         #[test]
         fn triangle_bounds_are_sane(a in -1.0f64..=1.0, b in -1.0f64..=1.0) {
-            let (lo, hi) = kernel::triangle_interval(&[a], &[b]);
+            let (lo, hi) = triangle_reference([(a, b)]);
             prop_assert!(lo <= hi + 1e-12);
             prop_assert!((-1.0..=1.0).contains(&lo));
             prop_assert!((-1.0..=1.0).contains(&hi));

@@ -65,10 +65,22 @@ pub enum PivotStrategy {
 
 /// Horizontal-pruning configuration.
 ///
-/// Applies to both the batch engine (pivot table built in parallel during
-/// `prepare`) and streaming sessions (pivot table grown incrementally per
-/// append). The triangle bound is lossless, so enabling it never changes
-/// results — only how many cells are evaluated exactly.
+/// Accepted by the batch engine and by streaming sessions alike, and acts
+/// where a walk reads the pivot table:
+///
+/// * [`BoundMode::Exhaustive`] walks, batch (table built in parallel
+///   during `prepare`) and streaming (table grown incrementally per
+///   append), which settle windows by their triangle intervals;
+/// * the wholesale pair prefilter of batch [`PairStorage::OnDemand`]
+///   walks in either bound mode, which skips pairs no window can make an
+///   edge of.
+///
+/// It is inert under [`BoundMode::PaperJump`] with resident pair sketches
+/// — batch [`PairStorage::Precomputed`] and every streaming session —
+/// where no table is built: that walk evaluates every window it visits
+/// and jumps from the exact value. The triangle bound is exact, so
+/// enabling it never changes edges in any mode — only how many cells are
+/// evaluated exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HorizontalConfig {
     /// Number of pivot series.

@@ -9,7 +9,7 @@
 //! pruning.
 
 use crate::config::{DangoronConfig, PairStorage};
-use crate::pivot::{select_pivots, PivotSet};
+use crate::pivot::PivotSet;
 use crate::state::PairState;
 use crate::stats::PruningStats;
 use crate::walker::WalkGeometry;
@@ -84,9 +84,10 @@ impl Dangoron {
     /// In [`PairStorage::Precomputed`] mode only the shard's pair sketches
     /// and departure costs are built, so a worker's prepare cost and memory
     /// scale with its shard, not with the full `N·(N−1)/2` triangle. The
-    /// per-series [`sketch::SketchStore`] and the pivot table (when
-    /// horizontal pruning is on) are whole-matrix state and are built in
-    /// full — they are O(N), not O(N²), and every shard needs them. Sharded
+    /// per-series [`sketch::SketchStore`] and the pivot table (when a walk
+    /// reads one: horizontal pruning on, and an exhaustive bound or
+    /// on-demand storage) are whole-matrix state and are built in full —
+    /// they are O(N), not O(N²), and every shard needs them. Sharded
     /// preparations build the pivot table from raw rows rather than from
     /// the (partial) pair-sketch set; the two paths are bit-identical, so
     /// results never depend on the shard layout.
@@ -104,9 +105,8 @@ impl Dangoron {
         let on_demand = (self.config.storage == PairStorage::OnDemand).then_some(x);
         let state = PairState::build(x, layout, pair_range, &self.config, on_demand)?;
 
-        let pivots = match &self.config.horizontal {
-            Some(h) => {
-                let chosen = select_pivots(&h.strategy, h.n_pivots, x.n_series())?;
+        let pivots = match state.walked_pivots(&self.config)? {
+            Some(chosen) => {
                 // A sharded pair-sketch set cannot serve arbitrary
                 // (pivot, series) ranks, so shard preparations build the
                 // table from raw rows — bit-identical to the reuse path.
@@ -306,6 +306,44 @@ mod tests {
             "triangle pruning never fired: {:?}",
             b.stats
         );
+    }
+
+    #[test]
+    fn pivot_table_is_built_only_where_a_walk_reads_it() {
+        // The exhaustive walk and the on-demand prefilter read the table;
+        // a PaperJump walk over resident sketches reads none, so its
+        // prepare skips the build. An out-of-range explicit pivot is
+        // rejected either way.
+        let x = workload(8, 300);
+        let q = query(300, 0.8);
+        for (bound, storage, built) in [
+            (BoundMode::Exhaustive, PairStorage::Precomputed, true),
+            (BoundMode::Exhaustive, PairStorage::OnDemand, true),
+            (BoundMode::default(), PairStorage::Precomputed, false),
+            (BoundMode::default(), PairStorage::OnDemand, true),
+        ] {
+            let cfg = DangoronConfig {
+                basic_window: 20,
+                bound,
+                storage,
+                horizontal: Some(HorizontalConfig::default()),
+                ..Default::default()
+            };
+            let engine = Dangoron::new(cfg.clone()).unwrap();
+            let prep = engine.prepare(&x, q).unwrap();
+            assert_eq!(prep.pivots.is_some(), built, "{bound:?} {storage:?}");
+            let shard = engine.prepare_shard(&x, q, 3..17).unwrap();
+            assert_eq!(shard.pivots.is_some(), built, "{bound:?} {storage:?} shard");
+            let bad = Dangoron::new(DangoronConfig {
+                horizontal: Some(HorizontalConfig {
+                    n_pivots: 1,
+                    strategy: PivotStrategy::Explicit(vec![8]),
+                }),
+                ..cfg
+            })
+            .unwrap();
+            assert!(bad.prepare(&x, q).is_err(), "{bound:?} {storage:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //! `β` never need an exact evaluation. Unlike the Eq. 2 jump this bound is
 //! unconditional, so horizontal pruning never costs accuracy.
 //!
+//! The table has two readers, both through [`PivotSet::interval4`]: the
+//! [`BoundMode::Exhaustive`](crate::BoundMode::Exhaustive) walk, four
+//! windows per block, and the wholesale pair prefilter
+//! [`PivotSet::pair_never_edges_in`], which runs only where pair sketches
+//! are built on demand. The PaperJump walk reads neither, so it needs no
+//! table (see `PairState::pivots_read`).
+//!
 //! The table is maintained *incrementally*: [`PivotSet::append_windows`]
 //! grows it window-by-window from already-updated sketches, which is what
-//! lets [`crate::streaming::StreamingDangoron`] apply horizontal pruning
+//! lets [`crate::streaming::StreamingDangoron`] prune its exhaustive drains
 //! without ever rebuilding pivot state — the per-drain cost stays
 //! O(n_pivots · N · Δwindows).
 
@@ -201,100 +208,22 @@ impl PivotSet {
         cells * std::mem::size_of::<f64>()
     }
 
-    /// Tightest triangle interval `[lo, hi]` on `c_ij` at window `w`
-    /// across all pivots; `(−1, 1)` (no information) when every pivot is
-    /// undefined there or the pair involves a pivot-degenerate window.
-    ///
-    /// The per-pivot `(c_iz, c_jz)` pairs are gathered into stack buffers
-    /// and intersected by [`kernel::triangle_interval`] four lanes at a
-    /// time; chunked intersection is exact (min/max is associative), so
-    /// the result is bit-identical for any chunk boundary. On a CPU with
-    /// AVX2 and FMA the body runs compiled for both, chosen per call by
-    /// [`kernel::avx2_active`] like the exhaustive walk, and gives the
-    /// same bits.
-    pub fn interval(&self, i: usize, j: usize, w: usize) -> (f64, f64) {
-        #[cfg(target_arch = "x86_64")]
-        if kernel::avx2_active() {
-            // SAFETY: `avx2_active` confirmed that this CPU has AVX2 and
-            // FMA (statically or by detection), the only requirement
-            // `interval_fma` adds.
-            return unsafe { self.interval_fma(i, j, w) };
-        }
-        self.interval_in(i, j, w)
-    }
-
-    /// [`PivotSet::interval_in`] compiled for AVX2+FMA, so the inlined
-    /// triangle fold uses fused vector instructions instead of calls to
-    /// the `fma` routine. Sound to call only on a CPU with AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    fn interval_fma(&self, i: usize, j: usize, w: usize) -> (f64, f64) {
-        self.interval_in(i, j, w)
-    }
-
-    /// The body of [`PivotSet::interval`], `inline(always)` into each of
-    /// its instances.
-    #[inline(always)]
-    fn interval_in(&self, i: usize, j: usize, w: usize) -> (f64, f64) {
-        /// Gather-buffer capacity; pivot counts above this just flush in
-        /// batches.
-        const GATHER: usize = 32;
-        debug_assert!(i < self.n_series && j < self.n_series && w < self.n_windows);
-        let n = self.n_series;
-        let mut c_iz = [0.0f64; GATHER];
-        let mut c_jz = [0.0f64; GATHER];
-        let mut fill = 0usize;
-        let mut best_lo = -1.0f64;
-        let mut best_hi = 1.0f64;
-        let flush = |iz: &[f64], jz: &[f64], best_lo: &mut f64, best_hi: &mut f64| {
-            let (lo, hi) = kernel::triangle_interval(iz, jz);
-            if lo > *best_lo {
-                *best_lo = lo;
-            }
-            if hi < *best_hi {
-                *best_hi = hi;
-            }
-        };
-        for (p, &z) in self.pivots.iter().enumerate() {
-            // Using the pivot as one endpoint would be circular; the value
-            // is exact in that case, and the walker evaluates it exactly
-            // anyway, so skip. NaN marks zero-variance windows, which
-            // carry no information.
-            if z == i || z == j {
-                continue;
-            }
-            let iz = self.cols[p * n + i][w];
-            let jz = self.cols[p * n + j][w];
-            if iz.is_nan() || jz.is_nan() {
-                continue;
-            }
-            c_iz[fill] = iz;
-            c_jz[fill] = jz;
-            fill += 1;
-            if fill == GATHER {
-                flush(&c_iz, &c_jz, &mut best_lo, &mut best_hi);
-                fill = 0;
-            }
-        }
-        if fill > 0 {
-            flush(&c_iz[..fill], &c_jz[..fill], &mut best_lo, &mut best_hi);
-        }
-        (best_lo, best_hi)
-    }
-
-    /// [`PivotSet::interval`] of the four windows `w .. w + 4` at once,
-    /// lane `l` holding window `w + l`: each usable pivot's two four-window
-    /// runs go through one [`kernel::triangle_fold4`], which skips NaN
-    /// lanes. Lanes past the table's last window repeat that window, so a
-    /// final partial block needs no special case.
+    /// Triangle intervals `[lo, hi]` on `c_ij` for the four windows
+    /// `w .. w + 4` at once, lane `l` holding window `w + l`: each usable
+    /// pivot's two four-window runs go through one
+    /// [`kernel::triangle_fold4`], which skips NaN lanes. A pivot that is
+    /// `i` or `j` itself is skipped (the bound would be circular), and a
+    /// lane no pivot informs stays `(−1, 1)`. Lanes past the table's last
+    /// window repeat that window, so a final partial block needs no
+    /// special case.
     ///
     /// The fold stops before the next pivot once every lane settles
     /// under `rule` at `beta`: more pivots can only tighten an interval,
     /// so they could not unsettle a lane. Each lane therefore settles
-    /// exactly when `interval` of its window does, and when some lane
-    /// does not, every pivot was folded and every lane equals `interval`
-    /// — intersection is exact in any order (a tie between `±0` may keep
-    /// either sign, which no comparison can tell apart).
+    /// exactly when the intersection over every usable pivot does, and
+    /// when some lane does not, every pivot was folded and every lane is
+    /// that full intersection — exact in any order (a tie between `±0`
+    /// may keep either sign, which no comparison can tell apart).
     ///
     /// `inline(always)` puts it, and the fold, inside each instance of
     /// the exhaustive walk and of the wholesale prefilter, including their
@@ -312,7 +241,7 @@ impl PivotSet {
         let (n, last) = (self.n_series, self.n_windows - 1);
         let (mut lo, mut hi) = ([-1.0f64; 4], [1.0f64; 4]);
         for (p, &z) in self.pivots.iter().enumerate() {
-            // The pivot-endpoint skip of `interval`.
+            // Using the pivot as one endpoint would be circular.
             if z == i || z == j {
                 continue;
             }
@@ -333,10 +262,10 @@ impl PivotSet {
     /// the walk over that window range can be skipped wholesale.
     ///
     /// Brackets four windows per [`PivotSet::interval4`], the exhaustive
-    /// walk's settle-aware fold, so each window settles exactly when
-    /// [`PivotSet::interval`] settles it; lanes past `w1` are ignored. On
-    /// a CPU with AVX2 and FMA it runs compiled for both, chosen once per
-    /// call by [`kernel::avx2_active`].
+    /// walk's settle-aware fold, so each window settles exactly when the
+    /// intersection over every usable pivot settles it; lanes past `w1`
+    /// are ignored. On a CPU with AVX2 and FMA it runs compiled for both,
+    /// chosen once per call by [`kernel::avx2_active`].
     pub fn pair_never_edges_in(
         &self,
         i: usize,
@@ -410,9 +339,48 @@ pub(crate) fn settles(rule: EdgeRule, beta: f64, lo: f64, hi: f64) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tsdata::generators;
+
+    /// The one-window triangle reference: for each `(c_iz, c_jz)` with
+    /// neither NaN, `c_iz·c_jz ± √((1−c_iz²)(1−c_jz²))` clamped to
+    /// `[−1, 1]`, intersected over all of them from `(−1, 1)`. The
+    /// radicands are the fused `mul_add`s of `kernel::triangle_fold4` and
+    /// every clamp and intersection is a compare-select, so a lane of the
+    /// fold equals it under `==`.
+    pub(crate) fn triangle_reference(cs: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+        let (mut lo, mut hi) = (-1.0f64, 1.0f64);
+        for (iz, jz) in cs {
+            if iz.is_nan() || jz.is_nan() {
+                continue;
+            }
+            let u = (-iz).mul_add(iz, 1.0);
+            let v = (-jz).mul_add(jz, 1.0);
+            let rad = (if u > 0.0 { u } else { 0.0 } * if v > 0.0 { v } else { 0.0 }).sqrt();
+            let (plo, phi) = (iz * jz - rad, iz * jz + rad);
+            if plo > lo {
+                lo = plo;
+            }
+            if phi < hi {
+                hi = phi;
+            }
+        }
+        (lo, hi)
+    }
+
+    /// [`triangle_reference`] of pair `(i, j)` at window `w` of `pv`, over
+    /// every pivot other than `i` and `j`.
+    pub(crate) fn window_interval(pv: &PivotSet, i: usize, j: usize, w: usize) -> (f64, f64) {
+        let n = pv.n_series;
+        triangle_reference(
+            pv.pivots
+                .iter()
+                .enumerate()
+                .filter(|&(_, &z)| z != i && z != j)
+                .map(|(p, _)| (pv.cols[p * n + i][w], pv.cols[p * n + j][w])),
+        )
+    }
 
     fn setup(
         n: usize,
@@ -599,7 +567,7 @@ mod tests {
                     let (lo, hi) = pv.interval4(i, j, w, EdgeRule::Positive, f64::NEG_INFINITY);
                     for l in 0..4 {
                         let lane_w = (w + l).min(pv.n_windows() - 1);
-                        let (slo, shi) = pv.interval(i, j, lane_w);
+                        let (slo, shi) = window_interval(&pv, i, j, lane_w);
                         assert!(lo[l] == slo && hi[l] == shi, "({i},{j}) run {w} lane {l}");
                     }
                 }
@@ -609,7 +577,7 @@ mod tests {
 
     #[test]
     fn settle_aware_interval4_settles_the_lanes_the_full_fold_settles() {
-        // Against the full fold over every pivot (`interval` per window):
+        // Against the full fold over every pivot (`window_interval`):
         // the same lanes settle under both rules at every β, and a run in
         // which some lane does not settle gives every lane the full fold's
         // (lo, hi). The β range makes whole runs settle on their first
@@ -627,7 +595,7 @@ mod tests {
                             for w in 0..pv.n_windows() {
                                 let (lo, hi) = pv.interval4(i, j, w, rule, beta);
                                 let full: [(f64, f64); 4] = std::array::from_fn(|l| {
-                                    pv.interval(i, j, (w + l).min(pv.n_windows() - 1))
+                                    window_interval(&pv, i, j, (w + l).min(pv.n_windows() - 1))
                                 });
                                 let what = format!("{rule:?} beta={beta} ({i},{j}) run {w}");
                                 let settled: [bool; 4] =
@@ -692,7 +660,7 @@ mod tests {
                     let (ws, we) = query.window_range(w);
                     let truth =
                         tsdata::stats::pearson(&x.row(i)[ws..we], &x.row(j)[ws..we]).unwrap();
-                    let ub = pv.interval(i, j, w).1;
+                    let ub = window_interval(&pv, i, j, w).1;
                     assert!(
                         truth <= ub + 1e-9,
                         "pair ({i},{j}) window {w}: {truth} > {ub}"
@@ -711,7 +679,7 @@ mod tests {
                 for j in (i + 1)..8 {
                     let never = pv.pair_never_edges_in(i, j, 0.8, rule, 0, pv.n_windows());
                     let manual = (0..query.n_windows()).all(|w| {
-                        let (lo, hi) = pv.interval(i, j, w);
+                        let (lo, hi) = window_interval(&pv, i, j, w);
                         hi < 0.8 && (rule == EdgeRule::Positive || lo > -0.8)
                     });
                     assert_eq!(never, manual, "{rule:?} pair ({i},{j})");
@@ -722,24 +690,22 @@ mod tests {
 
     #[test]
     fn interval_and_prefilter_are_backend_invariant_on_nan_lanes() {
-        // `interval` keeps its bits with the kernel dispatcher free (the
-        // `avx2,fma` instance on such a CPU) and forced to scalar, and in
-        // both the prefilter's four-window brackets settle a range exactly
-        // when `interval` settles each of its windows: every `[w0, w1)` of
-        // the ten windows, so partial last blocks too, under both rules.
+        // With the kernel dispatcher free (the prefilter's `avx2,fma`
+        // instance on such a CPU) and forced to scalar, the prefilter's
+        // four-window brackets settle a range exactly when the one-window
+        // reference settles each of its windows: every `[w0, w1)` of the
+        // ten windows, so partial last blocks too, under both rules.
         let pv = nan_lane_table();
         let nw = pv.n_windows();
         let pairs: Vec<(usize, usize)> = (0..6)
             .flat_map(|i| ((i + 1)..6).map(move |j| (i, j)))
             .collect();
         let mut outcomes = [0usize; 2];
-        let mut runs = Vec::new();
         for forced in [false, true] {
             kernel::force_scalar(forced);
-            let mut bits = Vec::new();
             for &(i, j) in &pairs {
-                let brackets: Vec<(f64, f64)> = (0..nw).map(|w| pv.interval(i, j, w)).collect();
-                bits.extend(brackets.iter().flat_map(|b| [b.0.to_bits(), b.1.to_bits()]));
+                let brackets: Vec<(f64, f64)> =
+                    (0..nw).map(|w| window_interval(&pv, i, j, w)).collect();
                 for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
                     for beta in [0.2, 0.5, 0.8, 0.95] {
                         let settled: Vec<bool> = brackets
@@ -759,9 +725,7 @@ mod tests {
                 }
             }
             kernel::force_scalar(false);
-            runs.push(bits);
         }
-        assert!(runs[0] == runs[1], "interval differs between the backends");
         assert!(outcomes.iter().all(|&n| n > 0), "one outcome never seen");
     }
 

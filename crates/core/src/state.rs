@@ -14,13 +14,16 @@
 //! follows one rule that depends on the state, not on the caller: it runs
 //! only when the pair sketch would be built on demand from raw rows
 //! ([`PairStorage::OnDemand`](crate::PairStorage::OnDemand)), where
-//! skipping a pair saves that O(L) build. With resident sketches the walk
-//! settles the same windows one by one with the triangle interval.
+//! skipping a pair saves that O(L) build. With resident sketches only the
+//! [`BoundMode::Exhaustive`] walk reads the pivot table, settling windows
+//! four at a time; the PaperJump walk evaluates every window it visits.
+//! [`PairState::walked_pivots`] turns that into the one rule for whether a
+//! table is built at all.
 
 use crate::bounds::{PairCosts, StripCosts};
 use crate::config::{BoundMode, DangoronConfig};
 use crate::engine::QueryResult;
-use crate::pivot::PivotSet;
+use crate::pivot::{select_pivots, PivotSet};
 use crate::stats::PruningStats;
 use crate::walker::{walk_pair, WalkGeometry};
 use sketch::output::Edge;
@@ -109,6 +112,26 @@ impl<'a> PairState<'a> {
             pairs: PairSketches::Resident(pairs),
             costs,
         })
+    }
+
+    /// The pivots of `config.horizontal` when a walk over this state reads
+    /// a pivot table: under [`BoundMode::Exhaustive`], or with on-demand
+    /// sketches, where the wholesale prefilter runs. `None` when
+    /// horizontal pruning is off or nothing would read the table — a
+    /// PaperJump walk over resident sketches — so no table is built there.
+    /// The pivots are selected, and an out-of-range explicit list
+    /// rejected, either way.
+    pub(crate) fn walked_pivots(
+        &self,
+        config: &DangoronConfig,
+    ) -> Result<Option<Vec<usize>>, TsError> {
+        let Some(h) = &config.horizontal else {
+            return Ok(None);
+        };
+        let chosen = select_pivots(&h.strategy, h.n_pivots, self.store.n_series())?;
+        let read = matches!(config.bound, BoundMode::Exhaustive)
+            || matches!(self.pairs, PairSketches::OnDemand(_));
+        Ok(read.then_some(chosen))
     }
 
     /// The per-series sketch store.

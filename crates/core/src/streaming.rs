@@ -11,13 +11,14 @@
 //! answered with the thresholded matrices of every window that became
 //! complete.
 //!
-//! Both pruning mechanisms of the batch engine apply:
+//! Both pruning mechanisms of the batch engine apply, one per bound mode:
 //!
-//! * **vertical jumping** (Eq. 2) over each drain's window suffix, and
-//! * **horizontal (triangle) pruning** via an incrementally maintained
-//!   [`PivotSet`]: new windows' pivot-to-all correlations are extended
-//!   column-by-column from the already-updated sketches
-//!   ([`PivotSet::append_windows`]), so enabling
+//! * **vertical jumping** (Eq. 2) over each drain's window suffix, under
+//!   [`BoundMode::PaperJump`](crate::BoundMode::PaperJump), and
+//! * **horizontal (triangle) pruning** of exhaustive drains via an
+//!   incrementally maintained [`PivotSet`]: new windows' pivot-to-all
+//!   correlations are extended column-by-column from the already-updated
+//!   sketches ([`PivotSet::append_windows`]), so enabling
 //!   [`DangoronConfig::horizontal`] costs O(n_pivots · N · Δwindows) per
 //!   append — never a rebuild. The triangle bound is unconditional, so
 //!   streamed results stay bit-identical to the exhaustive batch engine.
@@ -27,9 +28,10 @@
 //! frame by [`WalkGeometry::offset_bw`]; no parallel streaming
 //! implementation exists. A session's pair sketches are always resident,
 //! so the wholesale pair prefilter — which runs only when a pair sketch
-//! would be built on demand — never fires here: the walk settles each
-//! window with the triangle interval instead, and
-//! [`PruningStats::pairs_skipped_entirely`] stays zero. Raw history is
+//! would be built on demand — never fires here, and
+//! [`PruningStats::pairs_skipped_entirely`] stays zero. An exhaustive drain
+//! settles windows with the triangle interval instead; a PaperJump drain
+//! reads no pivot table, so a PaperJump session builds none. Raw history is
 //! evicted as soon as it is absorbed into the sketch prefixes, so a
 //! long-lived session holds O(N·n_b) sketch state plus less than one basic
 //! window of raw columns — not the full stream.
@@ -37,7 +39,7 @@
 use crate::bounds::PairCosts;
 use crate::config::DangoronConfig;
 use crate::engine::QueryResult;
-use crate::pivot::{select_pivots, PivotSet};
+use crate::pivot::PivotSet;
 use crate::state::PairState;
 use crate::stats::PruningStats;
 use crate::walker::WalkGeometry;
@@ -49,8 +51,8 @@ use tsdata::{TimeSeriesMatrix, TsError};
 ///
 /// Restrictions relative to the batch engine: pair sketches are always
 /// materialised (the streaming state *is* the precomputed sketch set).
-/// Horizontal pruning is supported — the pivot table is grown
-/// incrementally alongside the sketches.
+/// Horizontal pruning is supported under the exhaustive bound — the pivot
+/// table is grown incrementally alongside the sketches.
 ///
 /// ```
 /// use dangoron::{DangoronConfig, StreamingDangoron};
@@ -91,8 +93,8 @@ pub struct StreamingDangoron {
     /// Pivot-pair sketches whose ranks fall **outside** the session's
     /// rank interval, sorted by rank — sharded sessions still need every
     /// (pivot, series) correlation to grow the pivot table. Empty when the
-    /// session is unsharded (the main pair set covers them) or horizontal
-    /// pruning is off. Built and appended with the same kernels as the
+    /// session is unsharded (the main pair set covers them) or keeps no
+    /// pivot table. Built and appended with the same kernels as the
     /// main set, so the table stays bit-identical to an unsharded
     /// session's.
     pivot_pairs: Vec<(usize, PairSketch)>,
@@ -133,8 +135,8 @@ impl StreamingDangoron {
     /// [`StreamingDangoron::new`] restricted to a contiguous pair-rank
     /// shard of the [`triangular`] rank space — the distributed tier's
     /// streaming worker. The session materialises (and incrementally
-    /// maintains) only the shard's pair sketches plus, when horizontal
-    /// pruning is on, the out-of-shard pivot pairs; drains walk the shard
+    /// maintains) only the shard's pair sketches plus, when its drains read
+    /// a pivot table, the out-of-shard pivot pairs; drains walk the shard
     /// only. Concatenating the drained edges of a partition of the
     /// triangle is bit-identical to an unsharded session's drains, and the
     /// per-shard stats sum to the unsharded counters.
@@ -160,13 +162,12 @@ impl StreamingDangoron {
         let n = initial.n_series();
         let total_cols = initial.len();
 
-        // Sharded sessions with horizontal pruning additionally keep the
-        // out-of-shard pivot-pair sketches, so the pivot table can keep
-        // growing without the full triangle.
+        // Sharded sessions that keep a pivot table additionally keep the
+        // out-of-shard pivot-pair sketches, so the table can keep growing
+        // without the full triangle.
         let mut pivot_ranks: Vec<usize> = Vec::new();
-        let chosen = match &config.horizontal {
-            Some(h) => {
-                let chosen = select_pivots(&h.strategy, h.n_pivots, n)?;
+        let chosen = match state.walked_pivots(&config)? {
+            Some(chosen) => {
                 for &z in &chosen {
                     for s in 0..n {
                         if s != z {
@@ -411,7 +412,8 @@ impl StreamingDangoron {
     }
 
     /// Bytes of resident state: sketch prefixes, pair sketches, Eq. 2
-    /// cost prefixes, the pivot table, and the unabsorbed raw tail. This
+    /// cost prefixes, the pivot table and out-of-shard pivot pairs when
+    /// the drains read them, and the unabsorbed raw tail. This
     /// is what a serving tier accounts against its memory budget — it is
     /// the part of the session that grows with the stream.
     pub fn memory_bytes(&self) -> usize {
@@ -441,9 +443,11 @@ impl StreamingDangoron {
     /// Sketch prefixes are query-independent, so a resident session can
     /// answer any aligned query without touching the raw history or
     /// re-paying the prepare phase: this walks the full current history
-    /// with the same pair walk the batch engine uses, and the result is
-    /// bit-identical to a fresh [`crate::Dangoron`] run over the
-    /// equivalent prefix (both pruning mechanisms are lossless).
+    /// with the same pair walk the batch engine uses, and the edges are
+    /// bit-identical to a fresh [`crate::Dangoron`] run with the same
+    /// configuration over the equivalent prefix, in either bound mode:
+    /// the triangle bound never changes an edge, and the PaperJump walk
+    /// jumps from exact values only, reading no pivot table.
     ///
     /// What is reused from the resident state:
     ///
@@ -451,9 +455,11 @@ impl StreamingDangoron {
     /// * the Eq. 2 departure-cost prefixes — always in jump mode (they
     ///   depend only on the sketches and the edge rule, not the query
     ///   geometry);
-    /// * the pivot table — only when `(window, step)` equal the session's
-    ///   own geometry (its intervals are keyed by the session's window
-    ///   frame); other geometries simply walk without horizontal pruning.
+    /// * the pivot table of an exhaustive session — only when
+    ///   `(window, step)` equal the session's own geometry (its intervals
+    ///   are keyed by the session's window frame); other geometries walk
+    ///   without horizontal pruning, so only their counters differ from
+    ///   the batch run's.
     ///
     /// `window` and `step` must be multiples of the session's basic
     /// window; sharded sessions (a partial pair range) cannot answer
@@ -480,8 +486,9 @@ impl StreamingDangoron {
         };
         // The pivot table's intervals are keyed by the *session's* window
         // geometry; reuse it only when the query matches. Skipping it for
-        // other geometries is safe — horizontal pruning is lossless, so
-        // the edges come out identical either way.
+        // other geometries cannot change an edge: only the exhaustive walk
+        // reads the table (a PaperJump session keeps none), and the
+        // triangle bound it applies is exact.
         let pivots = if (window, step) == (self.window, self.step) {
             self.pivots.as_ref()
         } else {
@@ -696,22 +703,26 @@ mod tests {
     #[test]
     fn streaming_jump_mode_emits_subset_of_truth() {
         // PaperJump with pivots, appended in uneven chunks: every window of
-        // the equivalent batch query is emitted exactly once, in order, and
-        // none carries an edge the exact engine does not.
+        // the equivalent batch query is emitted exactly once, in order,
+        // none carries an edge the exact engine does not, and every drained
+        // window is bit-equal to a pivot-less session's under the same
+        // chunking.
         let full = generators::clustered_matrix(6, 400, 2, 0.5, 9).unwrap();
-        let initial = full.slice_columns(0, 100).unwrap();
-        let mut session = StreamingDangoron::new(
-            initial,
-            80,
-            20,
-            0.85,
-            config_with_pivots(BoundMode::PaperJump { slack: 0.0 }, 2),
-        )
-        .unwrap();
-        let mut collected = session.drain_completed().unwrap();
-        for (a, b) in [(100, 173), (173, 291), (291, 400)] {
-            collected.extend(session.append(&full.slice_columns(a, b).unwrap()).unwrap());
-        }
+        let replay = |cfg: DangoronConfig| {
+            let initial = full.slice_columns(0, 100).unwrap();
+            let mut session = StreamingDangoron::new(initial, 80, 20, 0.85, cfg).unwrap();
+            let mut collected = session.drain_completed().unwrap();
+            for (a, b) in [(100, 173), (173, 291), (291, 400)] {
+                collected.extend(session.append(&full.slice_columns(a, b).unwrap()).unwrap());
+            }
+            (session, collected)
+        };
+        let jump = BoundMode::PaperJump { slack: 0.0 };
+        let (session, collected) = replay(config_with_pivots(jump, 2));
+        let (_, plain) = replay(config(jump));
+        let plain: Vec<ThresholdedMatrix> = plain.into_iter().map(|cw| cw.matrix).collect();
+        assert_same_windows(&collected, &plain);
+        assert_eq!(collected.len(), plain.len());
 
         let n = session.batch_query().n_windows();
         let indices: Vec<usize> = collected.iter().map(|cw| cw.index).collect();
@@ -952,6 +963,43 @@ mod tests {
         )
         .unwrap();
         assert!(sharded.query_shared(80, 20, 0.7).is_err());
+    }
+
+    #[test]
+    fn memory_counts_a_pivot_table_only_where_drains_read_it() {
+        // A PaperJump session reads no pivot table, so opening it with
+        // pivots keeps none — and, sharded, no out-of-shard pivot pairs:
+        // its bytes equal a pivot-less session's. An exhaustive session
+        // still counts its table.
+        let full = generators::clustered_matrix(8, 300, 2, 0.5, 5).unwrap();
+        let bytes = |cfg: DangoronConfig, ranks: Range<usize>| {
+            let mut s = StreamingDangoron::new_sharded(
+                full.slice_columns(0, 150).unwrap(),
+                80,
+                20,
+                0.7,
+                cfg,
+                ranks,
+            )
+            .unwrap();
+            s.append(&full.slice_columns(150, 300).unwrap()).unwrap();
+            s.memory_bytes()
+        };
+        for ranks in [0..28, 3..11] {
+            let jump = BoundMode::PaperJump { slack: 0.0 };
+            assert_eq!(
+                bytes(config_with_pivots(jump, 2), ranks.clone()),
+                bytes(config(jump), ranks.clone()),
+                "ranks {ranks:?}"
+            );
+            // Two pivots × eight series × twelve windows of f64s.
+            let table = 2 * 8 * 12 * 8;
+            assert!(
+                bytes(config_with_pivots(BoundMode::Exhaustive, 2), ranks.clone())
+                    >= bytes(config(BoundMode::Exhaustive), ranks.clone()) + table,
+                "ranks {ranks:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! The per-pair window walker — Figure 2's state machine.
 //!
-//! For one pair the walker visits windows left to right. At each visited
-//! window it obtains a correlation estimate (triangle bound if pruning
-//! fires, exact sketch combine otherwise). Above-threshold windows emit an
-//! edge and advance by one (the network needs the exact value, so no
-//! skipping there). Below-threshold windows attempt an Eq. 2 jump: binary
-//! search for the largest `k` whose bound stays below `β`, skip those `k`
-//! windows (Fig. 2's green blocks), land on the next (red block) and
-//! re-evaluate exactly.
+//! For one pair the [`BoundMode::PaperJump`] walker visits windows left
+//! to right and evaluates each visited window exactly with the O(1) sketch
+//! combine. Above-threshold windows emit an edge and advance by one (the
+//! network needs the exact value, so no skipping there). Below-threshold
+//! windows attempt an Eq. 2 jump from that exact value: binary search for
+//! the largest `k` whose bound stays below `β`, skip those `k` windows
+//! (Fig. 2's green blocks), land on the next (red block) and re-evaluate
+//! exactly. It reads no pivot table, so horizontal pruning cannot move a
+//! landing: each landing depends only on the last exact value.
 //!
 //! In [`BoundMode::Exhaustive`] no window depends on the one before it, so
 //! the walk settles windows in blocks of four: one [`PivotSet::interval4`]
 //! brackets the block, a block the triangle settles whole costs nothing
 //! more, and otherwise one [`tsdata::stats::pearson_from_sums4`] evaluates
 //! the four windows from the prefix rows. On a CPU with AVX2 and FMA the
-//! exhaustive walk runs compiled for both, chosen once per pair. PaperJump
-//! walks one window at a time, because each landing depends on the last
-//! exact value.
+//! exhaustive walk runs compiled for both, chosen once per pair.
 
 use crate::bounds::{max_jump, max_jump_absolute, PairCosts};
 use crate::config::BoundMode;
@@ -98,7 +97,9 @@ const LANES: usize = 4;
 
 /// Walks all windows of one pair, calling `emit(window, value)` for every
 /// window whose correlation passes `rule` at `beta`, in ascending window
-/// order. Counters are recorded into `stats`.
+/// order. Counters are recorded into `stats`. `dep` must be given in
+/// [`BoundMode::PaperJump`]; only the [`BoundMode::Exhaustive`] walk reads
+/// `pivots`.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_pair(
     store: &SketchStore,
@@ -132,47 +133,29 @@ pub fn walk_pair(
         }
         BoundMode::PaperJump { slack } => slack,
     };
+    let dep = dep.expect("PaperJump mode requires departure costs");
     let mut w = 0usize;
     while w < geo.n_windows {
-        // Horizontal pruning: a sound interval excluding every edge value
-        // settles the window without an exact combine.
-        let mut bracket: Option<(f64, f64)> = None; // (lo, hi) on c_ij
-        if let Some(pv) = pivots {
-            let (lo, hi) = pv.interval(i, j, geo.global_window(w));
-            if settles(rule, beta, lo, hi) {
-                stats.pruned_by_triangle += 1;
-                bracket = Some((lo, hi));
-            }
+        let (b0, b1) = geo.bw_range(w);
+        stats.evaluated += 1;
+        let Ok(c) = combine::window_correlation(store, pair, i, j, b0, b1) else {
+            // Zero-variance window: correlation undefined, no edge, and no
+            // jump (the Eq. 2 model does not apply).
+            w += 1;
+            continue;
+        };
+        if rule.keeps(c, beta) {
+            stats.edges += 1;
+            emit(w, c);
+            w += 1;
+            continue;
         }
-        if bracket.is_none() {
-            let (b0, b1) = geo.bw_range(w);
-            stats.evaluated += 1;
-            match combine::window_correlation(store, pair, i, j, b0, b1) {
-                Ok(c) => {
-                    if rule.keeps(c, beta) {
-                        stats.edges += 1;
-                        emit(w, c);
-                        w += 1;
-                        continue;
-                    }
-                    bracket = Some((c, c));
-                }
-                Err(_) => {
-                    // Zero-variance window: correlation undefined, no edge,
-                    // and no jump (the Eq. 2 model does not apply).
-                    w += 1;
-                    continue;
-                }
-            }
-        }
-        let (corr_lo, corr_hi) = bracket.unwrap();
 
-        // Below threshold (exactly, or via a sound bracket): jump.
-        let dep = dep.expect("PaperJump mode requires departure costs");
+        // Below threshold: jump from the exact value.
         let k_max = geo.n_windows - 1 - w;
         let k = match rule {
             EdgeRule::Positive => max_jump(
-                corr_hi,
+                c,
                 beta,
                 slack,
                 geo.ns,
@@ -182,8 +165,7 @@ pub fn walk_pair(
                 &dep.upper,
             ),
             EdgeRule::Absolute => max_jump_absolute(
-                corr_hi,
-                corr_lo,
+                c,
                 beta,
                 slack,
                 geo.ns,
@@ -231,12 +213,13 @@ fn walk_exhaustive_fma(
     walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
 }
 
-/// The exhaustive walk: the same per-window outcome and counters as the
-/// PaperJump loop with every jump refused, four windows per block. Each
-/// lane settles exactly when [`PivotSet::interval`] settles it, and its
-/// sums are the ones [`combine::window_correlation`] forms, fed through
-/// the same IEEE operations, so every lane is bit-identical to the
-/// per-window walk. The last block's lanes past `n_windows` re-read the
+/// The exhaustive walk, four windows per block. Per window it has the
+/// outcome and counters of a walk that intersects the triangle bounds of
+/// every usable pivot and, when that does not settle the window, evaluates
+/// it with [`combine::window_correlation`]. Each lane settles exactly when
+/// that full intersection settles its window, and its sums are the ones
+/// `window_correlation` forms, fed through the same IEEE operations, so
+/// every lane is bit-identical to that per-window walk. The last block's lanes past `n_windows` re-read the
 /// last window and are ignored, so every window takes this one path.
 /// Settled windows count as `pruned_by_triangle`; the rest are evaluated
 /// exactly and emitted in ascending order when `rule` keeps them.
@@ -305,6 +288,7 @@ fn walk_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pivot::tests::window_interval;
     use sketch::{BasicWindowLayout, SlidingQuery};
     use tsdata::{generators, stats as tstats, TimeSeriesMatrix};
 
@@ -585,8 +569,9 @@ mod tests {
     }
 
     /// The per-window walk the four-window blocks must reproduce: one
-    /// `PivotSet::interval` and one `combine::window_correlation` per
-    /// window. Edges as `(window, bits)`.
+    /// [`window_interval`] over every usable pivot and, when it does not
+    /// settle the window, one `combine::window_correlation`. Edges as
+    /// `(window, bits)`.
     #[allow(clippy::too_many_arguments)]
     fn per_window_oracle(
         store: &SketchStore,
@@ -606,7 +591,7 @@ mod tests {
         let mut edges = Vec::new();
         for w in 0..geo.n_windows {
             if let Some(pv) = pivots {
-                let (lo, hi) = pv.interval(i, j, geo.global_window(w));
+                let (lo, hi) = window_interval(pv, i, j, geo.global_window(w));
                 if settles(rule, beta, lo, hi) {
                     stats.pruned_by_triangle += 1;
                     continue;

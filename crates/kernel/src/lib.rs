@@ -31,22 +31,19 @@
 //! per-basic-window dots of one row against four rows in one call, each
 //! lane bit-identical to [`dot`] of its window.
 //!
-//! Three ops have no backend twin; their caller picks the instruction
-//! set. [`triangle_fold4`] folds one pivot into four windows' triangle
+//! Two ops have no backend twin; their caller picks the instruction set.
+//! [`triangle_fold4`] folds one pivot into four windows' triangle
 //! intervals, lane `l` carrying window `l`; [`prefix_sums4`] extends four
 //! prefix chains at once, lane `q` carrying one pair's chain (the
 //! pair-sketch builder runs its cross-sum prefixes and the Eq. 2 cost
-//! prefixes four pairs at a time through it); [`triangle_interval`]
-//! intersects one window's pivot bounds four pivots per
-//! [`triangle_fold4`] and combines the lanes by compare-select, an
-//! order-free min/max. They are inlined scalar functions. The exhaustive
-//! walk and the pivot table's `interval` and wholesale prefilter check
-//! `avx2_active` once per call and run an `avx2,fma` instance of
-//! themselves into which the fold inlines, so each `mul_add` is one
-//! fused instruction rather than an out-of-line call to the `fma`
-//! routine, which a portable x86-64 build would make. A fused
-//! multiply-add is exactly rounded in either form, so both instances
-//! give the same bits.
+//! prefixes four pairs at a time through it). They are inlined scalar
+//! functions. The exhaustive walk and the pivot table's wholesale
+//! prefilter, the fold's two callers, check `avx2_active` once per call
+//! and run an `avx2,fma` instance of themselves into which the fold
+//! inlines, so each `mul_add` is one fused instruction rather than an
+//! out-of-line call to the `fma` routine, which a portable x86-64 build
+//! would make. A fused multiply-add is exactly rounded in either form, so
+//! both instances give the same bits.
 //!
 //! ```
 //! let x: Vec<f64> = (0..1027).map(|t| (t as f64 * 0.37).sin()).collect();
@@ -60,7 +57,7 @@
 
 pub mod scalar;
 
-pub use scalar::{prefix_sums4, triangle_fold4, triangle_interval};
+pub use scalar::{prefix_sums4, triangle_fold4};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -306,26 +303,45 @@ mod tests {
 
     #[test]
     fn triangle_interval_bounds_are_sound() {
-        // Against the direct per-pivot formula.
+        // Pivot runs folded four windows at a time, against the direct
+        // per-pivot formula for each window's interval.
         for n in [0usize, 1, 2, 3, 4, 5, 9, 31] {
-            let ciz: Vec<f64> = (0..n).map(|p| (p as f64 * 1.1).sin()).collect();
-            let cjz: Vec<f64> = (0..n).map(|p| (p as f64 * 0.7).cos()).collect();
-            let (lo, hi) = triangle_interval(&ciz, &cjz);
-            // Arbitrary (mutually inconsistent) pivot values can produce
-            // an empty intersection, so only the clamps are asserted.
-            assert!(lo >= -1.0 && hi <= 1.0, "n={n}");
-            let mut direct_lo = -1.0f64;
-            let mut direct_hi = 1.0f64;
+            let c = |p: usize, l: usize, f: f64| ((p * 4 + l) as f64 * f).sin();
+            let (mut lo, mut hi) = ([-1.0f64; 4], [1.0f64; 4]);
             for p in 0..n {
-                let prod = ciz[p] * cjz[p];
-                let rad =
-                    ((1.0 - ciz[p] * ciz[p]).max(0.0) * (1.0 - cjz[p] * cjz[p]).max(0.0)).sqrt();
-                direct_lo = direct_lo.max(prod - rad);
-                direct_hi = direct_hi.min(prod + rad);
+                let ciz = std::array::from_fn(|l| c(p, l, 1.1));
+                let cjz = std::array::from_fn(|l| c(p, l, 0.7).cos());
+                triangle_fold4(&ciz, &cjz, &mut lo, &mut hi);
             }
-            assert!((lo - direct_lo).abs() < 1e-12, "n={n}");
-            assert!((hi - direct_hi).abs() < 1e-12, "n={n}");
+            for l in 0..4 {
+                // Arbitrary (mutually inconsistent) pivot values can
+                // produce an empty intersection, so only the clamps are
+                // asserted.
+                assert!(lo[l] >= -1.0 && hi[l] <= 1.0, "n={n} lane {l}");
+                let (direct_lo, direct_hi) =
+                    one_window_interval((0..n).map(|p| (c(p, l, 1.1), c(p, l, 0.7).cos())));
+                assert!(lo[l] == direct_lo && hi[l] == direct_hi, "n={n} lane {l}");
+            }
         }
+    }
+
+    /// One window's triangle interval: each pivot's
+    /// `c_iz·c_jz ± √((1−c_iz²)(1−c_jz²))`, with the fused radicands of
+    /// `tri_lo_hi`, intersected by compare-select from `(−1, 1)`.
+    fn one_window_interval(cs: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
+        let (mut lo, mut hi) = (-1.0f64, 1.0f64);
+        for (iz, jz) in cs {
+            let u = (-iz).mul_add(iz, 1.0);
+            let v = (-jz).mul_add(jz, 1.0);
+            let rad = (if u > 0.0 { u } else { 0.0 } * if v > 0.0 { v } else { 0.0 }).sqrt();
+            if iz * jz - rad > lo {
+                lo = iz * jz - rad;
+            }
+            if iz * jz + rad < hi {
+                hi = iz * jz + rad;
+            }
+        }
+        (lo, hi)
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! IEEE-754 operation per element (`+`, or a fused `mul_add`). Trailing
 //! elements (`len % 4` of them) go into lanes `0 .. len % 4` with the same
 //! per-lane operation, and the four lanes are combined by the fixed
-//! reduction tree `(l0 + l1) + (l2 + l3)` (or a sequential compare-select
-//! fold over lanes `0, 1, 2, 3` for the interval kernel). A SIMD
+//! reduction tree `(l0 + l1) + (l2 + l3)`. A SIMD
 //! backend that performs the same lane-wise operations in the same order —
 //! which 4-wide FMA hardware does naturally — produces identical bits,
 //! because every IEEE operation (including fused multiply-add and square
@@ -205,7 +204,7 @@ pub fn fma_accumulate(acc: &mut [f64], x: &[f64], scale: f64) {
     }
 }
 
-/// One element of the triangle-interval kernel: the `[lo, hi]` bound on
+/// One lane of [`triangle_fold4`]: the `[lo, hi]` bound on
 /// `c_xy` from the pivot correlations `(c_xz, c_yz)`: a fused negated
 /// multiply-add per radicand and compare-select clamps, each of which an
 /// `avx2,fma` caller compiles to one vector instruction.
@@ -224,70 +223,12 @@ pub(crate) fn tri_lo_hi(c_iz: f64, c_jz: f64) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Fold the remainder elements into the interval lanes and combine the
-/// lanes sequentially (`0, 1, 2, 3`) with compare-select — the tail of
-/// [`triangle_interval`], `inline(always)` with it.
-#[inline(always)]
-pub(crate) fn tri_finish(
-    mut lo: [f64; LANES],
-    mut hi: [f64; LANES],
-    c_iz: &[f64],
-    c_jz: &[f64],
-) -> (f64, f64) {
-    for (l, (&a, &b)) in c_iz.iter().zip(c_jz).enumerate() {
-        let (clo, chi) = tri_lo_hi(a, b);
-        if clo > lo[l] {
-            lo[l] = clo;
-        }
-        if chi < hi[l] {
-            hi[l] = chi;
-        }
-    }
-    let (mut best_lo, mut best_hi) = (lo[0], hi[0]);
-    for l in 1..LANES {
-        if lo[l] > best_lo {
-            best_lo = lo[l];
-        }
-        if hi[l] < best_hi {
-            best_hi = hi[l];
-        }
-    }
-    (best_lo, best_hi)
-}
-
-/// Tightest triangle-inequality interval on `c_xy` over a batch of pivot
-/// correlations: intersects `c_iz[p]·c_jz[p] ± √((1−c_iz²)(1−c_jz²))`
-/// across all `p`, clamped to `[-1, 1]`. Empty input returns `(-1, 1)`
-/// (no information). Inputs must be finite (callers filter NaN pivots).
-///
-/// Four pivots per [`triangle_fold4`], then `tri_finish`: a lane op with
-/// no backend twin, since compare-select min/max is exact in any order. A
-/// caller compiled for `avx2,fma` (see `avx2_active`) inlines it with
-/// fused instructions; it is `inline(always)` so that no copy is left out
-/// of line calling the `fma` routine.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-#[inline(always)]
-pub fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
-    assert_eq!(c_iz.len(), c_jz.len(), "triangle_interval: length mismatch");
-    let blocks = c_iz.len() / LANES;
-    let mut lo = [-1.0f64; LANES];
-    let mut hi = [1.0f64; LANES];
-    let lanes = |c: &[f64]| -> [f64; LANES] { c.try_into().expect("a four-element block") };
-    for (izs, jzs) in c_iz.chunks_exact(LANES).zip(c_jz.chunks_exact(LANES)) {
-        triangle_fold4(&lanes(izs), &lanes(jzs), &mut lo, &mut hi);
-    }
-    tri_finish(lo, hi, &c_iz[blocks * LANES..], &c_jz[blocks * LANES..])
-}
-
 /// Intersect each lane `l` of the running interval `(lo, hi)` with the
-/// triangle bound of `(c_iz[l], c_jz[l])` — the per-block step of
-/// [`triangle_interval`], four pivots in one `avx2,fma` register.
+/// triangle bound of `(c_iz[l], c_jz[l])`, four lanes in one `avx2,fma`
+/// register.
 ///
-/// Used directly as a *window-lane* op: lane `l` carries window `l` of a
-/// block of four, so one call folds one pivot into four windows'
-/// intervals. A NaN operand (an undefined pivot window) comes out of the
+/// A *window-lane* op: lane `l` carries window `l` of a block of four, so
+/// one call folds one pivot into four windows' intervals. A NaN operand (an undefined pivot window) comes out of the
 /// clamp selects as `(−1, 1)`, which never tightens a lane, so NaN lanes
 /// are skipped. Nothing crosses lanes, so there is no reduction order to
 /// match and no backend twin: a caller compiled for `avx2,fma` (see

@@ -90,13 +90,33 @@ fn pivot_lane(rng: &mut rand::rngs::StdRng) -> f64 {
     }
 }
 
+/// One window's triangle interval, the reference for the four-lane fold:
+/// each pivot's `c_iz·c_jz ± √((1−c_iz²)(1−c_jz²))` with the fold's fused
+/// radicands, clamped to `[−1, 1]` and intersected by compare-select.
+/// Empty input gives `(−1, 1)`.
+fn triangle_interval(c_iz: &[f64], c_jz: &[f64]) -> (f64, f64) {
+    let (mut lo, mut hi) = (-1.0f64, 1.0f64);
+    for (&iz, &jz) in c_iz.iter().zip(c_jz) {
+        let u = (-iz).mul_add(iz, 1.0);
+        let v = (-jz).mul_add(jz, 1.0);
+        let rad = (if u > 0.0 { u } else { 0.0 } * if v > 0.0 { v } else { 0.0 }).sqrt();
+        if iz * jz - rad > lo {
+            lo = iz * jz - rad;
+        }
+        if iz * jz + rad < hi {
+            hi = iz * jz + rad;
+        }
+    }
+    (lo, hi)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Folding a run of pivots into four window lanes: each lane equals
-    /// `triangle_interval` over that window's non-NaN pivots, so NaN lanes
-    /// are skipped. `==`, not bits: intersection order may keep either
-    /// sign of a `±0` tie, which no comparison can tell apart.
+    /// [`triangle_interval`] over that window's non-NaN pivots, so NaN
+    /// lanes are skipped. `==`, not bits: intersection order may keep
+    /// either sign of a `±0` tie, which no comparison can tell apart.
     #[test]
     fn triangle_fold4_lanes_equal_triangle_interval(seed in 0u64..10_000, pivots in 1usize..9) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -114,37 +134,9 @@ proptest! {
             }
         }
         for (l, (iz, jz)) in per_lane.iter().enumerate() {
-            let (wlo, whi) = kernel::triangle_interval(iz, jz);
+            let (wlo, whi) = triangle_interval(iz, jz);
             prop_assert!(lo[l] == wlo && hi[l] == whi, "lane {}", l);
         }
-    }
-}
-
-/// Chunked interval intersection (how `PivotSet::interval` feeds the
-/// kernel) equals one whole-batch call: min/max intersection is exactly
-/// associative, so chunk boundaries cannot change bits.
-#[test]
-fn triangle_interval_chunking_is_exact() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let ciz: Vec<f64> = (0..37).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-    let cjz: Vec<f64> = (0..37).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-    let whole = kernel::triangle_interval(&ciz, &cjz);
-    for chunk in [1usize, 3, 4, 8, 32] {
-        let (mut lo, mut hi) = (-1.0f64, 1.0f64);
-        let mut at = 0;
-        while at < ciz.len() {
-            let end = (at + chunk).min(ciz.len());
-            let (clo, chi) = kernel::triangle_interval(&ciz[at..end], &cjz[at..end]);
-            if clo > lo {
-                lo = clo;
-            }
-            if chi < hi {
-                hi = chi;
-            }
-            at = end;
-        }
-        assert_eq!(lo.to_bits(), whole.0.to_bits(), "chunk={chunk}");
-        assert_eq!(hi.to_bits(), whole.1.to_bits(), "chunk={chunk}");
     }
 }
 
