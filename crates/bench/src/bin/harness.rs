@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table/figure of the paper.
 //!
 //! ```text
-//! harness <exp-id>... [--full]                    # e1 … e13, or `all`
+//! harness <exp-id>... [--full]                    # e1 … e13 (no e11), or `all`
 //! harness validate [--require-lint-clean] LINT_REPORT.json...
 //!                  # dangoron-lint --json report: schema (+ zero findings)
 //! harness scrape ADDR [--path /metrics]           # GET + strict-parse
@@ -161,7 +161,7 @@ fn main() {
                 println!("{report}");
             }
             None => {
-                eprintln!("unknown experiment id: {id} (expected e1..e13 or all)");
+                eprintln!("unknown experiment id: {id} (expected e1..e13 except e11, or all)");
                 failed = true;
             }
         }

@@ -1,12 +1,14 @@
 //! E7 — ablation of the two pruning mechanisms (§3's "another feature …
 //! horizontal computation pruning").
 //!
-//! Three engine variants factor the design: exhaustive, jump, and
-//! exhaustive with the triangle bound; plus jump over the on-demand
-//! storage mode, where the pair-level triangle prefilter avoids touching
-//! raw series entirely. A jump walk over resident sketches reads no pivot
-//! table (it evaluates every window it visits and jumps from the exact
-//! value), so jump+triangle there would be the jump row again.
+//! Two engine variants factor the design over resident pair sketches:
+//! exhaustive and jump; plus jump over the on-demand storage mode, where
+//! the pair-level triangle prefilter avoids touching raw series entirely.
+//! That prefilter is the only place pivots act: neither walk reads a
+//! pivot table (a per-window triangle fold over resident sketches costs
+//! more than the exact evaluation it skips), so exhaustive+triangle or
+//! jump+triangle over resident sketches would repeat the exhaustive or
+//! jump row.
 
 use crate::common::time_dangoron;
 use crate::Scale;
@@ -46,15 +48,6 @@ pub fn run(scale: Scale) -> String {
             },
         ),
         (
-            "exhaustive+triangle",
-            DangoronConfig {
-                basic_window: w.basic_window,
-                bound: BoundMode::Exhaustive,
-                horizontal: horizontal.clone(),
-                ..Default::default()
-            },
-        ),
-        (
             "ondemand+triangle",
             DangoronConfig {
                 basic_window: w.basic_window,
@@ -73,7 +66,6 @@ pub fn run(scale: Scale) -> String {
             "query",
             "evaluated",
             "jumped",
-            "tri-pruned",
             "pairs-skipped",
             "edges",
         ],
@@ -87,17 +79,15 @@ pub fn run(scale: Scale) -> String {
             dur(t.median),
             s.evaluated.to_string(),
             s.skipped_by_jump.to_string(),
-            s.pruned_by_triangle.to_string(),
             s.pairs_skipped_entirely.to_string(),
             s.edges.to_string(),
         ]);
     }
     let mut out = table.render();
     out.push_str(
-        "\nExpected shape: each pruning mechanism reduces `evaluated`;\n\
-         exhaustive+triangle keeps edge counts identical to exhaustive and\n\
-         ondemand+triangle identical to jump (the triangle bound is sound,\n\
-         and the prefilter skips only pairs with no edge in any window);\n\
+        "\nExpected shape: jumping reduces `evaluated`; ondemand+triangle\n\
+         skips pairs wholesale and keeps edge counts identical to jump\n\
+         (the prefilter skips only pairs with no edge in any window);\n\
          jump variants may drop a few edges (Eq. 2 is assumption-based).\n",
     );
     out
@@ -124,7 +114,7 @@ mod tests {
         let exhaustive = evaluated("exhaustive ");
         let jump = evaluated("jump ");
         assert!(jump < exhaustive, "jumping must reduce evaluations");
-        // Edge counts: exhaustive and exhaustive+triangle agree exactly.
+        // Edge counts: the prefilter never changes an edge.
         let edges = |name: &str| -> u64 {
             report
                 .lines()
@@ -136,7 +126,6 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        assert_eq!(edges("exhaustive "), edges("exhaustive+triangle"));
         assert_eq!(edges("jump "), edges("ondemand+triangle"));
     }
 }

@@ -2,7 +2,6 @@
 //! names the table or claim it regenerates.
 
 pub mod e10_network;
-pub mod e11_streaming_pivots;
 pub mod e12_kernels;
 pub mod e13_sharding;
 pub mod e1_query_time;
@@ -17,7 +16,8 @@ pub mod e9_basic_window;
 
 use crate::Scale;
 
-/// Dispatch an experiment by id (`"e1"` … `"e13"`), returning its report.
+/// Dispatch an experiment by id (`"e1"` … `"e13"`, with no `"e11"`),
+/// returning its report.
 pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
     Some(match id {
         "e1" => e1_query_time::run(scale),
@@ -30,7 +30,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
         "e8" => e8_scaling::run(scale),
         "e9" => e9_basic_window::run(scale),
         "e10" => e10_network::run(scale),
-        "e11" => e11_streaming_pivots::run(scale),
         "e12" => e12_kernels::run(scale),
         "e13" => e13_sharding::run(scale),
         _ => return None,
@@ -38,6 +37,6 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<String> {
 }
 
 /// All experiment ids in order.
-pub const ALL: [&str; 13] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
+pub const ALL: [&str; 12] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "e13",
 ];

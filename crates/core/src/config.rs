@@ -65,22 +65,17 @@ pub enum PivotStrategy {
 
 /// Horizontal-pruning configuration.
 ///
-/// Accepted by the batch engine and by streaming sessions alike, and acts
-/// where a walk reads the pivot table:
-///
-/// * [`BoundMode::Exhaustive`] walks, batch (table built in parallel
-///   during `prepare`) and streaming (table grown incrementally per
-///   append), which settle windows by their triangle intervals;
-/// * the wholesale pair prefilter of batch [`PairStorage::OnDemand`]
-///   walks in either bound mode, which skips pairs no window can make an
-///   edge of.
-///
-/// It is inert under [`BoundMode::PaperJump`] with resident pair sketches
-/// — batch [`PairStorage::Precomputed`] and every streaming session —
-/// where no table is built: that walk evaluates every window it visits
-/// and jumps from the exact value. The triangle bound is exact, so
-/// enabling it never changes edges in any mode — only how many cells are
-/// evaluated exactly.
+/// Accepted by the batch engine and by streaming sessions alike, but it
+/// acts in one place only: the wholesale pair prefilter of batch and
+/// shard prepares with [`PairStorage::OnDemand`], in either bound mode.
+/// There a pivot table is built during `prepare`, and a pair whose
+/// triangle bounds exclude an edge in every window is skipped before its
+/// sketch is built. Everywhere else — [`PairStorage::Precomputed`] and
+/// every streaming session — the pivots are selected and validated but
+/// inert, and no table is built: both walks evaluate every window they
+/// visit exactly, because a per-window triangle fold over resident
+/// sketches cost more than the evaluation it skipped. The triangle bound
+/// is exact, so enabling it never changes edges in any mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HorizontalConfig {
     /// Number of pivot series.

@@ -5,8 +5,8 @@
 //! [`Dangoron::prepare`] builds the basic-window sketch store (and, in
 //! [`PairStorage::Precomputed`] mode, all pair sketches — the TSUBASA
 //! storage model), while [`Dangoron::run`] measures *pure query time*: the
-//! walk over `(pair, window)` cells with vertical jumping and horizontal
-//! pruning.
+//! walk over `(pair, window)` cells with vertical jumping and, over
+//! on-demand pairs, the horizontal pair prefilter.
 
 use crate::config::{DangoronConfig, PairStorage};
 use crate::pivot::PivotSet;
@@ -84,13 +84,12 @@ impl Dangoron {
     /// In [`PairStorage::Precomputed`] mode only the shard's pair sketches
     /// and departure costs are built, so a worker's prepare cost and memory
     /// scale with its shard, not with the full `N·(N−1)/2` triangle. The
-    /// per-series [`sketch::SketchStore`] and the pivot table (when a walk
-    /// reads one: horizontal pruning on, and an exhaustive bound or
-    /// on-demand storage) are whole-matrix state and are built in full —
-    /// they are O(N), not O(N²), and every shard needs them. Sharded
-    /// preparations build the pivot table from raw rows rather than from
-    /// the (partial) pair-sketch set; the two paths are bit-identical, so
-    /// results never depend on the shard layout.
+    /// per-series [`sketch::SketchStore`] and the pivot table (built only
+    /// where the on-demand prefilter reads it: horizontal pruning on and
+    /// [`PairStorage::OnDemand`]) are whole-matrix state and are built in
+    /// full — they are O(N), not O(N²), and every shard needs them. The
+    /// table is built from raw rows, so results never depend on the shard
+    /// layout.
     pub fn prepare_shard<'a>(
         &self,
         x: &'a TimeSeriesMatrix,
@@ -105,21 +104,18 @@ impl Dangoron {
         let on_demand = (self.config.storage == PairStorage::OnDemand).then_some(x);
         let state = PairState::build(x, layout, pair_range, &self.config, on_demand)?;
 
+        // Only on-demand states get a table, and they hold no pair
+        // sketches to reuse, so it is built from raw rows.
         let pivots = match state.walked_pivots(&self.config)? {
-            Some(chosen) => {
-                // A sharded pair-sketch set cannot serve arbitrary
-                // (pivot, series) ranks, so shard preparations build the
-                // table from raw rows — bit-identical to the reuse path.
-                Some(PivotSet::build(
-                    x,
-                    state.store(),
-                    &layout,
-                    &query,
-                    chosen,
-                    state.triangle(),
-                    self.config.threads,
-                )?)
-            }
+            Some(chosen) => Some(PivotSet::build(
+                x,
+                state.store(),
+                &layout,
+                &query,
+                chosen,
+                None,
+                self.config.threads,
+            )?),
             None => None,
         };
 
@@ -280,44 +276,53 @@ mod tests {
 
     #[test]
     fn triangle_pruning_preserves_exactness() {
+        // Exhaustive walks read no pivot table: over resident pairs the
+        // pivots change neither edges nor counters. Over on-demand pairs
+        // the prefilter skips pairs wholesale, still without changing an
+        // edge.
         let x = workload(12, 300);
         let q = query(300, 0.8);
-        let plain = Dangoron::new(DangoronConfig {
-            basic_window: 20,
-            bound: BoundMode::Exhaustive,
-            ..Default::default()
-        })
-        .unwrap();
-        let pruned = Dangoron::new(DangoronConfig {
-            basic_window: 20,
-            bound: BoundMode::Exhaustive,
-            horizontal: Some(HorizontalConfig {
-                n_pivots: 3,
-                strategy: PivotStrategy::Evenly,
-            }),
-            ..Default::default()
-        })
-        .unwrap();
-        let a = plain.execute(&x, q).unwrap();
-        let b = pruned.execute(&x, q).unwrap();
-        assert_same(&a.matrices, &b.matrices);
-        assert!(
-            b.stats.pruned_by_triangle > 0,
-            "triangle pruning never fired: {:?}",
-            b.stats
-        );
+        for storage in [PairStorage::Precomputed, PairStorage::OnDemand] {
+            let cfg = DangoronConfig {
+                basic_window: 20,
+                bound: BoundMode::Exhaustive,
+                storage,
+                ..Default::default()
+            };
+            let plain = Dangoron::new(cfg.clone()).unwrap();
+            let pruned = Dangoron::new(DangoronConfig {
+                horizontal: Some(HorizontalConfig {
+                    n_pivots: 3,
+                    strategy: PivotStrategy::Evenly,
+                }),
+                ..cfg
+            })
+            .unwrap();
+            let a = plain.execute(&x, q).unwrap();
+            let b = pruned.execute(&x, q).unwrap();
+            assert_same(&a.matrices, &b.matrices);
+            assert_eq!(b.stats.pruned_by_triangle, 0, "{storage:?}");
+            match storage {
+                PairStorage::Precomputed => assert_eq!(a.stats, b.stats),
+                PairStorage::OnDemand => assert!(
+                    b.stats.pairs_skipped_entirely > 0,
+                    "the prefilter never fired: {:?}",
+                    b.stats
+                ),
+            }
+        }
     }
 
     #[test]
     fn pivot_table_is_built_only_where_a_walk_reads_it() {
-        // The exhaustive walk and the on-demand prefilter read the table;
-        // a PaperJump walk over resident sketches reads none, so its
-        // prepare skips the build. An out-of-range explicit pivot is
+        // Only the on-demand prefilter reads the table; walks over
+        // resident sketches read none in either bound mode, so their
+        // prepares skip the build. An out-of-range explicit pivot is
         // rejected either way.
         let x = workload(8, 300);
         let q = query(300, 0.8);
         for (bound, storage, built) in [
-            (BoundMode::Exhaustive, PairStorage::Precomputed, true),
+            (BoundMode::Exhaustive, PairStorage::Precomputed, false),
             (BoundMode::Exhaustive, PairStorage::OnDemand, true),
             (BoundMode::default(), PairStorage::Precomputed, false),
             (BoundMode::default(), PairStorage::OnDemand, true),

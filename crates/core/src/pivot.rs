@@ -7,18 +7,15 @@
 //! `β` never need an exact evaluation. Unlike the Eq. 2 jump this bound is
 //! unconditional, so horizontal pruning never costs accuracy.
 //!
-//! The table has two readers, both through [`PivotSet::interval4`]: the
-//! [`BoundMode::Exhaustive`](crate::BoundMode::Exhaustive) walk, four
-//! windows per block, and the wholesale pair prefilter
-//! [`PivotSet::pair_never_edges_in`], which runs only where pair sketches
-//! are built on demand. The PaperJump walk reads neither, so it needs no
-//! table (see `PairState::pivots_read`).
-//!
-//! The table is maintained *incrementally*: [`PivotSet::append_windows`]
-//! grows it window-by-window from already-updated sketches, which is what
-//! lets [`crate::streaming::StreamingDangoron`] prune its exhaustive drains
-//! without ever rebuilding pivot state — the per-drain cost stays
-//! O(n_pivots · N · Δwindows).
+//! The table has one reader: the wholesale pair prefilter
+//! [`PivotSet::pair_never_edges_in`], which brackets four windows per
+//! [`PivotSet::interval4`] and runs only where pair sketches are built on
+//! demand, so skipping a pair saves its O(L) sketch build. Neither walk
+//! reads the table: over resident sketches a per-window triangle fold
+//! costs more than the exact evaluation it would skip. So a table is
+//! built only by batch and shard prepares with
+//! [`PairStorage::OnDemand`](crate::PairStorage::OnDemand) (see
+//! `PairState::walked_pivots`), and streaming sessions keep none.
 
 use crate::config::PivotStrategy;
 use rand::rngs::StdRng;
@@ -36,10 +33,9 @@ pub struct PivotSet {
     n_windows: usize,
     /// `cols[p·N + s][w]` = corr(pivot p, series s) in window w: one
     /// column of windows per (pivot, series) cell, so four consecutive
-    /// windows of one endpoint are contiguous for a pair-major walk
-    /// ([`PivotSet::interval4`]) and new windows push onto the column
-    /// ends. `NaN` marks undefined (zero-variance) windows, which never
-    /// prune.
+    /// windows of one endpoint are contiguous for a pair-major reader
+    /// ([`PivotSet::interval4`]). `NaN` marks undefined (zero-variance)
+    /// windows, which never prune.
     cols: Vec<Vec<f64>>,
 }
 
@@ -88,26 +84,16 @@ pub fn select_pivots(
 }
 
 impl PivotSet {
-    /// An empty table (zero windows) — the starting point for sessions
-    /// that grow it via [`PivotSet::append_windows`].
-    pub fn empty(pivots: Vec<usize>, n_series: usize) -> Self {
-        let n_cells = pivots.len() * n_series;
-        Self {
-            pivots,
-            n_series,
-            n_windows: 0,
-            cols: vec![Vec::new(); n_cells],
-        }
-    }
-
     /// Builds pivot-to-all correlations for every window of `query`, with
     /// `threads` workers stealing `(pivot, series)` cells.
     ///
-    /// When the caller has already materialised all pair sketches (the
-    /// Precomputed storage mode), pass them as `pairs` (in
-    /// [`triangular::rank`] order) and the build skips the per-cell O(L)
-    /// sketch construction; otherwise each cell builds its own transient
-    /// sketch. Cost: `O(n_pivots · N · (L + γ) / threads)`.
+    /// When the caller has already materialised all pair sketches, pass
+    /// them as `pairs` (in [`triangular::rank`] order) and the build skips
+    /// the per-cell O(L) sketch construction; otherwise each cell builds
+    /// its own transient sketch. The engine builds a table only over
+    /// on-demand pairs, so it always passes `None`; the argument stays for
+    /// the traced rebuild in `benchmark/`, which passes its resident set.
+    /// Cost: `O(n_pivots · N · (L + γ) / threads)`.
     pub fn build(
         x: &TimeSeriesMatrix,
         store: &SketchStore,
@@ -166,37 +152,6 @@ impl PivotSet {
         })
     }
 
-    /// Extends the table to cover `total_windows` windows, computing only
-    /// the new windows' pivot-to-all correlations. Window `w` spans basic
-    /// windows `[w·step_bw, w·step_bw + ns)`; `corr_of(z, s, b0, b1)`
-    /// supplies the exact correlation from the caller's (incrementally
-    /// updated) sketches, `NaN` when undefined.
-    ///
-    /// This is the streaming maintenance path: per append it costs
-    /// O(n_pivots · N · Δwindows) sketch combines and never rescans
-    /// history.
-    pub fn append_windows(
-        &mut self,
-        total_windows: usize,
-        ns: usize,
-        step_bw: usize,
-        corr_of: impl Fn(usize, usize, usize, usize) -> f64,
-    ) {
-        let (n, new) = (self.n_series, self.n_windows..total_windows);
-        for (cell, col) in self.cols.iter_mut().enumerate() {
-            let (z, s) = (self.pivots[cell / n], cell % n);
-            col.extend(new.clone().map(|w| {
-                let b0 = w * step_bw;
-                if s == z {
-                    1.0
-                } else {
-                    corr_of(z, s, b0, b0 + ns)
-                }
-            }));
-        }
-        self.n_windows = self.n_windows.max(total_windows);
-    }
-
     /// Number of windows covered.
     pub fn n_windows(&self) -> usize {
         self.n_windows
@@ -226,8 +181,7 @@ impl PivotSet {
     /// may keep either sign, which no comparison can tell apart).
     ///
     /// `inline(always)` puts it, and the fold, inside each instance of
-    /// the exhaustive walk and of the wholesale prefilter, including their
-    /// `avx2,fma` ones.
+    /// the wholesale prefilter, including its `avx2,fma` one.
     #[inline(always)]
     pub fn interval4(
         &self,
@@ -261,8 +215,8 @@ impl PivotSet {
     /// none of those windows can produce an edge under `rule` at `beta` —
     /// the walk over that window range can be skipped wholesale.
     ///
-    /// Brackets four windows per [`PivotSet::interval4`], the exhaustive
-    /// walk's settle-aware fold, so each window settles exactly when the
+    /// Brackets four windows per [`PivotSet::interval4`], a settle-aware
+    /// fold, so each window settles exactly when the
     /// intersection over every usable pivot settles it; lanes past `w1`
     /// are ignored. On a CPU with AVX2 and FMA it runs compiled for both,
     /// chosen once per call by [`kernel::avx2_active`].
@@ -491,32 +445,6 @@ pub(crate) mod tests {
         let reused =
             PivotSet::build(&x, &store, &layout, &query, vec![0, 4], Some(&pairs), 2).unwrap();
         assert_eq!(bits(&seq), bits(&reused));
-    }
-
-    #[test]
-    fn append_windows_matches_batch_build() {
-        // Growing the table window-by-window from sketches must reproduce
-        // the batch build exactly.
-        let (x, store, layout, query) = setup(8);
-        let batch = build(&x, &store, &layout, &query, vec![0, 4]);
-        let pairs = sketch::pair::build_all(&layout, &x, 1).unwrap();
-        let ns = layout.windows_per_query(query.window);
-        let step_bw = query.step / layout.width;
-
-        let mut grown = PivotSet::empty(vec![0, 4], 8);
-        // Two uneven growth steps.
-        for total in [2, query.n_windows()] {
-            grown.append_windows(total, ns, step_bw, |z, s, b0, b1| {
-                let p = &pairs[triangular::rank(z.min(s), z.max(s), 8)];
-                combine::window_correlation(&store, p, z, s, b0, b1).unwrap_or(f64::NAN)
-            });
-        }
-        assert_eq!(grown.n_windows(), batch.n_windows());
-        assert_eq!(bits(&grown), bits(&batch));
-        // Idempotent when nothing new completes.
-        let before = bits(&grown);
-        grown.append_windows(query.n_windows(), ns, step_bw, |_, _, _, _| f64::NAN);
-        assert_eq!(before, bits(&grown));
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! the pivot table they pass.
 //!
 //! **The wholesale pair prefilter** ([`PivotSet::pair_never_edges_in`])
-//! follows one rule that depends on the state, not on the caller: it runs
-//! only when the pair sketch would be built on demand from raw rows
+//! is the only reader of a pivot table, and it follows one rule that
+//! depends on the state, not on the caller: it runs only when the pair
+//! sketch would be built on demand from raw rows
 //! ([`PairStorage::OnDemand`](crate::PairStorage::OnDemand)), where
-//! skipping a pair saves that O(L) build. With resident sketches only the
-//! [`BoundMode::Exhaustive`] walk reads the pivot table, settling windows
-//! four at a time; the PaperJump walk evaluates every window it visits.
+//! skipping a pair saves that O(L) build. [`walk_pair`] reads no table
+//! in either bound mode, so with resident sketches pivots are inert.
 //! [`PairState::walked_pivots`] turns that into the one rule for whether a
 //! table is built at all.
 
@@ -115,12 +115,11 @@ impl<'a> PairState<'a> {
     }
 
     /// The pivots of `config.horizontal` when a walk over this state reads
-    /// a pivot table: under [`BoundMode::Exhaustive`], or with on-demand
-    /// sketches, where the wholesale prefilter runs. `None` when
-    /// horizontal pruning is off or nothing would read the table — a
-    /// PaperJump walk over resident sketches — so no table is built there.
-    /// The pivots are selected, and an out-of-range explicit list
-    /// rejected, either way.
+    /// a pivot table: only with on-demand sketches, where the wholesale
+    /// prefilter runs. `None` when horizontal pruning is off or the
+    /// sketches are resident, whose walks read no table, so no table is
+    /// built there. The pivots are selected, and an out-of-range explicit
+    /// list rejected, either way.
     pub(crate) fn walked_pivots(
         &self,
         config: &DangoronConfig,
@@ -129,9 +128,7 @@ impl<'a> PairState<'a> {
             return Ok(None);
         };
         let chosen = select_pivots(&h.strategy, h.n_pivots, self.store.n_series())?;
-        let read = matches!(config.bound, BoundMode::Exhaustive)
-            || matches!(self.pairs, PairSketches::OnDemand(_));
-        Ok(read.then_some(chosen))
+        Ok(matches!(self.pairs, PairSketches::OnDemand(_)).then_some(chosen))
     }
 
     /// The per-series sketch store.
@@ -155,21 +152,6 @@ impl<'a> PairState<'a> {
     /// The resident cost prefixes (empty when none are kept).
     pub(crate) fn costs(&self) -> &[PairCosts] {
         self.costs.as_deref().unwrap_or(&[])
-    }
-
-    /// The resident sketches when they cover the whole pair triangle, in
-    /// [`triangular::rank`] order.
-    pub(crate) fn triangle(&self) -> Option<&[PairSketch]> {
-        let whole = self.ranks == (0..triangular::count(self.store.n_series()));
-        match &self.pairs {
-            PairSketches::Resident(all) if whole => Some(all),
-            _ => None,
-        }
-    }
-
-    /// The resident sketch of pair rank `rank`, if this state holds it.
-    pub(crate) fn pair(&self, rank: usize) -> Option<&PairSketch> {
-        self.resident().get(rank.checked_sub(self.ranks.start)?)
     }
 
     /// Absorbs the raw `tail` (global columns from `tail_start`) into the
@@ -237,7 +219,8 @@ impl<'a> PairState<'a> {
     /// concatenates each window's lists in that order, so the output is
     /// identical for every thread count. On-demand jump walks build each
     /// pair's Eq. 2 costs from one moment table per walk.
-    /// `pivots`, when given, must cover the geometry's global windows.
+    /// `pivots`, when given, must cover the geometry's global windows; only
+    /// the on-demand prefilter reads it.
     ///
     /// # Panics
     /// Panics when `ranks` is not contained in the state's interval.
@@ -308,7 +291,7 @@ impl<'a> PairState<'a> {
                     rule,
                     bound,
                     costs,
-                    pivots,
+                    None,
                     &mut stats,
                     |w, value| {
                         windows[w].push(Edge {

@@ -25,14 +25,15 @@ pub struct PruningStats {
     pub evaluated: u64,
     /// Cells skipped by the Eq. 2 jump.
     pub skipped_by_jump: u64,
-    /// Cells where the triangle bound replaced the exact evaluation.
+    /// Cells where a per-window triangle bound replaced the exact
+    /// evaluation: 0 on every path, since no walk reads a pivot table;
+    /// kept because `benchmark/` reads it.
     pub pruned_by_triangle: u64,
     /// Pairs eliminated wholesale by the pair-level triangle prefilter
-    /// (all walked windows bounded below `β`); their cells are *not* in
-    /// `pruned_by_triangle`. The prefilter runs only when the pair sketch
-    /// would be built on demand (`PairStorage::OnDemand`), so this stays
-    /// zero for precomputed batch runs, streaming drains and shared
-    /// queries, whose walks settle those cells one by one instead.
+    /// (all walked windows bounded below `β`). The prefilter runs only when
+    /// the pair sketch would be built on demand (`PairStorage::OnDemand`),
+    /// so this stays zero for precomputed batch runs, streaming drains and
+    /// shared queries, whose walks evaluate those cells instead.
     pub pairs_skipped_entirely: u64,
     /// Number of jumps taken.
     pub jumps: u64,
@@ -87,8 +88,8 @@ impl PruningStats {
         }
     }
 
-    /// Fraction of cells *not* exactly evaluated — jumped, triangle-pruned
-    /// or wholesale-skipped — in `[0, 1]`. The headline number of the
+    /// Fraction of cells *not* exactly evaluated — jumped or
+    /// wholesale-skipped — in `[0, 1]`. The headline number of the
     /// Figure 2 experiment.
     pub fn skip_fraction(&self) -> f64 {
         if self.total_cells == 0 {

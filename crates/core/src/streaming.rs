@@ -11,48 +11,40 @@
 //! answered with the thresholded matrices of every window that became
 //! complete.
 //!
-//! Both pruning mechanisms of the batch engine apply, one per bound mode:
-//!
-//! * **vertical jumping** (Eq. 2) over each drain's window suffix, under
-//!   [`BoundMode::PaperJump`](crate::BoundMode::PaperJump), and
-//! * **horizontal (triangle) pruning** of exhaustive drains via an
-//!   incrementally maintained [`PivotSet`]: new windows' pivot-to-all
-//!   correlations are extended column-by-column from the already-updated
-//!   sketches ([`PivotSet::append_windows`]), so enabling
-//!   [`DangoronConfig::horizontal`] costs O(n_pivots · N · Δwindows) per
-//!   append — never a rebuild. The triangle bound is unconditional, so
-//!   streamed results stay bit-identical to the exhaustive batch engine.
+//! Vertical jumping (Eq. 2) applies over each drain's window suffix
+//! under [`BoundMode::PaperJump`](crate::BoundMode::PaperJump). Horizontal
+//! pruning is accepted (the pivots are selected and validated when the
+//! session opens) but inert: a session's pair sketches are always
+//! resident, and the pivot table's only reader is the wholesale pair
+//! prefilter, which runs only where a pair sketch would be built on
+//! demand. So a session keeps no pivot table, its drains and shared
+//! queries evaluate every window they visit exactly, and
+//! [`PruningStats::pairs_skipped_entirely`] and
+//! [`PruningStats::pruned_by_triangle`] stay zero.
 //!
 //! The walk itself is the batch engine's pair walk over the same resident
 //! pair state (`crate::state::PairState`), shifted into the global window
 //! frame by [`WalkGeometry::offset_bw`]; no parallel streaming
-//! implementation exists. A session's pair sketches are always resident,
-//! so the wholesale pair prefilter — which runs only when a pair sketch
-//! would be built on demand — never fires here, and
-//! [`PruningStats::pairs_skipped_entirely`] stays zero. An exhaustive drain
-//! settles windows with the triangle interval instead; a PaperJump drain
-//! reads no pivot table, so a PaperJump session builds none. Raw history is
-//! evicted as soon as it is absorbed into the sketch prefixes, so a
-//! long-lived session holds O(N·n_b) sketch state plus less than one basic
-//! window of raw columns — not the full stream.
+//! implementation exists. Raw history is evicted as soon as it is
+//! absorbed into the sketch prefixes, so a long-lived session holds
+//! O(N·n_b) sketch state plus less than one basic window of raw columns —
+//! not the full stream.
 
 use crate::bounds::PairCosts;
 use crate::config::DangoronConfig;
 use crate::engine::QueryResult;
-use crate::pivot::PivotSet;
 use crate::state::PairState;
 use crate::stats::PruningStats;
 use crate::walker::WalkGeometry;
-use sketch::{combine, triangular, BasicWindowLayout, PairSketch, SlidingQuery, ThresholdedMatrix};
+use sketch::{triangular, BasicWindowLayout, PairSketch, SlidingQuery, ThresholdedMatrix};
 use std::ops::Range;
 use tsdata::{TimeSeriesMatrix, TsError};
 
 /// A long-lived streaming session.
 ///
 /// Restrictions relative to the batch engine: pair sketches are always
-/// materialised (the streaming state *is* the precomputed sketch set).
-/// Horizontal pruning is supported under the exhaustive bound — the pivot
-/// table is grown incrementally alongside the sketches.
+/// materialised (the streaming state *is* the precomputed sketch set), so
+/// horizontal pruning is accepted but builds no pivot table.
 ///
 /// ```
 /// use dangoron::{DangoronConfig, StreamingDangoron};
@@ -90,15 +82,6 @@ pub struct StreamingDangoron {
     /// [`StreamingDangoron::new`], a shard for
     /// [`StreamingDangoron::new_sharded`].
     state: PairState<'static>,
-    /// Pivot-pair sketches whose ranks fall **outside** the session's
-    /// rank interval, sorted by rank — sharded sessions still need every
-    /// (pivot, series) correlation to grow the pivot table. Empty when the
-    /// session is unsharded (the main pair set covers them) or keeps no
-    /// pivot table. Built and appended with the same kernels as the
-    /// main set, so the table stays bit-identical to an unsharded
-    /// session's.
-    pivot_pairs: Vec<(usize, PairSketch)>,
-    pivots: Option<PivotSet>,
     /// Cumulative pruning counters across all drains.
     stats: PruningStats,
     /// Counters of the most recent non-empty drain.
@@ -135,8 +118,7 @@ impl StreamingDangoron {
     /// [`StreamingDangoron::new`] restricted to a contiguous pair-rank
     /// shard of the [`triangular`] rank space — the distributed tier's
     /// streaming worker. The session materialises (and incrementally
-    /// maintains) only the shard's pair sketches plus, when its drains read
-    /// a pivot table, the out-of-shard pivot pairs; drains walk the shard
+    /// maintains) only the shard's pair sketches; drains walk the shard
     /// only. Concatenating the drained edges of a partition of the
     /// triangle is bit-identical to an unsharded session's drains, and the
     /// per-shard stats sum to the unsharded counters.
@@ -159,43 +141,10 @@ impl StreamingDangoron {
         }
         let layout = BasicWindowLayout::cover(0, initial.len(), b)?;
         let state = PairState::build(&initial, layout, pair_range, &config, None)?;
-        let n = initial.n_series();
+        // Pivots are selected and validated as in a batch prepare, but
+        // resident walks read no table, so none is kept.
+        state.walked_pivots(&config)?;
         let total_cols = initial.len();
-
-        // Sharded sessions that keep a pivot table additionally keep the
-        // out-of-shard pivot-pair sketches, so the table can keep growing
-        // without the full triangle.
-        let mut pivot_ranks: Vec<usize> = Vec::new();
-        let chosen = match state.walked_pivots(&config)? {
-            Some(chosen) => {
-                for &z in &chosen {
-                    for s in 0..n {
-                        if s != z {
-                            let p = triangular::rank(z.min(s), z.max(s), n);
-                            if !state.ranks().contains(&p) {
-                                pivot_ranks.push(p);
-                            }
-                        }
-                    }
-                }
-                pivot_ranks.sort_unstable();
-                pivot_ranks.dedup();
-                Some(chosen)
-            }
-            None => None,
-        };
-        let pivot_pairs: Vec<(usize, PairSketch)> =
-            exec::par_collect_chunks(pivot_ranks.len(), config.threads, 8, |range| {
-                range
-                    .map(|k| {
-                        let p = pivot_ranks[k];
-                        let (i, j) = triangular::unrank(p, n);
-                        let sketch = PairSketch::build(&layout, initial.row(i), initial.row(j))
-                            .expect("layout covers the initial history");
-                        (p, sketch)
-                    })
-                    .collect()
-            });
 
         // Keep only the raw columns the sketches have not absorbed yet.
         let covered = layout.end();
@@ -205,7 +154,7 @@ impl StreamingDangoron {
             (None, total_cols)
         };
 
-        let mut session = Self {
+        Ok(Self {
             config,
             window,
             step,
@@ -214,17 +163,10 @@ impl StreamingDangoron {
             tail_start,
             total_cols,
             state,
-            pivot_pairs,
-            pivots: None,
             stats: PruningStats::default(),
             last_drain_stats: PruningStats::default(),
             emitted_windows: 0,
-        };
-        if let Some(chosen) = chosen {
-            session.pivots = Some(PivotSet::empty(chosen, n));
-            session.extend_pivots();
-        }
-        Ok(session)
+        })
     }
 
     /// The contiguous pair-rank interval this session walks.
@@ -261,9 +203,8 @@ impl StreamingDangoron {
     }
 
     /// Ingests new columns and returns every window that became complete,
-    /// in order. Sketches and the pivot table are extended incrementally
-    /// (only the new columns are read); the walk runs only over the new
-    /// windows.
+    /// in order. Sketches are extended incrementally (only the new columns
+    /// are read); the walk runs only over the new windows.
     pub fn append(&mut self, new_cols: &TimeSeriesMatrix) -> Result<Vec<CompletedWindow>, TsError> {
         if new_cols.n_series() != self.n_series() {
             return Err(TsError::DimensionMismatch {
@@ -279,17 +220,6 @@ impl StreamingDangoron {
         let tail = self.tail.as_ref().expect("tail was just filled");
         let threads = self.config.threads;
         self.state.append_tail(tail, self.tail_start, threads)?;
-        // Out-of-shard pivot pairs grow by the same columns.
-        let (layout, n) = (*self.state.store().layout(), self.n_series());
-        exec::par_chunks_mut(&mut self.pivot_pairs, threads, |_, piece| {
-            for (rank, sketch) in piece.iter_mut() {
-                let (i, j) = triangular::unrank(*rank, n);
-                sketch
-                    .append_tail(&layout, tail.row(i), tail.row(j), self.tail_start)
-                    .expect("pivot-pair/store layouts kept in lockstep");
-            }
-        });
-        self.extend_pivots();
         self.evict_absorbed();
         self.drain_completed()
     }
@@ -297,25 +227,6 @@ impl StreamingDangoron {
     /// The session's own geometry over the whole current history.
     fn geometry(&self) -> WalkGeometry {
         WalkGeometry::for_query(&self.batch_query(), self.config.basic_window)
-    }
-
-    /// Grows the pivot table to cover every currently available window,
-    /// reading correlations straight from the session's own sketches.
-    fn extend_pivots(&mut self) {
-        let geo = self.geometry();
-        let (state, pivot_pairs, n) = (&self.state, &self.pivot_pairs, self.n_series());
-        if let Some(pv) = &mut self.pivots {
-            pv.append_windows(geo.n_windows, geo.ns, geo.step_bw, |z, s, b0, b1| {
-                let rank = triangular::rank(z.min(s), z.max(s), n);
-                let p = state.pair(rank).unwrap_or_else(|| {
-                    let k = pivot_pairs
-                        .binary_search_by_key(&rank, |(r, _)| *r)
-                        .expect("out-of-shard pivot pairs are all materialised");
-                    &pivot_pairs[k].1
-                });
-                combine::window_correlation(state.store(), p, z, s, b0, b1).unwrap_or(f64::NAN)
-            });
-        }
     }
 
     /// Drops raw columns the sketch prefixes have absorbed; global column
@@ -351,13 +262,9 @@ impl StreamingDangoron {
             offset_bw: first_new * whole.step_bw,
             ..whole
         };
-        let result = self.state.walk(
-            &self.config,
-            self.state.ranks(),
-            geo,
-            self.threshold,
-            self.pivots.as_ref(),
-        );
+        let result = self
+            .state
+            .walk(&self.config, self.state.ranks(), geo, self.threshold, None);
         // Keep both the per-drain counters and the session-cumulative ones.
         self.stats.merge(&result.stats);
         self.last_drain_stats = result.stats;
@@ -412,10 +319,9 @@ impl StreamingDangoron {
     }
 
     /// Bytes of resident state: sketch prefixes, pair sketches, Eq. 2
-    /// cost prefixes, the pivot table and out-of-shard pivot pairs when
-    /// the drains read them, and the unabsorbed raw tail. This
-    /// is what a serving tier accounts against its memory budget — it is
-    /// the part of the session that grows with the stream.
+    /// cost prefixes and the unabsorbed raw tail. This is what a serving
+    /// tier accounts against its memory budget — it is the part of the
+    /// session that grows with the stream.
     pub fn memory_bytes(&self) -> usize {
         let pairs: usize = self
             .state
@@ -423,18 +329,12 @@ impl StreamingDangoron {
             .iter()
             .map(PairSketch::memory_bytes)
             .sum();
-        let pivot_pairs: usize = self
-            .pivot_pairs
-            .iter()
-            .map(|(_, p)| p.memory_bytes() + std::mem::size_of::<usize>())
-            .sum();
         let costs: usize = self.state.costs().iter().map(PairCosts::memory_bytes).sum();
-        let pivots = self.pivots.as_ref().map_or(0, PivotSet::memory_bytes);
         let tail = self
             .tail
             .as_ref()
             .map_or(0, |t| t.n_series() * t.len() * std::mem::size_of::<f64>());
-        self.state.store().memory_bytes() + pairs + pivot_pairs + costs + pivots + tail
+        self.state.store().memory_bytes() + pairs + costs + tail
     }
 
     /// Answers an **ad-hoc** `(window, step, threshold)` query from the
@@ -445,21 +345,17 @@ impl StreamingDangoron {
     /// re-paying the prepare phase: this walks the full current history
     /// with the same pair walk the batch engine uses, and the edges are
     /// bit-identical to a fresh [`crate::Dangoron`] run with the same
-    /// configuration over the equivalent prefix, in either bound mode:
-    /// the triangle bound never changes an edge, and the PaperJump walk
-    /// jumps from exact values only, reading no pivot table.
+    /// configuration over the equivalent prefix, in either bound mode. So
+    /// are the [`PruningStats`] whenever the batch run keeps its pair
+    /// sketches resident too ([`PairStorage::Precomputed`](crate::PairStorage::Precomputed)):
+    /// neither walk reads a pivot table there.
     ///
     /// What is reused from the resident state:
     ///
     /// * the [`sketch::SketchStore`] and every pair sketch — always;
     /// * the Eq. 2 departure-cost prefixes — always in jump mode (they
     ///   depend only on the sketches and the edge rule, not the query
-    ///   geometry);
-    /// * the pivot table of an exhaustive session — only when
-    ///   `(window, step)` equal the session's own geometry (its intervals
-    ///   are keyed by the session's window frame); other geometries walk
-    ///   without horizontal pruning, so only their counters differ from
-    ///   the batch run's.
+    ///   geometry).
     ///
     /// `window` and `step` must be multiples of the session's basic
     /// window; sharded sessions (a partial pair range) cannot answer
@@ -484,18 +380,8 @@ impl StreamingDangoron {
             threshold,
             ..self.batch_query()
         };
-        // The pivot table's intervals are keyed by the *session's* window
-        // geometry; reuse it only when the query matches. Skipping it for
-        // other geometries cannot change an edge: only the exhaustive walk
-        // reads the table (a PaperJump session keeps none), and the
-        // triangle bound it applies is exact.
-        let pivots = if (window, step) == (self.window, self.step) {
-            self.pivots.as_ref()
-        } else {
-            None
-        };
         let geo = WalkGeometry::for_query(&query, self.config.basic_window);
-        Ok(self.state.walk(&self.config, ranks, geo, threshold, pivots))
+        Ok(self.state.walk(&self.config, ranks, geo, threshold, None))
     }
 }
 
@@ -569,41 +455,39 @@ mod tests {
 
     #[test]
     fn streaming_with_pivots_matches_batch_exhaustive() {
-        // Horizontal pruning is lossless: with pivots enabled the streamed
-        // windows must still be bit-identical to the exhaustive batch
-        // truth, while the triangle counter actually fires.
+        // Pivots are inert in a session: its streamed windows are
+        // bit-identical to the exhaustive batch truth, and its edges and
+        // counters equal a pivot-less session's under the same chunking.
         let full = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
-        let initial = full.slice_columns(0, 150).unwrap();
-        let mut session = StreamingDangoron::new(
-            initial,
-            80,
-            20,
-            0.9,
-            config_with_pivots(BoundMode::Exhaustive, 2),
-        )
-        .unwrap();
-        let mut collected = session.drain_completed().unwrap();
-        for (a, b) in [(150usize, 163usize), (163, 240), (240, 400)] {
-            let chunk = full.slice_columns(a, b).unwrap();
-            collected.extend(session.append(&chunk).unwrap());
-        }
+        let replay = |cfg: DangoronConfig| {
+            let initial = full.slice_columns(0, 150).unwrap();
+            let mut session = StreamingDangoron::new(initial, 80, 20, 0.9, cfg).unwrap();
+            let mut collected = session.drain_completed().unwrap();
+            for (a, b) in [(150usize, 163usize), (163, 240), (240, 400)] {
+                let chunk = full.slice_columns(a, b).unwrap();
+                collected.extend(session.append(&chunk).unwrap());
+            }
+            (session, collected)
+        };
+        let (session, collected) = replay(config_with_pivots(BoundMode::Exhaustive, 2));
         let engine = Dangoron::new(config(BoundMode::Exhaustive)).unwrap();
         let batch = engine.execute(&full, session.batch_query()).unwrap();
         assert_eq!(collected.len(), batch.matrices.len());
         assert_same_windows(&collected, &batch.matrices);
-        let s = session.stats();
-        assert!(
-            s.pruned_by_triangle > 0 || s.pairs_skipped_entirely > 0,
-            "horizontal pruning never fired on clustered data: {s:?}"
-        );
+        let (plain, plain_windows) = replay(config(BoundMode::Exhaustive));
+        let plain_windows: Vec<ThresholdedMatrix> =
+            plain_windows.into_iter().map(|cw| cw.matrix).collect();
+        assert_same_windows(&collected, &plain_windows);
+        assert_eq!(session.stats(), plain.stats());
     }
 
     #[test]
     fn streamed_stats_with_pivots_equal_batch_stats_under_any_chunking() {
         // A session walks resident pair sketches, so the wholesale
-        // prefilter never runs and every window is settled exactly as in
+        // prefilter never runs and every window is evaluated exactly as in
         // the batch walk: the summed counters equal the batch run's,
-        // except `n_pairs`, which counts (pair, drain) encounters.
+        // except `n_pairs`, which counts (pair, drain) encounters. And
+        // they equal a pivot-less session's under the same chunking.
         let full = generators::clustered_matrix(10, 400, 2, 0.4, 11).unwrap();
         let cfg = config_with_pivots(BoundMode::Exhaustive, 2);
         let engine = Dangoron::new(cfg.clone()).unwrap();
@@ -612,15 +496,19 @@ mod tests {
             vec![163, 240, 400],
             vec![170, 190, 210, 330, 400],
         ] {
-            let initial = full.slice_columns(0, 150).unwrap();
-            let mut session = StreamingDangoron::new(initial, 80, 20, 0.9, cfg.clone()).unwrap();
-            let mut drains = u64::from(!session.drain_completed().unwrap().is_empty());
-            let mut at = 150;
-            for end in ends.iter().copied() {
-                let out = session.append(&full.slice_columns(at, end).unwrap());
-                drains += u64::from(!out.unwrap().is_empty());
-                at = end;
-            }
+            let replay = |cfg: DangoronConfig| {
+                let initial = full.slice_columns(0, 150).unwrap();
+                let mut session = StreamingDangoron::new(initial, 80, 20, 0.9, cfg).unwrap();
+                let mut drains = u64::from(!session.drain_completed().unwrap().is_empty());
+                let mut at = 150;
+                for end in ends.iter().copied() {
+                    let out = session.append(&full.slice_columns(at, end).unwrap());
+                    drains += u64::from(!out.unwrap().is_empty());
+                    at = end;
+                }
+                (session, drains)
+            };
+            let (session, drains) = replay(cfg.clone());
             let truth = engine.execute(&full, session.batch_query()).unwrap();
             let s = session.stats();
             assert_eq!(s.n_pairs, truth.stats.n_pairs * drains, "ends {ends:?}");
@@ -629,7 +517,8 @@ mod tests {
                 ..s.clone()
             };
             assert_eq!(summed, truth.stats, "ends {ends:?}");
-            assert!(truth.stats.pruned_by_triangle > 0, "pivots never fired");
+            let (plain, _) = replay(config(BoundMode::Exhaustive));
+            assert_eq!(s, plain.stats(), "ends {ends:?}");
         }
     }
 
@@ -747,7 +636,7 @@ mod tests {
         // Replay the same chunked stream through k sharded sessions; the
         // concatenated drains must be bit-identical to the unsharded
         // session's and the shard stats must sum to its counters — with
-        // horizontal pruning on, exercising the out-of-shard pivot pairs.
+        // horizontal pruning on, which a session accepts but never reads.
         let full = generators::clustered_matrix(9, 400, 2, 0.45, 13).unwrap();
         let n_pairs = 9 * 8 / 2;
         let chunks = [(150usize, 190usize), (190, 300), (300, 400)];
@@ -876,12 +765,9 @@ mod tests {
                 };
                 let truth = engine.execute(&prefix, query).unwrap();
                 assert_bitwise(&shared.matrices, &truth.matrices);
-                if (w, s) == (80, 20) {
-                    // At the session's own geometry the walk reads the
-                    // same pivot table as the batch run, so the counters
-                    // agree too.
-                    assert_eq!(shared.stats, truth.stats, "({w}, {s}, {t})");
-                }
+                // Neither walk reads a pivot table, so the counters agree
+                // at every geometry.
+                assert_eq!(shared.stats, truth.stats, "({w}, {s}, {t})");
             }
         }
     }
@@ -967,10 +853,9 @@ mod tests {
 
     #[test]
     fn memory_counts_a_pivot_table_only_where_drains_read_it() {
-        // A PaperJump session reads no pivot table, so opening it with
-        // pivots keeps none — and, sharded, no out-of-shard pivot pairs:
-        // its bytes equal a pivot-less session's. An exhaustive session
-        // still counts its table.
+        // No drain reads a pivot table, so a session opened with pivots
+        // keeps none — and, sharded, no out-of-shard pivot pairs: in
+        // either bound mode its bytes equal a pivot-less session's.
         let full = generators::clustered_matrix(8, 300, 2, 0.5, 5).unwrap();
         let bytes = |cfg: DangoronConfig, ranks: Range<usize>| {
             let mut s = StreamingDangoron::new_sharded(
@@ -986,19 +871,13 @@ mod tests {
             s.memory_bytes()
         };
         for ranks in [0..28, 3..11] {
-            let jump = BoundMode::PaperJump { slack: 0.0 };
-            assert_eq!(
-                bytes(config_with_pivots(jump, 2), ranks.clone()),
-                bytes(config(jump), ranks.clone()),
-                "ranks {ranks:?}"
-            );
-            // Two pivots × eight series × twelve windows of f64s.
-            let table = 2 * 8 * 12 * 8;
-            assert!(
-                bytes(config_with_pivots(BoundMode::Exhaustive, 2), ranks.clone())
-                    >= bytes(config(BoundMode::Exhaustive), ranks.clone()) + table,
-                "ranks {ranks:?}"
-            );
+            for bound in [BoundMode::PaperJump { slack: 0.0 }, BoundMode::Exhaustive] {
+                assert_eq!(
+                    bytes(config_with_pivots(bound, 2), ranks.clone()),
+                    bytes(config(bound), ranks.clone()),
+                    "{bound:?} ranks {ranks:?}"
+                );
+            }
         }
     }
 
@@ -1013,9 +892,18 @@ mod tests {
         assert!(
             StreamingDangoron::new(x.clone(), 80, 15, 0.5, config(BoundMode::Exhaustive)).is_err()
         );
-        // Horizontal pruning is supported in sessions.
+        // Horizontal pruning is accepted in sessions, and its pivots are
+        // validated.
         let c = config_with_pivots(BoundMode::Exhaustive, 1);
         assert!(StreamingDangoron::new(x.clone(), 80, 20, 0.5, c).is_ok());
+        let bad = DangoronConfig {
+            horizontal: Some(HorizontalConfig {
+                n_pivots: 1,
+                strategy: PivotStrategy::Explicit(vec![4]),
+            }),
+            ..config(BoundMode::Exhaustive)
+        };
+        assert!(StreamingDangoron::new(x.clone(), 80, 20, 0.5, bad).is_err());
         // Mismatched series count on append is rejected.
         let mut session =
             StreamingDangoron::new(x.clone(), 80, 20, 0.5, config(BoundMode::Exhaustive)).unwrap();

@@ -11,15 +11,17 @@
 //! landing: each landing depends only on the last exact value.
 //!
 //! In [`BoundMode::Exhaustive`] no window depends on the one before it, so
-//! the walk settles windows in blocks of four: one [`PivotSet::interval4`]
-//! brackets the block, a block the triangle settles whole costs nothing
-//! more, and otherwise one [`tsdata::stats::pearson_from_sums4`] evaluates
-//! the four windows from the prefix rows. On a CPU with AVX2 and FMA the
-//! exhaustive walk runs compiled for both, chosen once per pair.
+//! the walk evaluates windows in blocks of four: one
+//! [`tsdata::stats::pearson_from_sums4`] forms the four windows'
+//! correlations from the prefix rows. It reads no pivot table either: a
+//! per-window triangle fold cost more than the four-lane evaluation it
+//! would skip, so pivots act only through the wholesale pair prefilter
+//! ([`PivotSet::pair_never_edges_in`]) where pair sketches are built on
+//! demand.
 
 use crate::bounds::{max_jump, max_jump_absolute, PairCosts};
 use crate::config::BoundMode;
-use crate::pivot::{settles, PivotSet};
+use crate::pivot::PivotSet;
 use crate::stats::PruningStats;
 use sketch::output::EdgeRule;
 use sketch::{combine, PairSketch, SketchStore, SlidingQuery};
@@ -98,8 +100,12 @@ const LANES: usize = 4;
 /// Walks all windows of one pair, calling `emit(window, value)` for every
 /// window whose correlation passes `rule` at `beta`, in ascending window
 /// order. Counters are recorded into `stats`. `dep` must be given in
-/// [`BoundMode::PaperJump`]; only the [`BoundMode::Exhaustive`] walk reads
-/// `pivots`.
+/// [`BoundMode::PaperJump`].
+///
+/// No walk reads `_pivots`: every window either walk visits is evaluated
+/// exactly. The parameter stays because the traced rebuild in
+/// `benchmark/` passes its pivot table here, and that package changes
+/// only with a benchmark upkeep.
 #[allow(clippy::too_many_arguments)]
 pub fn walk_pair(
     store: &SketchStore,
@@ -111,7 +117,7 @@ pub fn walk_pair(
     rule: EdgeRule,
     mode: BoundMode,
     dep: Option<&PairCosts>,
-    pivots: Option<&PivotSet>,
+    _pivots: Option<&PivotSet>,
     stats: &mut PruningStats,
     mut emit: impl FnMut(usize, f64),
 ) {
@@ -120,16 +126,7 @@ pub fn walk_pair(
 
     let slack = match mode {
         BoundMode::Exhaustive => {
-            #[cfg(target_arch = "x86_64")]
-            if kernel::avx2_active() {
-                // SAFETY: `avx2_active` confirmed that this CPU has AVX2
-                // and FMA (statically or by detection), the only
-                // requirement `walk_exhaustive_fma` adds.
-                return unsafe {
-                    walk_exhaustive_fma(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
-                };
-            }
-            return walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit);
+            return walk_exhaustive(store, pair, i, j, geo, beta, rule, stats, emit);
         }
         BoundMode::PaperJump { slack } => slack,
     };
@@ -187,43 +184,12 @@ pub fn walk_pair(
     }
 }
 
-/// [`walk_exhaustive`] compiled for AVX2+FMA, chosen once per pair when
-/// [`kernel::avx2_active`] holds. The walk, [`PivotSet::interval4`],
-/// [`kernel::triangle_fold4`] and [`tsdata::stats::pearson_from_sums4`]
-/// inline into it, so each `mul_add` is one fused instruction instead of a
-/// call to the `fma` routine, and the four lanes can share vector
-/// registers. Fused multiply-add, `/` and `sqrt` are exactly rounded in
-/// either form, so every lane keeps its bits. Calling it is sound only on
-/// a CPU with AVX2 and FMA, which `avx2_active` confirms.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-fn walk_exhaustive_fma(
-    store: &SketchStore,
-    pair: &PairSketch,
-    i: usize,
-    j: usize,
-    geo: WalkGeometry,
-    beta: f64,
-    rule: EdgeRule,
-    pivots: Option<&PivotSet>,
-    stats: &mut PruningStats,
-    emit: impl FnMut(usize, f64),
-) {
-    walk_exhaustive(store, pair, i, j, geo, beta, rule, pivots, stats, emit)
-}
-
-/// The exhaustive walk, four windows per block. Per window it has the
-/// outcome and counters of a walk that intersects the triangle bounds of
-/// every usable pivot and, when that does not settle the window, evaluates
-/// it with [`combine::window_correlation`]. Each lane settles exactly when
-/// that full intersection settles its window, and its sums are the ones
-/// `window_correlation` forms, fed through the same IEEE operations, so
-/// every lane is bit-identical to that per-window walk. The last block's lanes past `n_windows` re-read the
-/// last window and are ignored, so every window takes this one path.
-/// Settled windows count as `pruned_by_triangle`; the rest are evaluated
-/// exactly and emitted in ascending order when `rule` keeps them.
-#[inline(always)]
+/// The exhaustive walk, four windows per block. Each lane's sums are the
+/// ones [`combine::window_correlation`] forms, fed through the same IEEE
+/// operations, so every lane is bit-identical to a per-window walk. The
+/// last block's lanes past `n_windows` re-read the last window and are
+/// ignored, so every window takes this one path. Every window counts as
+/// evaluated, and is emitted in ascending order when `rule` keeps it.
 #[allow(clippy::too_many_arguments)]
 fn walk_exhaustive(
     store: &SketchStore,
@@ -233,7 +199,6 @@ fn walk_exhaustive(
     geo: WalkGeometry,
     beta: f64,
     rule: EdgeRule,
-    pivots: Option<&PivotSet>,
     stats: &mut PruningStats,
     mut emit: impl FnMut(usize, f64),
 ) {
@@ -241,19 +206,9 @@ fn walk_exhaustive(
     let (sum_j, sq_j) = store.prefix_rows(j);
     let cross = pair.cross_prefix();
     let n = (geo.ns * store.layout().width) as f64;
+    stats.evaluated += geo.n_windows as u64;
     for w in (0..geo.n_windows).step_by(LANES) {
-        let settled: [bool; LANES] = match pivots {
-            Some(pv) => {
-                let (lo, hi) = pv.interval4(i, j, geo.global_window(w), rule, beta);
-                std::array::from_fn(|l| settles(rule, beta, lo[l], hi[l]))
-            }
-            None => [false; LANES],
-        };
         let lanes = LANES.min(geo.n_windows - w);
-        if settled[..lanes].iter().all(|&s| s) {
-            stats.pruned_by_triangle += lanes as u64;
-            continue;
-        }
         // The sums `window_correlation` forms, four windows at a time;
         // lanes past `n_windows` re-read the last window.
         let span = |prefix: &[f64]| -> [f64; LANES] {
@@ -270,16 +225,11 @@ fn walk_exhaustive(
             &span(sq_j),
             &span(cross),
         );
-        for l in 0..lanes {
-            if settled[l] {
-                stats.pruned_by_triangle += 1;
-                continue;
-            }
-            stats.evaluated += 1;
+        for (l, &c) in c.iter().enumerate().take(lanes) {
             // A zero-variance window is undefined (NaN): no edge.
-            if rule.keeps(c[l], beta) {
+            if rule.keeps(c, beta) {
                 stats.edges += 1;
-                emit(w + l, c[l]);
+                emit(w + l, c);
             }
         }
     }
@@ -288,7 +238,6 @@ fn walk_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pivot::tests::window_interval;
     use sketch::{BasicWindowLayout, SlidingQuery};
     use tsdata::{generators, stats as tstats, TimeSeriesMatrix};
 
@@ -569,9 +518,8 @@ mod tests {
     }
 
     /// The per-window walk the four-window blocks must reproduce: one
-    /// [`window_interval`] over every usable pivot and, when it does not
-    /// settle the window, one `combine::window_correlation`. Edges as
-    /// `(window, bits)`.
+    /// `combine::window_correlation` per window, with no pivot table.
+    /// Edges as `(window, bits)`.
     #[allow(clippy::too_many_arguments)]
     fn per_window_oracle(
         store: &SketchStore,
@@ -581,7 +529,6 @@ mod tests {
         geo: WalkGeometry,
         beta: f64,
         rule: EdgeRule,
-        pivots: Option<&PivotSet>,
     ) -> (Vec<(usize, u64)>, PruningStats) {
         let mut stats = PruningStats {
             n_pairs: 1,
@@ -590,13 +537,6 @@ mod tests {
         };
         let mut edges = Vec::new();
         for w in 0..geo.n_windows {
-            if let Some(pv) = pivots {
-                let (lo, hi) = window_interval(pv, i, j, geo.global_window(w));
-                if settles(rule, beta, lo, hi) {
-                    stats.pruned_by_triangle += 1;
-                    continue;
-                }
-            }
             stats.evaluated += 1;
             let (b0, b1) = geo.bw_range(w);
             if let Ok(c) = combine::window_correlation(store, pair, i, j, b0, b1) {
@@ -617,9 +557,11 @@ mod tests {
         // inside blocks next to defined ones, and pivots 2 and 4 carry NaN
         // lanes. The basic-window counts, steps and drain offsets give
         // every `n_windows % 4` class, so the last block is partial in
-        // three of them. The whole sweep runs twice, with the kernel
-        // dispatcher free (the `avx2,fma` walk on such a CPU) and forced
-        // to scalar (the plain walk), and both runs must agree.
+        // three of them. Each walk is passed two pivot tables and none, and
+        // must give the pivot-free result every time: no walk reads the
+        // table. The whole sweep runs twice, with the kernel dispatcher
+        // free and forced to scalar (the sketches' builds), and both runs
+        // must agree.
         let runs: Vec<Walks> = [false, true]
             .into_iter()
             .map(|forced| {
@@ -691,9 +633,8 @@ mod tests {
                                         &mut stats,
                                         |w, v| got.push((w, v.to_bits())),
                                     );
-                                    let (want, want_stats) = per_window_oracle(
-                                        &store, pair, i, j, geo, beta, rule, pivots,
-                                    );
+                                    let (want, want_stats) =
+                                        per_window_oracle(&store, pair, i, j, geo, beta, rule);
                                     let what = format!(
                                         "nb={nb} ns={ns} step={step_bw} skip={skip} \
                                          ({i},{j}) {rule:?} beta={beta} pivots={}",
@@ -711,7 +652,8 @@ mod tests {
             }
         }
         assert_eq!(mods, [true; 4], "every n_windows % 4 class walked");
-        assert!(seen.pruned_by_triangle > 0 && seen.evaluated > 0 && seen.edges > 0);
+        assert!(seen.evaluated > 0 && seen.edges > 0);
+        assert_eq!(seen.pruned_by_triangle, 0);
         runs
     }
 

@@ -59,8 +59,6 @@ pub struct CoordMetrics {
     pub evaluated: Counter,
     /// `dangoron_coord_skipped_by_jump_total`.
     pub skipped_by_jump: Counter,
-    /// `dangoron_coord_pruned_by_triangle_total`.
-    pub pruned_by_triangle: Counter,
     /// `dangoron_coord_pairs_skipped_total`.
     pub pairs_skipped: Counter,
 }
@@ -139,10 +137,6 @@ impl CoordMetrics {
                 "dangoron_coord_skipped_by_jump_total",
                 "Cells the accepted shards skipped with the Eq. 2 jump",
             ),
-            pruned_by_triangle: registry.counter(
-                "dangoron_coord_pruned_by_triangle_total",
-                "Cells the accepted shards settled with the triangle bound",
-            ),
             pairs_skipped: registry.counter(
                 "dangoron_coord_pairs_skipped_total",
                 "Pairs the accepted shards skipped wholesale with the pair prefilter",
@@ -157,7 +151,6 @@ impl CoordMetrics {
         self.cells.add(stats.total_cells);
         self.evaluated.add(stats.evaluated);
         self.skipped_by_jump.add(stats.skipped_by_jump);
-        self.pruned_by_triangle.add(stats.pruned_by_triangle);
         self.pairs_skipped.add(stats.pairs_skipped_entirely);
     }
 
@@ -219,7 +212,6 @@ mod tests {
             total_cells: 100,
             evaluated: 40,
             skipped_by_jump: 30,
-            pruned_by_triangle: 20,
             pairs_skipped_entirely: 2,
             ..Default::default()
         };
@@ -229,9 +221,8 @@ mod tests {
             m.cells.get(),
             m.evaluated.get(),
             m.skipped_by_jump.get(),
-            m.pruned_by_triangle.get(),
             m.pairs_skipped.get(),
         ];
-        assert_eq!(got, [200, 80, 60, 40, 4]);
+        assert_eq!(got, [200, 80, 60, 4]);
     }
 }

@@ -252,10 +252,6 @@ fn chaos_storm_scraped_from_four_threads_stays_bit_identical() {
             scraped.stats.skipped_by_jump,
         ),
         (
-            "dangoron_coord_pruned_by_triangle_total",
-            scraped.stats.pruned_by_triangle,
-        ),
-        (
             "dangoron_coord_pairs_skipped_total",
             scraped.stats.pairs_skipped_entirely,
         ),

@@ -37,13 +37,13 @@
 //! prefix chains at once, lane `q` carrying one pair's chain (the
 //! pair-sketch builder runs its cross-sum prefixes and the Eq. 2 cost
 //! prefixes four pairs at a time through it). They are inlined scalar
-//! functions. The exhaustive walk and the pivot table's wholesale
-//! prefilter, the fold's two callers, check `avx2_active` once per call
-//! and run an `avx2,fma` instance of themselves into which the fold
-//! inlines, so each `mul_add` is one fused instruction rather than an
-//! out-of-line call to the `fma` routine, which a portable x86-64 build
-//! would make. A fused multiply-add is exactly rounded in either form, so
-//! both instances give the same bits.
+//! functions. The pivot table's wholesale prefilter, the fold's one
+//! caller, checks `avx2_active` once per call and runs an `avx2,fma`
+//! instance of itself into which the fold inlines, so each `mul_add` is
+//! one fused instruction rather than an out-of-line call to the `fma`
+//! routine, which a portable x86-64 build would make. A fused multiply-add
+//! is exactly rounded in either form, so both instances give the same
+//! bits.
 //!
 //! ```
 //! let x: Vec<f64> = (0..1027).map(|t| (t as f64 * 0.37).sin()).collect();

@@ -23,8 +23,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// A batch preparation, `Dangoron::prepare_shard` (`core::engine`):
-    /// sketch store, pair sketches and costs, and the pivot table, whose
-    /// build it contains.
+    /// sketch store, pair sketches and costs, and, for on-demand pairs
+    /// with pivots, the pivot table, whose build it contains.
     Prepare,
     /// Pivot-table construction (`core::pivot`), inside a `Prepare`.
     PivotBuild,

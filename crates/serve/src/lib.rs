@@ -1,9 +1,9 @@
 //! The serving tier: resident multi-tenant correlation sessions.
 //!
 //! A one-shot `dangoron` run pays the prepare phase — sketch prefixes,
-//! pair sketches, Eq. 2 cost prefixes, the pivot table — for every
-//! query. But that state is *query-independent*: it depends on the data
-//! and the engine config, never on `(window, step, threshold)`. This
+//! pair sketches, Eq. 2 cost prefixes — for every query. But that state
+//! is *query-independent*: it depends on the data and the engine config,
+//! never on `(window, step, threshold)`. This
 //! crate keeps it resident: a [`session::Session`] owns one
 //! [`dangoron::StreamingDangoron`], accepts appends, and answers any
 //! number of concurrent ad-hoc queries from the shared sketches

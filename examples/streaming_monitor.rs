@@ -103,12 +103,7 @@ fn verify_bitwise(served: &[ThresholdedMatrix], fresh: &[ThresholdedMatrix], who
 fn run_standalone() {
     let data = dataset();
     let initial = data.slice_columns(0, HISTORY_HOURS).expect("slice");
-    // Horizontal (triangle) pruning: the pivot table is grown
-    // incrementally with the sketches, so it costs O(N) per day.
-    let cfg = DangoronConfig {
-        horizontal: Some(Default::default()),
-        ..config()
-    };
+    let cfg = config();
     let mut session = Session::open(initial, WINDOW, STEP, BETA, cfg.clone()).expect("session");
     println!(
         "opened session over {HISTORY_HOURS}h of history \
@@ -150,11 +145,11 @@ fn run_standalone() {
     let s = session.engine().stats();
     println!(
         "\nsession end: {} windows emitted over {}h of data \
-         ({}h of raw history retained; {} cells triangle-pruned)",
+         ({}h of raw history retained; {} cells evaluated exactly)",
         session.engine().emitted_windows(),
         session.engine().ingested_cols(),
         session.engine().history_len(),
-        s.pruned_by_triangle,
+        s.evaluated,
     );
 
     // The equivalent batch answer, straight from the shared sketches —

@@ -199,13 +199,13 @@ fn shared_query_is_thread_count_invariant() {
 
 #[test]
 fn streaming_with_pivots_emits_exact_batch_truth() {
-    // Horizontal pruning is lossless, so a streaming session with pivots
-    // must emit *exactly* the exhaustive batch truth — bit-identical —
-    // for every append chunking, both edge rules, and every thread
-    // count. Within one chunking the cumulative pruning stats must be
+    // A streaming session accepts pivots but reads no pivot table, so with
+    // pivots it must emit *exactly* the exhaustive batch truth —
+    // bit-identical — for every append chunking, both edge rules, and
+    // every thread count, and its edges and cumulative stats must equal a
+    // pivot-less session's. Within one chunking the stats must be
     // invariant in the thread count (across chunkings they legitimately
-    // differ: counters record per-drain pair encounters), and the
-    // triangle counters must actually fire on clustered data.
+    // differ: counters record per-drain pair encounters).
     use dangoron::config::HorizontalConfig;
     use dangoron::{PivotStrategy, PruningStats};
 
@@ -245,39 +245,41 @@ fn streaming_with_pivots_emits_exact_batch_truth() {
         let mut stats_across_runs: Vec<PruningStats> = Vec::new();
         for (c, chunking) in chunkings.iter().enumerate() {
             for &threads in &THREAD_COUNTS {
-                let mut session = StreamingDangoron::new(
-                    full.slice_columns(0, chunking[0]).unwrap(),
-                    80,
-                    20,
-                    0.85,
-                    DangoronConfig {
-                        basic_window: 20,
-                        bound: BoundMode::Exhaustive,
-                        edge_rule,
-                        threads,
-                        horizontal: Some(HorizontalConfig {
-                            n_pivots: 3,
-                            strategy: PivotStrategy::Evenly,
-                        }),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let mut collected = session.drain_completed().unwrap();
-                for pair in chunking.windows(2) {
-                    let chunk = full.slice_columns(pair[0], pair[1]).unwrap();
-                    collected.extend(session.append(&chunk).unwrap());
-                }
+                let replay = |horizontal: Option<HorizontalConfig>| {
+                    let mut session = StreamingDangoron::new(
+                        full.slice_columns(0, chunking[0]).unwrap(),
+                        80,
+                        20,
+                        0.85,
+                        DangoronConfig {
+                            basic_window: 20,
+                            bound: BoundMode::Exhaustive,
+                            edge_rule,
+                            threads,
+                            horizontal,
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap();
+                    let mut collected = session.drain_completed().unwrap();
+                    for pair in chunking.windows(2) {
+                        let chunk = full.slice_columns(pair[0], pair[1]).unwrap();
+                        collected.extend(session.append(&chunk).unwrap());
+                    }
+                    let streamed: Vec<ThresholdedMatrix> =
+                        collected.into_iter().map(|cw| cw.matrix).collect();
+                    (streamed, session.stats().clone())
+                };
                 let ctx = format!("pivots {edge_rule:?} chunking#{c} threads={threads}");
-                assert_eq!(collected.len(), truth.matrices.len(), "{ctx}: windows");
-                let streamed: Vec<ThresholdedMatrix> =
-                    collected.iter().map(|cw| cw.matrix.clone()).collect();
+                let (streamed, s) = replay(Some(HorizontalConfig {
+                    n_pivots: 3,
+                    strategy: PivotStrategy::Evenly,
+                }));
+                assert_eq!(streamed.len(), truth.matrices.len(), "{ctx}: windows");
                 assert_bit_identical(&streamed, &truth.matrices, &ctx);
-                let s = session.stats().clone();
-                assert!(
-                    s.pruned_by_triangle > 0 || s.pairs_skipped_entirely > 0,
-                    "{ctx}: horizontal pruning never fired: {s:?}"
-                );
+                let (plain, plain_stats) = replay(None);
+                assert_bit_identical(&streamed, &plain, &format!("{ctx} against no pivots"));
+                assert_eq!(s, plain_stats, "{ctx}: stats against no pivots");
                 stats_across_runs.push(s);
             }
             // Stats invariant in the thread count (same chunking).

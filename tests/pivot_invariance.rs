@@ -1,18 +1,22 @@
-//! Pivots never change edges: under `BoundMode::PaperJump` a configuration
-//! with horizontal pruning emits exactly the edges (values bit for bit) of
-//! the same configuration without it, on every path that walks pairs.
+//! Pivots never change edges: a configuration with horizontal pruning
+//! emits exactly the edges (values bit for bit) of the same configuration
+//! without it, on every path that walks pairs, in either bound mode.
 //!
-//! The triangle bound is exact, and the PaperJump walk jumps only from
-//! exact values, so the pivot table can reach it only through the
+//! The triangle bound is exact, and neither walk reads a pivot table: the
+//! exhaustive walk evaluates every window and the PaperJump walk jumps
+//! only from exact values. So the table can act only through the
 //! on-demand wholesale prefilter, which skips pairs that have no edge in
-//! any window. Swept: slack 0 and 0.05, both edge rules, both storages,
-//! 2 and 4 pivots under `Evenly` and `Explicit`, against no pivots, over
-//! batch `run`, `run_range` splits, `prepare_shard` workers, chunked
-//! streaming drains and `query_shared` at the session's geometry and at a
-//! foreign one.
+//! any window. Over resident pair sketches pivots are inert, so the
+//! `PruningStats` with pivots equal those without too; only on-demand
+//! batch paths may move them, and there the prefilter must fire. Swept:
+//! both bound modes (PaperJump at slack 0 and 0.05), both edge rules,
+//! both storages, 2 and 4 pivots under `Evenly` and `Explicit`, against
+//! no pivots, over batch `run`, `run_range` splits, `prepare_shard`
+//! workers, chunked streaming drains and `query_shared` at the session's
+//! geometry and at a foreign one.
 
 use dangoron::config::{HorizontalConfig, PivotStrategy};
-use dangoron::{BoundMode, Dangoron, DangoronConfig, PairStorage, StreamingDangoron};
+use dangoron::{BoundMode, Dangoron, DangoronConfig, PairStorage, PruningStats, StreamingDangoron};
 use sketch::output::EdgeRule;
 use sketch::{triangular, SlidingQuery, ThresholdedMatrix};
 use tsdata::TimeSeriesMatrix;
@@ -44,7 +48,8 @@ fn edges(matrices: &[ThresholdedMatrix]) -> Edges {
 /// Synthetic hourly climate series: the walks jump, land and emit, and
 /// the triangle settles below-threshold windows, so a walk that jumped
 /// from a triangle bracket instead of the exact value would land
-/// elsewhere and change the edges under every rule.
+/// elsewhere and change the edges under every rule, and a walk that
+/// settled windows by their brackets would move the counters.
 fn data() -> TimeSeriesMatrix {
     eval::workloads::climate(N, LEN, BETA, 2020).unwrap().data
 }
@@ -76,27 +81,58 @@ fn pivot_settings() -> Vec<Option<HorizontalConfig>> {
     out
 }
 
-/// Every edge list one configuration produces, each with its path name.
-fn all_paths(x: &TimeSeriesMatrix, cfg: &DangoronConfig) -> Vec<(String, Edges)> {
+/// What one path produced: its name, its edges and its counters, and
+/// whether it walked on-demand pair sketches (only those may prefilter).
+struct Path {
+    name: String,
+    edges: Edges,
+    stats: PruningStats,
+    on_demand: bool,
+}
+
+/// Every path one configuration walks.
+fn all_paths(x: &TimeSeriesMatrix, cfg: &DangoronConfig) -> Vec<Path> {
     let engine = Dangoron::new(cfg.clone()).unwrap();
     let q = query(LEN, WINDOW, STEP);
     let n_pairs = triangular::count(N);
+    let batch = cfg.storage == PairStorage::OnDemand;
+    let path = |name: String, edges: Edges, stats: PruningStats, on_demand: bool| Path {
+        name,
+        edges,
+        stats,
+        on_demand,
+    };
     let mut out = Vec::new();
 
     let prep = engine.prepare(x, q).unwrap();
-    out.push(("run".to_string(), edges(&engine.run(&prep).matrices)));
+    let run = engine.run(&prep);
+    out.push(path("run".into(), edges(&run.matrices), run.stats, batch));
     for cuts in [vec![0, 17, n_pairs], vec![0, 1, 30, 31, 50, n_pairs]] {
-        let mut split = Edges::new();
-        let mut sharded = Edges::new();
+        let (mut split, mut split_stats) = (Edges::new(), PruningStats::default());
+        let (mut sharded, mut shard_stats) = (Edges::new(), PruningStats::default());
         for c in cuts.windows(2) {
-            split.extend(edges(&engine.run_range(&prep, c[0]..c[1]).matrices));
+            let part = engine.run_range(&prep, c[0]..c[1]);
+            split.extend(edges(&part.matrices));
+            split_stats.merge(&part.stats);
             let shard = engine.prepare_shard(x, q, c[0]..c[1]).unwrap();
-            sharded.extend(edges(&engine.run(&shard).matrices));
+            let part = engine.run(&shard);
+            sharded.extend(edges(&part.matrices));
+            shard_stats.merge(&part.stats);
         }
         split.sort_unstable_by_key(|&(w, i, j, _)| (w, i, j));
         sharded.sort_unstable_by_key(|&(w, i, j, _)| (w, i, j));
-        out.push((format!("run_range {cuts:?}"), split));
-        out.push((format!("prepare_shard {cuts:?}"), sharded));
+        out.push(path(
+            format!("run_range {cuts:?}"),
+            split,
+            split_stats,
+            batch,
+        ));
+        out.push(path(
+            format!("prepare_shard {cuts:?}"),
+            sharded,
+            shard_stats,
+            batch,
+        ));
     }
 
     let mut session = StreamingDangoron::new(
@@ -112,23 +148,67 @@ fn all_paths(x: &TimeSeriesMatrix, cfg: &DangoronConfig) -> Vec<(String, Edges)>
         drained.extend(session.append(&x.slice_columns(a, b).unwrap()).unwrap());
     }
     let drains: Vec<ThresholdedMatrix> = drained.into_iter().map(|cw| cw.matrix).collect();
-    out.push(("streaming drains".to_string(), edges(&drains)));
+    out.push(path(
+        "streaming drains".into(),
+        edges(&drains),
+        session.stats().clone(),
+        false,
+    ));
     for (window, step) in [(WINDOW, STEP), (480, 48)] {
         let shared = session.query_shared(window, step, BETA).unwrap();
-        out.push((
+        // A shared query answers as a fresh batch run with the same
+        // configuration does: the same edges, and over resident pairs the
+        // same counters.
+        let fresh = engine.execute(x, query(LEN, window, step)).unwrap();
+        let what = format!("{cfg:?}: query_shared {window}/{step} against a fresh batch run");
+        assert_eq!(edges(&shared.matrices), edges(&fresh.matrices), "{what}");
+        if !batch {
+            assert_eq!(shared.stats, fresh.stats, "{what}");
+        }
+        out.push(path(
             format!("query_shared {window}/{step}"),
             edges(&shared.matrices),
+            shared.stats,
+            false,
         ));
-        // A shared query answers as a fresh batch run with the same
-        // configuration does.
-        let fresh = engine.execute(x, query(LEN, window, step)).unwrap();
-        assert_eq!(
-            edges(&shared.matrices),
-            edges(&fresh.matrices),
-            "{cfg:?}: query_shared {window}/{step} against a fresh batch run"
-        );
     }
     out
+}
+
+/// Runs every path of `base` with each pivot setting and holds it to the
+/// pivot-less run; returns the number of comparisons.
+fn check_pivot_invariance(x: &TimeSeriesMatrix, base: &DangoronConfig) -> usize {
+    let want = all_paths(x, base);
+    assert!(
+        want.iter().all(|p| !p.edges.is_empty()),
+        "a path emitted no edges"
+    );
+    assert!(want
+        .iter()
+        .all(|p| p.stats.pruned_by_triangle == 0 && p.stats.pairs_skipped_entirely == 0));
+    let mut compared = 0;
+    for horizontal in pivot_settings().into_iter().skip(1) {
+        let cfg = DangoronConfig {
+            horizontal,
+            ..base.clone()
+        };
+        let mut skipped = 0;
+        for (got, want) in all_paths(x, &cfg).iter().zip(&want) {
+            let what = format!("{cfg:?}: {}", got.name);
+            assert_eq!(got.edges, want.edges, "{what}");
+            assert_eq!(got.stats.pruned_by_triangle, 0, "{what}");
+            if got.on_demand {
+                skipped += got.stats.pairs_skipped_entirely;
+            } else {
+                assert_eq!(got.stats, want.stats, "{what}");
+            }
+            compared += 1;
+        }
+        if cfg.storage == PairStorage::OnDemand {
+            assert!(skipped > 0, "{cfg:?}: the prefilter never fired");
+        }
+    }
+    compared
 }
 
 #[test]
@@ -145,23 +225,28 @@ fn paper_jump_edges_are_the_same_with_and_without_pivots() {
                     edge_rule: rule,
                     ..Default::default()
                 };
-                let want = all_paths(&x, &base);
-                assert!(
-                    want.iter().all(|(_, e)| !e.is_empty()),
-                    "a path emitted no edges"
-                );
-                for horizontal in pivot_settings().into_iter().skip(1) {
-                    let cfg = DangoronConfig {
-                        horizontal,
-                        ..base.clone()
-                    };
-                    for ((path, got), (_, want)) in all_paths(&x, &cfg).iter().zip(&want) {
-                        assert_eq!(got, want, "{cfg:?}: {path}");
-                        compared += 1;
-                    }
-                }
+                compared += check_pivot_invariance(&x, &base);
             }
         }
     }
     assert_eq!(compared, 2 * 2 * 2 * 4 * 8);
+}
+
+#[test]
+fn exhaustive_edges_and_stats_are_the_same_with_and_without_pivots() {
+    let x = data();
+    let mut compared = 0;
+    for rule in [EdgeRule::Positive, EdgeRule::Absolute] {
+        for storage in [PairStorage::Precomputed, PairStorage::OnDemand] {
+            let base = DangoronConfig {
+                basic_window: 24,
+                bound: BoundMode::Exhaustive,
+                storage,
+                edge_rule: rule,
+                ..Default::default()
+            };
+            compared += check_pivot_invariance(&x, &base);
+        }
+    }
+    assert_eq!(compared, 2 * 2 * 4 * 8);
 }

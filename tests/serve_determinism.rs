@@ -197,8 +197,9 @@ fn concurrent_shared_queries_verify_in_jump_mode() {
 
 #[test]
 fn session_geometry_queries_share_the_pivot_table() {
-    // The session's own (window, step) reuses the resident pivot table;
-    // this seed pins that path under the same contract.
+    // A session opened with pivots keeps no pivot table (no resident
+    // walk reads one); this seed pins its queries at the session's own
+    // (window, step) under the same contract.
     let full = generators::clustered_matrix(N_SERIES, 400, 2, 0.5, 77).expect("dataset");
     let addr = serve::spawn_local(Arc::new(Registry::new(None)), None)
         .expect("daemon")
